@@ -1,134 +1,28 @@
-//! Microbenchmarks for the overhauled miss path (DESIGN.md §16), split
-//! into its three phases: side-effect-free tier-2 classification probes
-//! (L1 D-TLB miss → LLT peek, L1D miss → L2 peek), fast-path retirement
-//! of an L2-hit stream through `System::run_stream` (the second fast
-//! tier — events whose TLB or cache lookup terminates one level down),
-//! and the lazy replacement-metadata machinery in `SetAssoc` (buffered
-//! hit-promotions flushed by the next metadata reader). Together these
-//! localise a `simulator` throughput regression to the miss-path stage
-//! that caused it.
+//! Microbenchmark for the lazy replacement metadata in `SetAssoc`
+//! (DESIGN.md §16): hit-promotions buffer in a pending slot and are
+//! applied only when the next metadata reader — a fill's victim search —
+//! needs them. A `simulator` throughput regression that this group
+//! reproduces lives in the metadata machinery rather than the miss path
+//! around it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dpc_memsim::cache::Cache;
-use dpc_memsim::hierarchy::Hierarchy;
-use dpc_memsim::policy::NullBlockPolicy;
 use dpc_memsim::set_assoc::InsertPriority;
-use dpc_memsim::tlb::TlbGroup;
-use dpc_memsim::System;
-use dpc_types::stream::{EventStream, StreamCursor};
-use dpc_types::{
-    AccessKind, BlockAddr, Event, PageSize, Pc, Pfn, PhysAddr, SystemConfig, VirtAddr, Workload,
-    BLOCK_SHIFT,
-};
+use dpc_types::{BlockAddr, SystemConfig};
 
-/// Memory operations per tier-2 retire iteration.
-const MEM_OPS: u64 = 65_536;
-/// Classification probes per iteration.
-const PROBES: u64 = 4_096;
 /// Lazy-metadata operations per iteration.
 const LAZY_OPS: u64 = 8_192;
-/// Pages in the tier-2 working set: more than the 64-entry L1 D-TLB
-/// holds (every access misses it) but comfortably inside the 1024-entry
-/// LLT (every access hits there).
-const PAGES: u64 = 256;
-/// Distinct blocks touched per page: `PAGES * BLOCKS_PER_PAGE` blocks
-/// overflow the 512-block L1D but fit the 4096-block L2, so the cache
-/// side of every access also terminates one level down.
-const BLOCKS_PER_PAGE: u64 = 4;
-
-/// Looping load generator whose steady state is the tier-2 shape:
-/// L1 D-TLB miss → LLT hit, L1D miss → L2 hit.
-struct Tier2Loads {
-    i: u64,
-}
-
-impl Workload for Tier2Loads {
-    fn name(&self) -> &str {
-        "tier2-loads"
-    }
-    fn next_event(&mut self) -> Option<Event> {
-        let page = self.i % PAGES;
-        let block = (self.i / PAGES) % BLOCKS_PER_PAGE;
-        self.i += 1;
-        let va = VirtAddr::new(0x2000_0000 + page * 4096 + block * 64);
-        Some(Event::load(Pc::new(0x40_0000), va))
-    }
-}
-
-fn tier2_stream() -> EventStream {
-    EventStream::capture_mem_ops(&mut Tier2Loads { i: 0 }, MEM_OPS)
-}
-
-fn warm_system(stream: &EventStream) -> System {
-    let mut sys = System::new(SystemConfig::paper_baseline()).expect("baseline config is valid");
-    let mut cursor = StreamCursor::default();
-    sys.run_stream(stream, &mut cursor, MEM_OPS);
-    sys
-}
 
 fn bench_misspath_phases(c: &mut Criterion) {
     let mut group = c.benchmark_group("misspath_phases");
     group.sample_size(20);
     let config = SystemConfig::paper_baseline();
 
-    // Phase 1 — classification: the pure probes that type an event as a
-    // tier-2 retire. The L1 D-TLB and L1D probes miss, the LLT and L2
-    // probes hit — the exact lookup sequence `fast_retire_run` performs
-    // before committing anything.
-    group.throughput(Throughput::Elements(PROBES));
-    let l1_tlb = TlbGroup::single(&config.l1_dtlb); // empty: every probe misses
-    let mut llt = TlbGroup::single(&config.l2_tlb);
-    let mut hierarchy: Hierarchy<NullBlockPolicy> =
-        Hierarchy::with_typed_policy(&config, NullBlockPolicy);
-    for i in 0..PAGES {
-        let va = VirtAddr::new(0x2000_0000 + i * 4096);
-        llt.fill(PageSize::Size4K, va.vpn(), Pfn::new(i), InsertPriority::Normal, 0);
-        for b in 0..BLOCKS_PER_PAGE {
-            let pa = PhysAddr::new(i * 4096 + b * 64);
-            hierarchy.access(pa, AccessKind::Read, Pc::new(0x40_0000), true);
-            hierarchy.l1d.invalidate(pa.block()); // leave the block L2-resident only
-        }
-    }
-    group.bench_function("classify", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for i in 0..PROBES {
-                let va = VirtAddr::new(0x2000_0000 + (i % PAGES) * 4096 + (i % BLOCKS_PER_PAGE) * 64);
-                if l1_tlb.probe(black_box(va.vpn())).is_none() {
-                    if let Some(hit) = llt.probe(va.vpn()) {
-                        acc ^= hit.pfn.raw() as usize;
-                    }
-                }
-                let block = BlockAddr::new(va.raw() >> BLOCK_SHIFT);
-                if hierarchy.probe_l1d(black_box(block)).is_none() {
-                    if let Some(way) = hierarchy.probe_l2(block) {
-                        acc ^= way;
-                    }
-                }
-            }
-            acc
-        });
-    });
-
-    // Phase 2 — tier-2 retirement: a warm stream whose every event misses
-    // the L1 structures and hits one level down, retired through the
-    // batched fast path. tests/fastpath.rs proves the retire is
-    // bit-identical to stepping; this measures its cost.
-    group.throughput(Throughput::Elements(MEM_OPS));
-    let stream = tier2_stream();
-    let mut tier2_sys = warm_system(&stream);
-    group.bench_function("tier2_retire", |b| {
-        b.iter(|| {
-            let mut cursor = StreamCursor::default();
-            black_box(tier2_sys.run_stream(&stream, &mut cursor, MEM_OPS).mem_ops)
-        });
-    });
-
-    // Phase 3 — lazy metadata: hit-promotions buffer in the SetAssoc
-    // pending slot (coalescing repeats, swapping on a new way) and are
-    // applied only when a fill's victim search reads the metadata. The
-    // mix below — runs of hits across ways punctuated by fills — cycles
-    // the buffer through all three of its transitions.
+    // Hit-promotions buffer in the SetAssoc pending slot (coalescing
+    // repeats, swapping on a new way) and are applied only when a fill's
+    // victim search reads the metadata. The mix below — runs of hits
+    // across ways punctuated by fills — cycles the buffer through all
+    // three of its transitions.
     group.throughput(Throughput::Elements(LAZY_OPS));
     let mut cache = Cache::new(&config.l1d);
     let hot_blocks = u64::from(config.l1d.ways) * 32; // resident working set
@@ -145,7 +39,9 @@ fn bench_misspath_phases(c: &mut Criterion) {
                     // search is a metadata reader.
                     fresh += 1;
                     cache.fill(BlockAddr::new(fresh << 4), InsertPriority::Normal, 0);
-                } else if let Some(way) = cache.lookup(black_box(BlockAddr::new((i % hot_blocks) << 4))) {
+                } else if let Some(way) =
+                    cache.lookup(black_box(BlockAddr::new((i % hot_blocks) << 4)))
+                {
                     acc ^= way;
                 }
             }

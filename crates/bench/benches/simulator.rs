@@ -29,8 +29,8 @@ fn bench_simulation_throughput(c: &mut Criterion) {
     group.sample_size(10);
 
     // canneal/bfs/lbm are the historical gate; mcf and pr are the
-    // miss-heavy additions that exercise the slow walk + refill pipeline
-    // (and the second fast tier) rather than the L1-hit retire loop.
+    // miss-heavy additions that exercise the walk + refill pipeline
+    // rather than the L1-hit path.
     for workload in ["canneal", "bfs", "lbm", "mcf", "pr"] {
         let factory = WorkloadFactory::new(Scale::Tiny, 42);
         let stream = captured_stream(&factory, workload);

@@ -21,9 +21,9 @@
 //! `--page-size` flag wins over the environment), `DPC_THREADS` (worker
 //! threads for the campaign executor; default = available parallelism),
 //! `DPC_TRACE_STORE` (`off` disables the shared trace store, forcing
-//! live generation per run), and `DPC_FASTPATH` (`off` disables the
-//! replay engine's batched L1-hit fast path; output is byte-identical
-//! either way). `--quick` overrides scale and budgets to a
+//! live generation per run), and `DPC_SIMD` (`off` forces the scalar
+//! tag-match and decode kernels). Output is byte-identical under either
+//! setting of the last two. `--quick` overrides scale and budgets to a
 //! seconds-long smoke configuration (Tiny scale, 2K warm-up, 20K
 //! measured) regardless of the environment.
 

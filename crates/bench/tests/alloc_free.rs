@@ -8,6 +8,10 @@
 //! pass warms every structure (page-table mappings, reverse maps, MSHR,
 //! eviction vectors reach their steady-state capacity), the second pass is
 //! measured and must allocate exactly nothing.
+//!
+//! The count is per thread: the test harness runs the tests below on
+//! parallel threads, and a process-wide counter would charge one test's
+//! set-up allocations to the other's measured pass.
 
 // The counting allocator has to implement `GlobalAlloc`, which is an
 // unsafe trait; this is the one sanctioned exception to the workspace-wide
@@ -21,28 +25,39 @@ use dpc_types::stream::EventStream;
 use dpc_types::SystemConfig;
 use dpc_workloads::{Scale, WorkloadFactory};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wraps the system allocator and counts every allocation-side call
-/// (alloc, alloc_zeroed, realloc). Deallocations are not counted: the
-/// contract is about *acquiring* memory on the hot path.
+/// (alloc, alloc_zeroed, realloc) on the calling thread. Deallocations are
+/// not counted: the contract is about *acquiring* memory on the hot path.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so bumping it never allocates
+    // and stays valid for the thread's whole life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation-side call on the current thread.
+fn count_allocation() {
+    // `try_with` only fails during thread teardown, after the last test
+    // body on that thread has returned.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 
@@ -54,11 +69,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation-side calls made while running `f`.
+/// Allocation-side calls made by the current thread while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 const MEM_OPS: u64 = 30_000;
@@ -115,7 +130,7 @@ fn warm_event_loop_never_allocates() {
     .expect("AIP config is valid");
     assert_event_loop_allocation_free("aip", aip, &stream);
 
-    // The paper's headline configuration on the monomorphized fast path:
+    // The paper's headline configuration on the monomorphized path:
     // dpPred (pHIST + shadow table) and cbPred (bHIST + PFQ + ghost
     // FIFOs) must also reach an allocation-free steady state — their
     // bypass paths drive the ghost trackers and the System's DOA
@@ -132,7 +147,7 @@ fn warm_event_loop_never_allocates() {
 /// The chunked replay front-end (`run_stream`) must uphold the same
 /// contract: its decode batch is owned by the `System` and reused across
 /// calls, so a warm campaign replay — SIMD prescan, per-chunk batch
-/// refills, set prefetches and all — performs zero heap allocations.
+/// refills and all — performs zero heap allocations.
 /// This is the path `paper all` drives for every simulation, with or
 /// without AVX2 (the batch reuse is mode-independent).
 #[test]

@@ -90,15 +90,9 @@ pub struct RunTiming {
     pub gen_wall: Duration,
     /// Memory operations simulated (warm-up + measured).
     pub mem_ops: u64,
-    /// Events the replay engine retired on the batched L1-hit fast path
-    /// (tier 1: L1 D-TLB hit + L1D hit).
-    pub fast_hits: u64,
-    /// Events the replay engine retired on the second fast tier (an L1
-    /// D-TLB miss absorbed by the L2 TLB and/or an L1D miss absorbed by
-    /// the L2 cache).
-    pub fast_l2_hits: u64,
-    /// Events that went through the full `step` machinery.
-    pub slow_steps: u64,
+    /// Events the machine processed (warm-up + measured, compute and
+    /// memory alike): `SimStats::slow_steps` of the run.
+    pub events: u64,
 }
 
 impl RunTiming {
@@ -117,38 +111,18 @@ impl RunTiming {
         }
     }
 
-    /// Total events processed by the replay engine, across all tiers.
-    pub fn events(&self) -> u64 {
-        self.fast_hits + self.fast_l2_hits + self.slow_steps
-    }
-
-    /// Fraction of this run's events retired on the tier-1 fast path.
-    pub fn fast_hit_coverage(&self) -> f64 {
-        coverage(self.fast_hits, self.events())
-    }
-
-    /// Fraction of this run's events retired on the second fast tier.
-    pub fn fast_l2_coverage(&self) -> f64 {
-        coverage(self.fast_l2_hits, self.events())
-    }
-
-    /// Simulation nanoseconds per processed event (all tiers).
+    /// Simulation nanoseconds per processed event.
     pub fn ns_per_event(&self) -> f64 {
-        let events = self.events();
-        if events == 0 {
-            0.0
-        } else {
-            self.sim_wall().as_secs_f64() * 1e9 / events as f64
-        }
+        ns_per_event(self.sim_wall(), self.events)
     }
 }
 
-/// `part / total`, or 0 when no events were processed.
-fn coverage(part: u64, total: u64) -> f64 {
-    if total == 0 {
+/// `wall` in nanoseconds per event, or 0 when no events were processed.
+fn ns_per_event(wall: Duration, events: u64) -> f64 {
+    if events == 0 {
         0.0
     } else {
-        part as f64 / total as f64
+        wall.as_secs_f64() * 1e9 / events as f64
     }
 }
 
@@ -202,47 +176,14 @@ impl CampaignStats {
         }
     }
 
-    /// Total events retired on the batched tier-1 (L1-hit) fast path.
-    pub fn total_fast_hits(&self) -> u64 {
-        self.run_timings.iter().map(|t| t.fast_hits).sum()
-    }
-
-    /// Total events retired on the second fast tier (L2 TLB / L2 cache
-    /// absorbed a first-level miss).
-    pub fn total_fast_l2_hits(&self) -> u64 {
-        self.run_timings.iter().map(|t| t.fast_l2_hits).sum()
-    }
-
-    /// Total events that went through the full `step` machinery.
-    pub fn total_slow_steps(&self) -> u64 {
-        self.run_timings.iter().map(|t| t.slow_steps).sum()
-    }
-
-    /// Total events processed by the replay engine, across all tiers.
+    /// Total events processed across all runs.
     pub fn total_events(&self) -> u64 {
-        self.run_timings.iter().map(RunTiming::events).sum()
-    }
-
-    /// Campaign-wide fraction of events retired on the tier-1 fast path
-    /// (0 when `DPC_FASTPATH=off` or when every run is generated live —
-    /// the fast path only engages on trace-store replay).
-    pub fn fast_hit_coverage(&self) -> f64 {
-        coverage(self.total_fast_hits(), self.total_events())
-    }
-
-    /// Campaign-wide fraction of events retired on the second fast tier.
-    pub fn fast_l2_coverage(&self) -> f64 {
-        coverage(self.total_fast_l2_hits(), self.total_events())
+        self.run_timings.iter().map(|t| t.events).sum()
     }
 
     /// Campaign-wide simulation nanoseconds per processed event.
     pub fn ns_per_event(&self) -> f64 {
-        let events = self.total_events();
-        if events == 0 {
-            0.0
-        } else {
-            self.total_sim_wall().as_secs_f64() * 1e9 / events as f64
-        }
+        ns_per_event(self.total_sim_wall(), self.total_events())
     }
 
     /// Mean worker utilization in `[0, 1]`: busy time over wall time.
@@ -260,8 +201,7 @@ impl CampaignStats {
         format!(
             "{} distinct runs ({} simulations) on {} worker{} in {:.1}s \
              ({:.1}s generating + {:.1}s simulating), \
-             {:.2}M mem-ops/s, {:.0}% fast-path (+{:.0}% L2 tier), \
-             {:.0}% worker utilization",
+             {:.2}M mem-ops/s, {:.0}% worker utilization",
             self.distinct_runs,
             self.simulations(),
             self.threads,
@@ -270,8 +210,6 @@ impl CampaignStats {
             self.total_gen_wall().as_secs_f64(),
             self.total_sim_wall().as_secs_f64(),
             self.mem_ops_per_sec() / 1e6,
-            self.fast_hit_coverage() * 100.0,
-            self.fast_l2_coverage() * 100.0,
             self.worker_utilization() * 100.0,
         )
     }
@@ -282,14 +220,12 @@ impl CampaignStats {
         let mut out = String::from("{\n");
         // Schema history: 2 added the gen/sim wall split; 3 added the
         // per-run "page" field (the machine's page-size policy label);
-        // 4 added the fast-path telemetry (aggregate "total_fast_hits" /
-        // "total_slow_steps" / "fast_hit_coverage" and per-run
-        // "fast_hits" / "slow_steps"); 5 added the second-tier retire
-        // counters ("total_fast_l2_hits" / "fast_l2_coverage" and per-run
-        // "fast_l2_hits") and the per-event cost ("ns_per_event",
-        // aggregate and per-run), and re-based every coverage fraction on
-        // the all-tier event total.
-        let _ = writeln!(out, "  \"schema\": 5,");
+        // 4 and 5 added per-tier replay fast-path counters and coverages
+        // plus the per-event cost ("ns_per_event", aggregate and per-run);
+        // 6 dropped the tier telemetry with the fast path itself (every
+        // event is stepped) and emits the event count that "ns_per_event"
+        // divides by, warm-up included ("events" per run, "total_events").
+        let _ = writeln!(out, "  \"schema\": 6,");
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"wall_secs\": {:.6},", self.wall.as_secs_f64());
         let _ = writeln!(out, "  \"distinct_runs\": {},", self.distinct_runs);
@@ -298,11 +234,7 @@ impl CampaignStats {
         let _ = writeln!(out, "  \"mem_ops_per_sec\": {:.1},", self.mem_ops_per_sec());
         let _ = writeln!(out, "  \"total_gen_secs\": {:.6},", self.total_gen_wall().as_secs_f64());
         let _ = writeln!(out, "  \"total_sim_secs\": {:.6},", self.total_sim_wall().as_secs_f64());
-        let _ = writeln!(out, "  \"total_fast_hits\": {},", self.total_fast_hits());
-        let _ = writeln!(out, "  \"total_fast_l2_hits\": {},", self.total_fast_l2_hits());
-        let _ = writeln!(out, "  \"total_slow_steps\": {},", self.total_slow_steps());
-        let _ = writeln!(out, "  \"fast_hit_coverage\": {:.4},", self.fast_hit_coverage());
-        let _ = writeln!(out, "  \"fast_l2_coverage\": {:.4},", self.fast_l2_coverage());
+        let _ = writeln!(out, "  \"total_events\": {},", self.total_events());
         let _ = writeln!(out, "  \"ns_per_event\": {:.2},", self.ns_per_event());
         let _ = writeln!(out, "  \"worker_utilization\": {:.4},", self.worker_utilization());
         let _ = writeln!(
@@ -322,8 +254,7 @@ impl CampaignStats {
                  \"page\": {}, \
                  \"wall_secs\": {:.6}, \"gen_secs\": {:.6}, \"sim_secs\": {:.6}, \
                  \"mem_ops\": {}, \"mem_ops_per_sec\": {:.1}, \
-                 \"fast_hits\": {}, \"fast_l2_hits\": {}, \"slow_steps\": {}, \
-                 \"ns_per_event\": {:.2}}}",
+                 \"events\": {}, \"ns_per_event\": {:.2}}}",
                 json_string(&t.workload),
                 t.kind.as_str(),
                 json_string(&t.tlb_policy),
@@ -334,9 +265,7 @@ impl CampaignStats {
                 t.sim_wall().as_secs_f64(),
                 t.mem_ops,
                 t.mem_ops_per_sec(),
-                t.fast_hits,
-                t.fast_l2_hits,
-                t.slow_steps,
+                t.events,
                 t.ns_per_event(),
             );
             out.push_str(if i + 1 < self.run_timings.len() { ",\n" } else { "\n" });
@@ -399,9 +328,7 @@ fn timing(key: &RunKey, kind: SimKind, wall: Duration, result: &RunResult) -> Ru
         wall,
         gen_wall: result.gen_wall,
         mem_ops: key.1.warmup_mem_ops + key.1.measure_mem_ops,
-        fast_hits: result.stats.fast_hits,
-        fast_l2_hits: result.stats.fast_l2_hits,
-        slow_steps: result.stats.slow_steps,
+        events: result.stats.slow_steps,
     }
 }
 
@@ -638,14 +565,12 @@ mod tests {
                 wall: Duration::from_millis(750),
                 gen_wall: Duration::from_millis(250),
                 mem_ops: 1_000,
-                fast_hits: 900,
-                fast_l2_hits: 50,
-                slow_steps: 300,
+                events: 1_250,
             }],
             worker_busy: vec![Duration::from_millis(750), Duration::from_millis(600)],
         };
         let json = stats.to_json();
-        assert!(json.contains("\"schema\": 5"));
+        assert!(json.contains("\"schema\": 6"));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"workload\": \"cg.B\""));
         assert!(json.contains("\"kind\": \"plain\""));
@@ -654,24 +579,18 @@ mod tests {
         assert!(json.contains("\"sim_secs\": 0.500000"));
         assert!(json.contains("\"total_gen_secs\": 0.250000"));
         assert!(json.contains("\"total_sim_secs\": 0.500000"));
-        assert!(json.contains("\"total_fast_hits\": 900"));
-        assert!(json.contains("\"total_fast_l2_hits\": 50"));
-        assert!(json.contains("\"total_slow_steps\": 300"));
-        assert!(json.contains("\"fast_hit_coverage\": 0.7200"));
-        assert!(json.contains("\"fast_l2_coverage\": 0.0400"));
+        assert!(json.contains("\"total_events\": 1250"));
         // 0.5 s simulating over 1250 events = 400000 ns/event.
         assert!(json.contains("\"ns_per_event\": 400000.00"));
-        assert!(json.contains("\"fast_hits\": 900, \"fast_l2_hits\": 50, \"slow_steps\": 300"));
+        assert!(json.contains("\"events\": 1250, \"ns_per_event\": 400000.00}"));
+        assert!(!json.contains("fast"), "no fast-path telemetry is left");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!((stats.worker_utilization() - 0.45).abs() < 1e-9);
-        assert!((stats.fast_hit_coverage() - 0.72).abs() < 1e-12);
-        assert!((stats.fast_l2_coverage() - 0.04).abs() < 1e-12);
-        assert!((stats.run_timings[0].fast_hit_coverage() - 0.72).abs() < 1e-12);
-        assert!((stats.run_timings[0].fast_l2_coverage() - 0.04).abs() < 1e-12);
+        assert!((stats.ns_per_event() - 400_000.0).abs() < 1e-6);
         assert!((stats.run_timings[0].ns_per_event() - 400_000.0).abs() < 1e-6);
         assert!(stats.summary_line().contains("1 distinct runs"));
         assert!(stats.summary_line().contains("0.2s generating + 0.5s simulating"));
-        assert!(stats.summary_line().contains("72% fast-path (+4% L2 tier)"));
+        assert!(stats.summary_line().contains("mem-ops/s, 45% worker utilization"));
         assert_eq!(stats.run_timings[0].sim_wall(), Duration::from_millis(500));
     }
 

@@ -66,8 +66,7 @@ impl Cache {
 
     /// Side-effect-free [`lookup`](Self::lookup): returns the way `block`
     /// would hit without touching clocks, recency, or counters — the
-    /// classification half of the replay fast path's probe-then-commit
-    /// split.
+    /// classification half of the miss path's probe-then-commit split.
     #[inline]
     pub fn probe(&self, block: BlockAddr) -> Option<usize> {
         self.array.peek(block.raw(), block.raw())
@@ -86,8 +85,8 @@ impl Cache {
 
     /// Commits a miss previously established by [`probe`](Self::probe)
     /// exactly as if a missing [`lookup`](Self::lookup) had run: level
-    /// counters plus the array's lookup clock. The second-tier fast path
-    /// uses this to descend past a missing level without re-scanning it.
+    /// counters plus the array's lookup clock. The miss path uses this to
+    /// descend past a missing level without re-scanning it.
     #[inline]
     pub fn commit_miss(&mut self) {
         self.stats.lookups += 1;

@@ -166,116 +166,6 @@ impl CoreModel {
         }
     }
 
-    /// Issues one memory instruction inside a fast-path run, carrying the
-    /// run's fixed latency. Bit-identical to
-    /// `issue_mem(run.latency, dependent)` in every observable — cycles,
-    /// instruction count, ROB/dispatch state, dependence serialization —
-    /// but amortizes the line-fill-buffer scan across the run instead of
-    /// re-walking every slot per instruction (see [`MemRun`]).
-    ///
-    /// # Equivalence
-    ///
-    /// [`issue_mem`](Self::issue_mem) picks the *first* slot whose value
-    /// is ≤ `dispatch`, else the first-encountered minimum. This path
-    /// always overwrites the *global-minimum* slot. The two are timing-
-    /// equivalent:
-    ///
-    /// * If any slot value is ≤ `dispatch`, the global minimum is too;
-    ///   `start = dispatch` either way, and the overwritten value — in
-    ///   both variants ≤ `dispatch`, which dispatch monotonicity keeps ≤
-    ///   every future dispatch — can never delay any later access. The
-    ///   slot multisets of the two executions differ only in values that
-    ///   are forever-free in both, so every future free-slot test and
-    ///   every future all-busy minimum agrees.
-    /// * If no slot value is ≤ `dispatch`, both variants pick the same
-    ///   minimum *value* over the identical busy multiset (ties in index
-    ///   are unobservable — only the value enters `start`).
-    #[inline]
-    pub fn issue_mem_run(&mut self, run: &mut MemRun, dependent: bool) {
-        let latency = run.latency;
-        self.issue_mem_run_at(run, latency, dependent);
-    }
-
-    /// [`issue_mem_run`](Self::issue_mem_run) with a per-call latency —
-    /// the second fast tier's entry point, whose L2-hit retires carry a
-    /// longer latency than the run's L1-hit base. The slot *choice* is
-    /// latency-independent (only the completion value depends on it), so
-    /// the equivalence argument above carries over verbatim; a shorter
-    /// completion landing below the FIFO back is caught by the same
-    /// monotonicity check as a dependence stall and handled by the exact
-    /// rebuild path.
-    #[inline]
-    pub fn issue_mem_run_at(&mut self, run: &mut MemRun, latency: u64, dependent: bool) {
-        if !run.init {
-            run.init(self.mem_slots.len());
-        }
-        if run.fallback {
-            // Geometry beyond the fixed-size run caches: stay exact by
-            // delegating to the per-instruction scan.
-            self.issue_mem(latency, dependent);
-            return;
-        }
-        let dispatch = self.dispatch_slot();
-        if run.leftover != 0 && !run.min_valid {
-            let (val, idx) = min_slot(&self.mem_slots, run.leftover);
-            run.left_min_val = val;
-            run.left_min_idx = idx;
-            run.min_valid = true;
-        }
-        // Global minimum over all slots: the cached leftover minimum vs
-        // the FIFO front (the minimum of the monotone run-written values).
-        dpc_types::invariant!(
-            run.leftover != 0 || run.fifo_len > 0,
-            "every slot is in the leftover set or the run FIFO"
-        );
-        let (val, idx, from_fifo) = if run.fifo_len > 0 {
-            let front = run.fifo[run.fifo_head & (MEM_RUN_MAX_SLOTS - 1)] as usize;
-            dpc_types::invariant!(front < self.mem_slots.len(), "FIFO holds slot indices");
-            let front_val = self.mem_slots[front];
-            if run.leftover != 0 && run.left_min_val <= front_val {
-                (run.left_min_val, run.left_min_idx, false)
-            } else {
-                (front_val, front, true)
-            }
-        } else {
-            (run.left_min_val, run.left_min_idx, false)
-        };
-        let mut start = dispatch.max(val);
-        if dependent {
-            start = start.max(self.last_mem_complete);
-        }
-        let complete = start + latency;
-        dpc_types::invariant!(idx < self.mem_slots.len(), "picked slot index is in range");
-        self.mem_slots[idx] = complete;
-        if from_fifo {
-            run.fifo_head = (run.fifo_head + 1) & (MEM_RUN_MAX_SLOTS - 1);
-            run.fifo_len -= 1;
-        } else {
-            // The leftover pick is always the cached minimum; destroying
-            // it invalidates the cache (recomputed lazily on next use).
-            run.leftover &= !(1u64 << idx);
-            run.min_valid = false;
-        }
-        if run.fifo_len == 0 || complete >= run.fifo_back_val {
-            let back = (run.fifo_head + run.fifo_len) & (MEM_RUN_MAX_SLOTS - 1);
-            run.fifo[back] = idx as u32;
-            run.fifo_len += 1;
-            run.fifo_back_val = complete;
-        } else {
-            // A dependence stall (e.g. the run follows a slow-path miss
-            // whose completion is far in the future) produced a completion
-            // below the FIFO back, breaking the monotone-FIFO invariant.
-            // Rebuild: return every slot to the leftover set — the values
-            // live in `mem_slots`, nothing is lost — and restart the FIFO.
-            run.leftover = slot_mask(self.mem_slots.len());
-            run.min_valid = false;
-            run.fifo_len = 0;
-            run.fifo_head = 0;
-        }
-        self.last_mem_complete = complete;
-        self.retire(complete);
-    }
-
     /// Total cycles elapsed: the retire time of the youngest instruction.
     #[inline]
     pub fn cycles(&self) -> u64 {
@@ -286,123 +176,6 @@ impl CoreModel {
     #[inline]
     pub fn instructions(&self) -> u64 {
         self.count
-    }
-}
-
-/// Capacity of [`MemRun`]'s fixed slot caches. Configurations with more
-/// line-fill buffers (none in the paper: the baseline has 10) fall back
-/// to the per-instruction [`CoreModel::issue_mem`] scan.
-const MEM_RUN_MAX_SLOTS: usize = 64;
-
-/// Validity mask with one bit per line-fill-buffer slot.
-#[inline]
-fn slot_mask(slots: usize) -> u64 {
-    if slots >= MEM_RUN_MAX_SLOTS {
-        u64::MAX
-    } else {
-        (1u64 << slots) - 1
-    }
-}
-
-/// First-encountered minimum of `slots` restricted to `mask`'s set bits.
-/// Same scan direction (ascending index, strict `<`) as the
-/// [`CoreModel::issue_mem`] full-scan fallback, so tied minima resolve to
-/// the same value.
-#[inline]
-fn min_slot(slots: &[u64], mask: u64) -> (u64, usize) {
-    let mut best_val = u64::MAX;
-    let mut best_idx = 0usize;
-    let mut m = mask;
-    while m != 0 {
-        let idx = m.trailing_zeros() as usize;
-        m &= m - 1;
-        dpc_types::invariant!(idx < slots.len(), "slot mask bits stay inside the slot array");
-        let val = slots[idx];
-        if val < best_val {
-            best_val = val;
-            best_idx = idx;
-        }
-    }
-    (best_val, best_idx)
-}
-
-/// Cross-instruction scan state for a run of same-latency memory issues
-/// (the replay fast path's L1 hits), fed to
-/// [`CoreModel::issue_mem_run`].
-///
-/// Slots are partitioned into two groups whose minima are cheap to
-/// maintain:
-///
-/// * **leftover** — slots not yet written during this run, tracked as a
-///   bitmask with a lazily-cached first-encountered minimum. Their values
-///   only change when the run writes them (which moves them out of the
-///   set), so the cache stays valid until its own minimum is consumed.
-/// * **run FIFO** — slots written during the run, in write order. Run
-///   completions are non-decreasing while dispatch advances monotonically
-///   and the latency is fixed, so the FIFO front is the minimum of the
-///   group; a dependence stall can break the monotonicity, which is
-///   detected at push time and handled by dissolving the FIFO back into
-///   the leftover set.
-///
-/// The global minimum — what [`CoreModel::issue_mem_run`] overwrites —
-/// is then `min(leftover cached min, FIFO front)`: O(1) per instruction
-/// in steady state, against the O(slots) scan of
-/// [`CoreModel::issue_mem`].
-#[derive(Clone, Debug)]
-pub struct MemRun {
-    /// Fixed completion latency of every memory issue in this run.
-    latency: u64,
-    /// Lazily initialized from the core's geometry on first use.
-    init: bool,
-    /// Geometry exceeds the fixed caches: delegate to `issue_mem`.
-    fallback: bool,
-    /// Bitmask of slots not yet written during this run.
-    leftover: u64,
-    /// Whether `left_min_val` / `left_min_idx` are current.
-    min_valid: bool,
-    /// Cached minimum value among `leftover` slots.
-    left_min_val: u64,
-    /// Cached index of that minimum.
-    left_min_idx: usize,
-    /// Run-written slot indices in write order (ring buffer).
-    fifo: [u32; MEM_RUN_MAX_SLOTS],
-    /// Ring-buffer head position.
-    fifo_head: usize,
-    /// Ring-buffer occupancy.
-    fifo_len: usize,
-    /// Completion value most recently pushed (the FIFO back).
-    fifo_back_val: u64,
-}
-
-impl MemRun {
-    /// Begins a run whose memory issues all complete `latency` cycles
-    /// after they start. Construction is core-independent and cheap; the
-    /// slot caches initialize on the first
-    /// [`CoreModel::issue_mem_run`] call, so a run that retires zero
-    /// memory instructions costs nothing.
-    #[inline]
-    pub fn new(latency: u64) -> Self {
-        MemRun {
-            latency,
-            init: false,
-            fallback: false,
-            leftover: 0,
-            min_valid: false,
-            left_min_val: u64::MAX,
-            left_min_idx: 0,
-            fifo: [0; MEM_RUN_MAX_SLOTS],
-            fifo_head: 0,
-            fifo_len: 0,
-            fifo_back_val: 0,
-        }
-    }
-
-    /// Binds the run to a core's line-fill-buffer geometry.
-    #[inline]
-    fn init(&mut self, slots: usize) {
-        self.init = true;
-        self.fallback = slots > MEM_RUN_MAX_SLOTS;
-        self.leftover = slot_mask(slots);
     }
 }
 
@@ -494,91 +267,6 @@ mod tests {
         core.issue_mem(100, false); // independent: completes ~100..101
                                     // The third op overlapped with the chain.
         assert!(core.cycles() <= 115, "cycles = {}", core.cycles());
-    }
-
-    /// Drives a reference core with `issue_mem` and a fast core with
-    /// `issue_mem_run` through the same instruction sequence and asserts
-    /// every observable agrees. `ops` items: `(compute_ops, dependent)` —
-    /// `compute_ops > 0` issues compute, else one memory issue.
-    fn assert_run_matches_issue_mem(
-        geometry: (u32, u32, u32),
-        latency: u64,
-        prelude_miss: Option<u64>,
-        ops: &[(u64, bool)],
-    ) {
-        let (width, rob, slots) = geometry;
-        let mut slow = CoreModel::new(width, rob, slots);
-        let mut fast = CoreModel::new(width, rob, slots);
-        if let Some(miss_latency) = prelude_miss {
-            slow.issue_mem(miss_latency, false);
-            fast.issue_mem(miss_latency, false);
-        }
-        let mut run = MemRun::new(latency);
-        for &(compute_ops, dependent) in ops {
-            if compute_ops > 0 {
-                slow.issue_compute(compute_ops);
-                fast.issue_compute(compute_ops);
-            } else {
-                slow.issue_mem(latency, dependent);
-                fast.issue_mem_run(&mut run, dependent);
-            }
-        }
-        // A slow-path epilogue on both cores: the run must leave slot
-        // state that future issue_mem calls observe identically.
-        for i in 0..(slots as u64 + 4) {
-            slow.issue_mem(latency + 100 + i, i % 3 == 0);
-            fast.issue_mem(latency + 100 + i, i % 3 == 0);
-        }
-        assert_eq!(fast.cycles(), slow.cycles(), "cycles, ops {ops:?}");
-        assert_eq!(fast.instructions(), slow.instructions());
-        assert_eq!(fast.dispatch_cycle, slow.dispatch_cycle);
-        assert_eq!(fast.dispatched_in_cycle, slow.dispatched_in_cycle);
-        assert_eq!(fast.last_mem_complete, slow.last_mem_complete);
-        assert_eq!(fast.retire_ring, slow.retire_ring, "ROB state, ops {ops:?}");
-    }
-
-    #[test]
-    fn mem_run_matches_issue_mem_on_alternating_streams() {
-        // The emitter's real shape: compute, mem, compute, mem, ...
-        let ops: Vec<(u64, bool)> = (0..200)
-            .map(|i| if i % 2 == 0 { (1 + i % 3, false) } else { (0, i % 5 == 0) })
-            .collect();
-        assert_run_matches_issue_mem((4, 192, 10), 13, None, &ops);
-    }
-
-    #[test]
-    fn mem_run_matches_issue_mem_on_pure_mem_bursts() {
-        let ops: Vec<(u64, bool)> = (0..300).map(|i| (0, i % 7 == 3)).collect();
-        assert_run_matches_issue_mem((4, 192, 10), 13, None, &ops);
-        // Tiny ROB and single slot: heavy stalling, still identical.
-        assert_run_matches_issue_mem((1, 2, 1), 13, None, &ops);
-    }
-
-    #[test]
-    fn mem_run_survives_non_monotone_completions() {
-        // A huge in-flight miss before the run: the first dependent run
-        // issue completes far in the future, then independent issues
-        // complete earlier — breaking the run FIFO's monotonicity and
-        // forcing the rebuild path.
-        let ops: Vec<(u64, bool)> = (0..50).map(|i| (0, i == 0 || i == 20)).collect();
-        assert_run_matches_issue_mem((4, 192, 10), 13, Some(5_000), &ops);
-        assert_run_matches_issue_mem((4, 32, 4), 13, Some(5_000), &ops);
-    }
-
-    #[test]
-    fn mem_run_handles_more_slots_than_the_fixed_cache() {
-        let ops: Vec<(u64, bool)> = (0..150).map(|i| (u64::from(i % 4 == 0), i % 6 == 5)).collect();
-        assert_run_matches_issue_mem((4, 256, 100), 13, Some(700), &ops);
-    }
-
-    #[test]
-    fn unused_mem_run_leaves_core_untouched() {
-        let mut core = CoreModel::new(4, 192, 10);
-        core.issue_compute(10);
-        let cycles = core.cycles();
-        let _run = MemRun::new(13);
-        assert_eq!(core.cycles(), cycles);
-        assert_eq!(core.instructions(), 10);
     }
 
     #[test]

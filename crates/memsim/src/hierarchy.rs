@@ -101,8 +101,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// exactly the state transitions the nested per-level lookups used to
     /// perform — counters, clocks, recency, hooks and fills in the
     /// original order — and returns the precomputed cumulative latency.
-    /// Each commit helper is shared with the replay fast path's
-    /// second-tier retire, so the two paths cannot drift.
     pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, is_demand: bool) -> u64 {
         let block = pa.block();
         if let Some(way) = self.l1d.probe(block) {
@@ -122,7 +120,13 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// access that reaches the LLC, hit or miss), and the return-path
     /// fills — batched into one straight-line sequence. The caller has
     /// already committed the L1D and L2 misses.
-    fn commit_llc(&mut self, block: BlockAddr, hit_way: Option<usize>, pc: Pc, is_demand: bool) -> u64 {
+    fn commit_llc(
+        &mut self,
+        block: BlockAddr,
+        hit_way: Option<usize>,
+        pc: Pc,
+        is_demand: bool,
+    ) -> u64 {
         match hit_way {
             Some(way) => self.llc.commit_hit(block, way),
             None => self.llc.commit_miss(),
@@ -175,44 +179,26 @@ impl<C: LlcPolicy> Hierarchy<C> {
         self.cum_latency[3]
     }
 
-    /// Side-effect-free L1D probe: the way `block` would hit at the first
-    /// level, or `None` when an access would have to descend past the
-    /// L1D. The classification half of the replay fast path's
-    /// probe-then-commit split.
+    /// Commits an L1D hit found by the L1D probe in
+    /// [`access`](Self::access), returning the access latency. This
+    /// replays exactly the L1-hit prefix of `access`: no other level is
+    /// looked up, no fill happens, and no policy hook fires — `access`
+    /// only invokes the LLC policy for accesses that reach the LLC, so
+    /// the commit is bit-identical for *every* policy, null or not.
     #[inline]
-    pub fn probe_l1d(&self, block: BlockAddr) -> Option<usize> {
-        self.l1d.probe(block)
-    }
-
-    /// Commits an L1D hit found by [`probe_l1d`](Self::probe_l1d),
-    /// returning the access latency. This replays exactly the L1-hit
-    /// prefix of [`access`](Self::access): no other level is looked up,
-    /// no fill happens, and no policy hook fires — `access` only invokes
-    /// the LLC policy for accesses that reach the LLC, so the commit is
-    /// bit-identical for *every* policy, null or not.
-    #[inline]
-    pub fn commit_l1d_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
+    fn commit_l1d_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
         self.l1d.commit_hit(block, way);
         self.cum_latency[0]
     }
 
-    /// Side-effect-free L2 probe: the way `block` would hit at the second
-    /// level. Only meaningful when an L1D probe of the same block missed
-    /// (the second-tier classification order matches the descent order).
-    #[inline]
-    pub fn probe_l2(&self, block: BlockAddr) -> Option<usize> {
-        self.l2.probe(block)
-    }
-
-    /// Commits an access that missed the L1D and hit the L2 (found by
-    /// [`probe_l2`](Self::probe_l2)), returning the access latency. This
-    /// replays exactly the L2-hit path of [`access`](Self::access): the
+    /// Commits an access that missed the L1D and hit the L2 (found by the
+    /// L2 probe in [`access`](Self::access)), returning the access
+    /// latency. This replays exactly the L2-hit path of `access`: the
     /// L1D's miss bookkeeping, the L2's hit bookkeeping, and the L1D
     /// return-path fill — the LLC and its policy are never consulted, so
-    /// the commit is bit-identical for every policy, null or not. Shared
-    /// by the flattened walk and the replay fast path's second tier.
+    /// the commit is bit-identical for every policy, null or not.
     #[inline]
-    pub fn commit_l2_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
+    fn commit_l2_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
         self.l1d.commit_miss();
         self.l2.commit_hit(block, way);
         self.l1d.fill(block, InsertPriority::Normal, 0);
@@ -304,7 +290,7 @@ mod tests {
         assert_eq!(lat, 5, "same block must hit L1");
     }
 
-    /// probe_l1d + commit_l1d_hit must be indistinguishable from a full
+    /// The L1D probe + commit_l1d_hit must be indistinguishable from a full
     /// `access` that hits the L1D, latency included.
     #[test]
     fn l1d_probe_then_commit_matches_access() {
@@ -315,7 +301,7 @@ mod tests {
         }
         let block = pa(0x10008).block();
         let lat_access = via_access.access(pa(0x10008), AccessKind::Read, Pc::new(1), true);
-        let way = via_commit.probe_l1d(block).expect("resident block must probe");
+        let way = via_commit.l1d.probe(block).expect("resident block must probe");
         let lat_commit = via_commit.commit_l1d_hit(block, way);
         assert_eq!(lat_commit, lat_access);
         assert_eq!(via_commit.l1d.stats, via_access.l1d.stats);
@@ -324,7 +310,7 @@ mod tests {
         assert_eq!(via_commit.l1d.array().seq(), via_access.l1d.array().seq());
     }
 
-    /// probe_l2 + commit_l2_hit (the second fast tier) must be
+    /// The L1D and L2 probes + commit_l2_hit must be
     /// indistinguishable from a full `access` that misses the L1D and hits
     /// the L2 — latency, per-level counters, clocks, and the L1D refill.
     #[test]
@@ -337,8 +323,8 @@ mod tests {
             h.l1d.invalidate(block); // leave the block in L2 only
         }
         let lat_access = via_access.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
-        assert!(via_commit.probe_l1d(block).is_none(), "block must miss the L1D");
-        let way = via_commit.probe_l2(block).expect("resident block must probe in L2");
+        assert!(via_commit.l1d.probe(block).is_none(), "block must miss the L1D");
+        let way = via_commit.l2.probe(block).expect("resident block must probe in L2");
         let lat_commit = via_commit.commit_l2_hit(block, way);
         assert_eq!(lat_commit, lat_access);
         assert_eq!(lat_commit, 5 + 11, "L1D latency + L2 latency");

@@ -288,9 +288,9 @@ impl<P> SetAssoc<P> {
     /// Commits a hit previously found by [`peek`](Self::peek), applying
     /// exactly the state transitions a hitting [`lookup`](Self::lookup)
     /// performs: lookup clock, recency tick, lifetime stats, and the
-    /// replacement-policy stamp. This is the second half of the replay
-    /// fast path's probe-then-commit split — classification peeks without
-    /// perturbing state, and only a fully classified hit commits.
+    /// replacement-policy stamp. This is the second half of the
+    /// probe-then-commit split the miss path uses — the probes descend
+    /// without perturbing state, and only the level that hits commits.
     ///
     /// `way` must be the way a `peek` of the same `addr`/tag returned,
     /// with the array unmodified in between.
@@ -309,23 +309,6 @@ impl<P> SetAssoc<P> {
     #[inline]
     pub fn commit_miss(&mut self) {
         self.seq += 1;
-    }
-
-    /// Hints the hardware prefetcher at the tag column and validity word
-    /// of the set `addr` maps to, ahead of a future [`lookup`](Self::lookup)
-    /// for the same address. Pure scheduling hint: no clock, recency, or
-    /// any other architectural state changes, so issuing it for addresses
-    /// that are never looked up (or skipping it entirely) is
-    /// behavior-neutral. No-op when the runtime SIMD gate is off.
-    #[inline]
-    pub fn prefetch_set(&self, addr: u64) {
-        let set = self.set_of(addr);
-        let base = set * self.ways;
-        // `wrapping_add` keeps the pointer arithmetic safe even though
-        // `set < sets` already holds by construction; the prefetch
-        // instruction itself tolerates any address.
-        crate::simd::prefetch_read(self.cols.tags.as_ptr().wrapping_add(base));
-        crate::simd::prefetch_read(self.cols.valid.as_ptr().wrapping_add(set));
     }
 
     /// Probes for `tag` without advancing any clock or updating recency
@@ -571,21 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_set_is_state_free() {
-        // Hints must not perturb any observable state, for any address
-        // (set_of masks the index, so out-of-range addresses are fine).
-        let mut s = sa(4, 2, ReplacementKind::Lru);
-        s.fill(5, 5, 99, InsertPriority::Normal);
-        let seq = s.seq();
-        for addr in [0, 5, u64::MAX] {
-            s.prefetch_set(addr);
-        }
-        assert_eq!(s.seq(), seq);
-        let way = s.lookup(5, 5).expect("filled tag still resident");
-        assert_eq!(*s.payload(5, way), 99);
-    }
-
-    #[test]
     fn miss_then_hit() {
         let mut s = sa(4, 2, ReplacementKind::Lru);
         assert_eq!(s.lookup(5, 5), None);
@@ -738,7 +706,7 @@ mod tests {
 
     /// peek + commit_hit / commit_miss must be indistinguishable from
     /// lookup, for every replacement kind, across a mixed hit/miss
-    /// sequence — the contract the replay fast path rests on.
+    /// sequence — the contract the flattened miss path rests on.
     #[test]
     fn probe_then_commit_matches_lookup() {
         for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo] {

@@ -106,26 +106,6 @@ unsafe fn match_mask_avx2(tags: &[u64], needle: u64) -> u64 {
     mask
 }
 
-/// Best-effort prefetch of the cache line holding `*ptr` into all cache
-/// levels. A pure scheduling hint: `prefetch` never faults and never
-/// changes architectural state, so issuing it for an approximate or even
-/// wrong address is harmless. No-op when the SIMD gate is off (keeping
-/// `DPC_SIMD=off` a complete vector-path kill switch) and on non-x86
-/// targets.
-#[inline]
-pub fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    if dpc_types::simd::enabled() {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: PREFETCHT0 is architecturally defined to be safe for
-        // any address, mapped or not; it cannot fault and only hints the
-        // cache subsystem.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.cast::<i8>()) };
-        return;
-    }
-    let _ = ptr;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,13 +155,5 @@ mod tests {
         for needle in 0..5 {
             assert_eq!(match_mask(&tags, needle), match_mask_scalar(&tags, needle));
         }
-    }
-
-    #[test]
-    fn prefetch_accepts_any_pointer() {
-        let data = [1u64, 2, 3];
-        prefetch_read(data.as_ptr());
-        prefetch_read(std::ptr::null::<u64>());
-        prefetch_read(usize::MAX as *const u64);
     }
 }

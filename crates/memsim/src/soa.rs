@@ -208,8 +208,7 @@ mod tests {
         cols.tags[2] = 22; // set 1, way 0
         cols.valid[0] = 0b10;
         cols.valid[1] = 0b01;
-        let tags: Vec<u64> =
-            cols.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
+        let tags: Vec<u64> = cols.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
         assert_eq!(tags, vec![11, 22]);
         assert_eq!(cols.valid_count(), 2);
     }
@@ -220,8 +219,7 @@ mod tests {
         cols.valid[0] = 0b11;
         cols.lives[0] = LineLife { fill_seq: 1, last_hit_seq: 1, hits: 0 };
         cols.lives[1] = LineLife { fill_seq: 2, last_hit_seq: 2, hits: 5 };
-        let lives: Vec<LineLife> =
-            cols.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
+        let lives: Vec<LineLife> = cols.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
         assert_eq!(lives[0], cols.lives[0], "unbuffered line is yielded verbatim");
         assert_eq!(lives[1], LineLife { fill_seq: 2, last_hit_seq: 9, hits: 8 });
         // The columns themselves stay untouched: merge, not flush.

@@ -206,13 +206,11 @@ impl DeadnessStats {
 
 /// Full output of one simulation run.
 ///
-/// Equality is **architectural**: every simulated-machine statistic must
-/// match, but the engine telemetry ([`fast_hits`](SimStats::fast_hits) /
-/// [`slow_steps`](SimStats::slow_steps)) is excluded — a replayed
-/// (fast-path) and a live (event-at-a-time) execution of the same run
-/// are bit-identical architecturally while dividing the events between
-/// the two engine paths differently.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Every field but [`slow_steps`](SimStats::slow_steps) is architectural.
+/// `slow_steps` is engine telemetry, but every event goes through the one
+/// `step` loop, so it depends only on the event stream and equality can
+/// compare it like the rest.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Retired instructions (memory + compute).
     pub instructions: u64,
@@ -259,72 +257,11 @@ pub struct SimStats {
     /// Table III).
     pub doa_blocks_classified: u64,
 
-    /// Events retired by the replay engine's batched L1-hit fast path
-    /// (engine telemetry, not architecture; excluded from equality).
-    pub fast_hits: u64,
-    /// Events retired by the replay engine's second fast tier — an L1
-    /// D-TLB miss absorbed by the L2 TLB and/or an L1D miss absorbed by
-    /// the L2 cache (engine telemetry, not architecture; excluded from
-    /// equality).
-    pub fast_l2_hits: u64,
-    /// Events processed by the full `step` machinery (engine telemetry,
-    /// not architecture; excluded from equality).
+    /// Events processed by `System::step` over the machine's life — every
+    /// event, compute and memory alike, warm-up included (engine
+    /// telemetry: `System::reset_stats` does not zero it).
     pub slow_steps: u64,
 }
-
-/// Architectural equality: compares every simulated-machine statistic,
-/// ignoring the engine-telemetry split between the fast and slow paths.
-/// The exhaustive destructuring forces this impl to be revisited whenever
-/// a field is added.
-impl PartialEq for SimStats {
-    fn eq(&self, other: &Self) -> bool {
-        let SimStats {
-            instructions,
-            mem_ops,
-            cycles,
-            l1i_tlb,
-            l1d_tlb,
-            llt,
-            l1d,
-            l2,
-            llc,
-            walks,
-            walk_pte_loads,
-            pwc_hits,
-            walk_cycles,
-            llt_evictions,
-            llc_evictions,
-            llt_deadness,
-            llc_deadness,
-            doa_blocks_on_doa_pages,
-            doa_blocks_classified,
-            fast_hits: _,
-            fast_l2_hits: _,
-            slow_steps: _,
-        } = self;
-        *instructions == other.instructions
-            && *mem_ops == other.mem_ops
-            && *cycles == other.cycles
-            && *l1i_tlb == other.l1i_tlb
-            && *l1d_tlb == other.l1d_tlb
-            && *llt == other.llt
-            && *l1d == other.l1d
-            && *l2 == other.l2
-            && *llc == other.llc
-            && *walks == other.walks
-            && *walk_pte_loads == other.walk_pte_loads
-            && *pwc_hits == other.pwc_hits
-            && *walk_cycles == other.walk_cycles
-            && *llt_evictions == other.llt_evictions
-            && *llc_evictions == other.llc_evictions
-            && *llt_deadness == other.llt_deadness
-            && *llc_deadness == other.llc_deadness
-            && *doa_blocks_on_doa_pages == other.doa_blocks_on_doa_pages
-            && *doa_blocks_classified == other.doa_blocks_classified
-    }
-}
-
-impl Eq for SimStats {}
 
 impl SimStats {
     /// Instructions per cycle.

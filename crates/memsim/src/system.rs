@@ -1,7 +1,7 @@
 //! The full simulated system: core + TLBs + page walks + caches, with the
 //! dead-page and dead-block policy attachment points.
 
-use crate::core_model::{CoreModel, MemRun};
+use crate::core_model::CoreModel;
 use crate::fallback::{DynLlcPolicy, DynLltPolicy};
 use crate::hierarchy::Hierarchy;
 use crate::mshr::Mshr;
@@ -9,13 +9,13 @@ use crate::page_table::PageTable;
 use crate::policy::{EvictedPage, LlcPolicy, LltPolicy, PageFillDecision};
 use crate::set_assoc::InsertPriority;
 use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
-use crate::tlb::{Tlb, TlbGroup, TlbProbe};
+use crate::tlb::{Tlb, TlbGroup};
 use crate::walker::Walker;
 use dpc_types::hash::FastBuildHasher;
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};
 use dpc_types::{
-    AccessKind, BlockAddr, ConfigError, Event, PageSize, Pc, Pfn, PhysAddr, SystemConfig,
-    TlbFillPolicy, VirtAddr, Vpn, Workload, BLOCK_SHIFT,
+    AccessKind, ConfigError, Event, PageSize, Pc, Pfn, PhysAddr, SystemConfig, TlbFillPolicy,
+    VirtAddr, Vpn, Workload,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -29,26 +29,6 @@ const DEFAULT_SAMPLE_INTERVAL: u64 = 50_000;
 /// amortize the tag-decode branch tree and the loop bookkeeping, small
 /// enough that the scratch batch stays L1-cache-resident (~256 × 32 B).
 const EVENT_CHUNK: usize = 256;
-/// How many events ahead of the one being stepped [`System::run_stream`]
-/// issues set prefetch hints: far enough to beat the L1D/L2 tag-column
-/// miss latency, near enough that the hinted lines survive until use.
-const PREFETCH_DISTANCE: usize = 8;
-/// Cap on the fast-path classification backoff shift: after repeated
-/// empty run attempts, up to `1 << FAST_BACKOFF_SHIFT_CAP` events are
-/// slow-stepped without re-attempting. Large enough that a long miss
-/// streak pays ~one wasted probe pair per 32 events, small enough that
-/// a phase change back to L1 hits is noticed within a chunk.
-const FAST_BACKOFF_SHIFT_CAP: u32 = 5;
-/// Cap on the tier-2 deep-probe backoff shift: after consecutive tier-2
-/// classification *failures* (an event missed the L1 D-TLB or L1D, the
-/// LLT/L2 probes were paid, and the event still fell to the slow path),
-/// up to `1 << DEEP_BACKOFF_SHIFT_CAP` subsequent first-level probe
-/// misses break the run immediately instead of probing deeper. Streams
-/// that thrash past the L2/LLT (where tier-2 probes are pure loss — the
-/// slow step redoes them as full lookups) pay ~one wasted deep probe per
-/// 32 deep misses, while a phase whose misses terminate at L2 re-engages
-/// the tier within a chunk.
-const DEEP_BACKOFF_SHIFT_CAP: u32 = 5;
 
 /// Errors from [`System`] construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +68,7 @@ enum Side {
 
 /// Classification of a unified-LLT hit, produced side-effect-free by
 /// [`System::probe_llt`] and replayed by [`System::commit_llt_hit`] — the
-/// probe-then-commit split of the translation path's second level, shared
-/// verbatim between the slow path and the second fast tier.
+/// probe-then-commit split of the translation path's second level.
 #[derive(Clone, Copy, Debug)]
 struct LltProbe {
     /// Page size whose key hit.
@@ -101,24 +80,6 @@ struct LltProbe {
     /// How many smaller sizes were probed (and missed) first; the commit
     /// replays one lookup clock per missing probe.
     missed_probes: usize,
-}
-
-/// The TLB tier a fast-path event's translation was classified into.
-#[derive(Clone, Copy, Debug)]
-enum TlbTier {
-    /// L1 D-TLB hit (the first tier).
-    L1(TlbProbe),
-    /// L1 D-TLB miss absorbed by a unified-LLT hit (the second tier).
-    Llt(LltProbe),
-}
-
-/// The cache tier a fast-path event's data access was classified into.
-#[derive(Clone, Copy, Debug)]
-enum CacheTier {
-    /// L1D hit (the first tier).
-    L1d(usize),
-    /// L1D miss absorbed by an L2 hit (the second tier).
-    L2(usize),
 }
 
 /// The simulated machine, generic over its two content-management
@@ -178,22 +139,11 @@ pub struct System<L: LltPolicy = DynLltPolicy, C: LlcPolicy = DynLlcPolicy> {
     next_sample_at: u64,
     cur_code_vpn: Option<Vpn>,
     mem_ops: u64,
-    /// Events retired by the batched L1-hit fast path (engine telemetry;
-    /// see [`System::fast_retire_run`]).
-    fast_hits: u64,
-    /// Events retired by the second fast tier (an LLT and/or L2 hit
-    /// absorbed a first-level miss).
-    fast_l2_hits: u64,
-    /// Events processed by the full [`System::step`] machinery.
+    /// Events processed by [`System::step`] over the machine's life —
+    /// every event, whichever entry point fed it. Engine telemetry: it
+    /// measures the work the host did, so [`System::reset_stats`] keeps
+    /// the warm-up's share.
     slow_steps: u64,
-    /// Tier-2 deep-probe backoff (see [`DEEP_BACKOFF_SHIFT_CAP`]):
-    /// consecutive tier-2 classification failures, and how many upcoming
-    /// first-level probe misses skip the deep probes. Replay heuristics
-    /// only — which path retires an event never affects simulated state,
-    /// and both evolve as pure functions of the event stream, so replay
-    /// stays deterministic.
-    deep_fails: u32,
-    deep_skip: u64,
     /// Reusable decode scratch for [`System::run_stream`], hoisted into
     /// the machine so repeated calls (warm-up + measure, and every run of
     /// a long campaign) replay with zero per-call heap allocations.
@@ -242,11 +192,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             next_sample_at: DEFAULT_SAMPLE_INTERVAL,
             cur_code_vpn: None,
             mem_ops: 0,
-            fast_hits: 0,
-            fast_l2_hits: 0,
             slow_steps: 0,
-            deep_fails: 0,
-            deep_skip: 0,
             batch: EventBatch::with_capacity(EVENT_CHUNK),
             config,
         })
@@ -323,12 +269,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// event-at-a-time loop; see
     /// [`EventStream::decode_chunk`]).
     ///
-    /// Unless `DPC_FASTPATH=off`, each decoded chunk first retires runs
-    /// of trivially-hitting events through the L1-hit fast path
-    /// ([`System::fast_retire_run`]) — bit-identical to stepping them
-    /// (DESIGN.md §15) — and only the first event failing a fast-path
-    /// predicate goes through the unchanged [`System::step`].
-    ///
     /// The cursor is left on the first event not simulated, so a
     /// warm-up/measure split drives two `run_stream` calls over the same
     /// stream with the same cursor.
@@ -342,66 +282,14 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         // one allocation; it is taken for the loop's duration because
         // `step` needs `&mut self` while the decoded slice is walked.
         let mut batch = std::mem::take(&mut self.batch);
-        let prefetch = dpc_types::simd::prefetch_enabled();
-        let fastpath = dpc_types::simd::fastpath_enabled();
         let mut remaining = max_mem_ops;
         while remaining > 0 {
             let mem_taken = stream.decode_chunk(cursor, &mut batch, EVENT_CHUNK, remaining);
             if batch.is_empty() {
                 break;
             }
-            let events = batch.events();
-            let mut i = 0;
-            // Classification backoff: a zero-length run attempt is pure
-            // loss — the probes it paid are immediately redone by the
-            // full lookup in `step`. In miss-heavy stretches (streaming
-            // blocks, thrashing pages) every attempt comes back empty,
-            // so after consecutive empty attempts the next ones are
-            // skipped for a geometrically growing number of events
-            // (capped at FAST_BACKOFF_CAP). Which path retires an event
-            // never affects simulated state (DESIGN.md §15), so the
-            // heuristic is free to be wrong — it only trades coverage
-            // for probe overhead — and it is deterministic, so replay
-            // stays reproducible.
-            let mut empty_runs = 0u32;
-            let mut penalty = 0usize;
-            while i < events.len() {
-                if fastpath && penalty == 0 {
-                    let Some(rest) = events.get(i..) else { break };
-                    let taken = self.fast_retire_run(rest, prefetch);
-                    i += taken;
-                    if taken == 0 {
-                        empty_runs = (empty_runs + 1).min(FAST_BACKOFF_SHIFT_CAP);
-                        penalty = 1usize << empty_runs;
-                    } else {
-                        empty_runs = 0;
-                    }
-                    if i >= events.len() {
-                        break;
-                    }
-                }
-                if prefetch {
-                    // Hide the tag-column latency of upcoming lookups:
-                    // hint the L1 D-TLB set and the L1D set of the memory
-                    // access PREFETCH_DISTANCE events ahead. The L1D set
-                    // index bits of the paper geometry (64 sets × 64 B =
-                    // 4 KiB) sit inside the page offset, so the virtual
-                    // block number selects the same set as the physical
-                    // one (VIPT); for other geometries the hint may miss
-                    // the set, which costs nothing. Hints never change
-                    // simulated state (see SetAssoc::prefetch_set).
-                    if let Some(&Event::Mem { vaddr, .. }) = events.get(i + PREFETCH_DISTANCE) {
-                        self.l1d_tlb.prefetch(vaddr);
-                        self.hier.l1d.array().prefetch_set(vaddr.raw() >> BLOCK_SHIFT);
-                    }
-                }
-                // With the fast path on, this is the one event that failed
-                // a predicate (or the sampler-boundary event): the full
-                // machinery handles it, then the fast path resumes.
-                let Some(&event) = events.get(i) else { break };
+            for &event in batch.events() {
                 self.step(event);
-                i += 1;
-                penalty = penalty.saturating_sub(1);
             }
             remaining -= mem_taken;
         }
@@ -409,219 +297,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         self.stats()
     }
 
-    /// Retires the longest prefix of `events` that qualifies for the
-    /// batched fast path, returning how many events were consumed
-    /// (possibly 0). The caller slow-steps the first non-qualifying
-    /// event, after which a new run can start.
-    ///
-    /// A `Mem` event qualifies when **all** of the following hold — each
-    /// predicate guards one piece of machinery [`System::step`] would
-    /// otherwise engage (DESIGN.md §15–16):
-    ///
-    /// * its PC stays on the current code page (no I-side translation);
-    /// * its VPN hits the L1 D-TLB (**tier 1**), or misses it and hits
-    ///   the unified LLT (**tier 2** — the walker, shadow buffer, and
-    ///   MSHR are still never consulted);
-    /// * its block hits the L1D (**tier 1**), or misses it and hits the
-    ///   L2 (**tier 2** — the LLC and its policy are still never
-    ///   consulted, so no LLC fill, eviction, or bypass can occur);
-    /// * no DOA-eviction drain is pending (the drain is re-checked
-    ///   per event on the slow path but can only become non-empty through
-    ///   an LLC eviction, which no tier-1/tier-2 shape can cause — so one
-    ///   check up front covers the whole run);
-    /// * it does not reach the sampler boundary (the boundary event is
-    ///   slow-stepped so [`System::step`]'s sampler fires identically).
-    ///
-    /// `Compute` events inside the run are issued unchanged (they touch
-    /// only the core and the sampler budget), so the emitter's
-    /// compute/mem interleaving never cuts runs short.
-    ///
-    /// Qualifying events are retired via the probe-then-commit splits
-    /// ([`TlbGroup::commit_probe`] / [`TlbGroup::commit_miss`] +
-    /// [`System::commit_llt_hit`], [`Hierarchy::commit_l1d_hit`] /
-    /// [`Hierarchy::commit_l2_hit`]) and the batch-aware
-    /// [`CoreModel::issue_mem_run_at`] — each commits exactly the state
-    /// transitions the slow path would perform, in the same order, so
-    /// machine state stays bit-identical whichever path ran. Tier-2
-    /// commits *fill* upper levels (the LLT hit refills the L1 D-TLB, the
-    /// L2 hit refills the L1D), so they invalidate the run's one-entry
-    /// probe caches; classification itself is fully side-effect-free, so
-    /// an event that fails any predicate leaves no trace before its slow
-    /// step.
-    ///
-    /// Deep probes carry their own backoff: consecutive tier-2
-    /// classification failures (deep probes paid, event slow-stepped
-    /// anyway) suppress the LLT/L2 probes for a geometrically growing
-    /// number of first-level misses ([`DEEP_BACKOFF_SHIFT_CAP`]), so
-    /// streams thrashing past the L2 degrade to the tier-1-only
-    /// classification cost instead of paying two wasted probes per miss.
-    /// Records a tier-2 classification failure and arms the deep-probe
-    /// backoff: the next `1 << deep_fails` first-level probe misses break
-    /// their run without paying the LLT/L2 probes (see
-    /// [`DEEP_BACKOFF_SHIFT_CAP`]).
-    #[inline]
-    fn note_deep_fail(&mut self) {
-        self.deep_fails = (self.deep_fails + 1).min(DEEP_BACKOFF_SHIFT_CAP);
-        self.deep_skip = 1u64 << self.deep_fails;
-    }
-
-    fn fast_retire_run(&mut self, events: &[Event], prefetch: bool) -> usize {
-        // Run-wide predicates, hoisted: a current code page must exist
-        // (the first-ever event always slow-steps) and no DOA drain may
-        // be pending.
-        let Some(code_vpn) = self.cur_code_vpn else { return 0 };
-        if !self.hier.pending_doa_evictions.is_empty() {
-            return 0;
-        }
-        // Instruction budget to the sampler boundary: every fast event
-        // must leave `instructions()` strictly below `next_sample_at` so
-        // the event that reaches the boundary takes the slow path and
-        // samples there, exactly like event-at-a-time replay.
-        let mut budget =
-            self.next_sample_at.saturating_sub(self.core.instructions()).saturating_sub(1);
-        // The tier-1 latency: L1 D-TLB hit + L1D hit, exactly the sum the
-        // slow path accumulates when both first levels hit and the code
-        // page is unchanged. Tier-2 events add the missed level's latency
-        // per call via `issue_mem_run_at`.
-        let l1_tlb_latency = u64::from(self.l1d_tlb.latency);
-        let llt_latency = u64::from(self.llt.latency);
-        let mut run = MemRun::new(l1_tlb_latency + u64::from(self.hier.l1d.latency));
-        // Within a run the fast path commits hits and tier-2 upper-level
-        // refills — recency stamps and clocks move, and the L1 D-TLB/L1D
-        // gain entries, but nothing below them changes — so a probe
-        // result stays valid for every later event on the same page (or
-        // block) until a tier-2 commit fills the probed structure (which
-        // clears the cache). Caching the last one turns the common
-        // same-page / sub-block-stride patterns into a compare instead
-        // of a tag scan. The *commits* still happen once per event.
-        let mut last_tlb: Option<(Vpn, TlbProbe)> = None;
-        let mut last_l1d: Option<(BlockAddr, usize)> = None;
-        let mut taken = 0usize;
-        for &event in events {
-            match event {
-                Event::Compute { ops } => {
-                    let ops = u64::from(ops);
-                    if ops > budget {
-                        break;
-                    }
-                    budget -= ops;
-                    self.core.issue_compute(ops);
-                }
-                Event::Mem { pc, vaddr, kind: _, dependent } => {
-                    // `kind` is irrelevant on this path: `Hierarchy::access`
-                    // ignores it, and no other slow-path state depends on it.
-                    if budget == 0 || VirtAddr::new(pc.raw()).vpn() != code_vpn {
-                        break;
-                    }
-                    let vpn = vaddr.vpn();
-                    // --- classification: probes only, no state moves ---
-                    let tlb_tier = match last_tlb {
-                        Some((cached_vpn, hit)) if cached_vpn == vpn => TlbTier::L1(hit),
-                        _ => match self.l1d_tlb.probe(vpn) {
-                            Some(hit) => {
-                                last_tlb = Some((vpn, hit));
-                                TlbTier::L1(hit)
-                            }
-                            None if self.deep_skip > 0 => {
-                                self.deep_skip -= 1;
-                                break;
-                            }
-                            None => match self.probe_llt(vpn) {
-                                Some(probe) => TlbTier::Llt(probe),
-                                None => {
-                                    self.note_deep_fail();
-                                    break;
-                                }
-                            },
-                        },
-                    };
-                    let pfn = match tlb_tier {
-                        TlbTier::L1(hit) => hit.pfn,
-                        TlbTier::Llt(ref probe) => self.probed_llt_pfn(vpn, probe),
-                    };
-                    let pa = PhysAddr::new(pfn.base().raw() | vaddr.page_offset());
-                    let block = pa.block();
-                    let cache_tier = match last_l1d {
-                        Some((cached_block, way)) if cached_block == block => {
-                            CacheTier::L1d(way)
-                        }
-                        _ => match self.hier.probe_l1d(block) {
-                            Some(way) => {
-                                last_l1d = Some((block, way));
-                                CacheTier::L1d(way)
-                            }
-                            None if self.deep_skip > 0 => {
-                                self.deep_skip -= 1;
-                                break;
-                            }
-                            None => match self.hier.probe_l2(block) {
-                                Some(way) => CacheTier::L2(way),
-                                None => {
-                                    self.note_deep_fail();
-                                    break;
-                                }
-                            },
-                        },
-                    };
-                    if prefetch {
-                        // Per-retired-access hint, like the slow loop's
-                        // per-event hint (hints are state-free scheduling
-                        // advice, so the slightly different cadence cannot
-                        // change simulated state).
-                        if let Some(&Event::Mem { vaddr: ahead, .. }) =
-                            events.get(taken + PREFETCH_DISTANCE)
-                        {
-                            self.l1d_tlb.prefetch(ahead);
-                            self.hier.l1d.array().prefetch_set(ahead.raw() >> BLOCK_SHIFT);
-                        }
-                    }
-                    budget -= 1;
-                    // --- commits, in the slow path's order: translation,
-                    // then hierarchy, then the core issue ---
-                    self.mem_ops += 1;
-                    let mut latency = l1_tlb_latency;
-                    let mut tier2 = false;
-                    match tlb_tier {
-                        TlbTier::L1(hit) => self.l1d_tlb.commit_probe(vpn, hit),
-                        TlbTier::Llt(probe) => {
-                            latency += llt_latency;
-                            self.l1d_tlb.commit_miss();
-                            self.commit_llt_hit(vpn, &probe, pc, Side::Data);
-                            // The commit refilled the L1 D-TLB (and, under
-                            // the victim organization, possibly churned
-                            // the LLT): the cached L1 probe is stale.
-                            last_tlb = None;
-                            tier2 = true;
-                        }
-                    }
-                    latency += match cache_tier {
-                        CacheTier::L1d(way) => self.hier.commit_l1d_hit(block, way),
-                        CacheTier::L2(way) => {
-                            // The commit refills the L1D, possibly evicting
-                            // the cached block: the cached probe is stale.
-                            last_l1d = None;
-                            tier2 = true;
-                            self.hier.commit_l2_hit(block, way)
-                        }
-                    };
-                    if tier2 {
-                        self.fast_l2_hits += 1;
-                        // A deep probe paid off: the stream's misses are
-                        // terminating at L2/LLT again, so stop suppressing.
-                        self.deep_fails = 0;
-                    } else {
-                        self.fast_hits += 1;
-                    }
-                    self.core.issue_mem_run_at(&mut run, latency, dependent);
-                }
-            }
-            taken += 1;
-        }
-        taken
-    }
-
-    /// Zeroes all statistics while keeping the machine state (cache/TLB/
-    /// predictor contents) warm. Use after a warm-up phase.
+    /// Zeroes all architectural statistics while keeping the machine state
+    /// (cache/TLB/predictor contents) warm. Use after a warm-up phase.
     pub fn reset_stats(&mut self) {
         self.core = CoreModel::new(
             self.config.core.width,
@@ -644,9 +321,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         self.doa_blocks_on_doa_pages = 0;
         self.doa_blocks_classified = 0;
         self.mem_ops = 0;
-        self.fast_hits = 0;
-        self.fast_l2_hits = 0;
-        self.slow_steps = 0;
         self.next_sample_at = self.sample_interval;
     }
 
@@ -733,20 +407,10 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         None
     }
 
-    /// The frame a [`probe_llt`](System::probe_llt) hit resolves `vpn` to,
-    /// read without committing (the hit's payload is immutable until the
-    /// commit, whose `on_hit` hook touches only the policy state word).
-    fn probed_llt_pfn(&self, vpn: Vpn, probe: &LltProbe) -> Pfn {
-        let entry = self.llt.array().payload(probe.key.raw(), probe.way);
-        Self::compose_pfn(probe.size, entry.pfn, vpn)
-    }
-
     /// Commits a [`probe_llt`](System::probe_llt) hit exactly as the
     /// pre-split lookup loop did: the group counters, one lookup clock per
     /// smaller size probed first, the hit's recency/lifetime update, the
-    /// policy hooks in their original order, and the L1 refill. Shared
-    /// verbatim between [`System::translate`] and the second fast tier,
-    /// so the two paths cannot drift.
+    /// policy hooks in their original order, and the L1 refill.
     fn commit_llt_hit(&mut self, vpn: Vpn, probe: &LltProbe, pc: Pc, side: Side) -> Pfn {
         self.llt.stats.lookups += 1;
         for _ in 0..probe.missed_probes {
@@ -759,11 +423,9 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             // Policies that don't observe set views skip view construction.
             if self.llt_policy.uses_set_views() {
                 let policy = &mut self.llt_policy;
-                self.llt
-                    .array_mut()
-                    .with_set_views(probe.key.raw(), Some(probe.way), |views| {
-                        policy.on_set_access(views)
-                    });
+                self.llt.array_mut().with_set_views(probe.key.raw(), Some(probe.way), |views| {
+                    policy.on_set_access(views);
+                });
             }
         }
         let entry = self.llt.array_mut().payload_mut(probe.key.raw(), probe.way);
@@ -793,7 +455,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         // behavior). The unified LLT holds every size; probe-then-commit
         // (the probe classifies side-effect-free, the commit replays the
         // per-size lookup clocks, counters, and hooks in the pre-split
-        // order), shared with the second fast tier. ---
+        // order). ---
         if let Some(probe) = self.probe_llt(vpn) {
             let pfn = self.commit_llt_hit(vpn, &probe, pc, side);
             return (pfn, latency);
@@ -1010,8 +672,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             llc_deadness: llc_sampler.stats(),
             doa_blocks_on_doa_pages: self.doa_blocks_on_doa_pages,
             doa_blocks_classified: self.doa_blocks_classified,
-            fast_hits: self.fast_hits,
-            fast_l2_hits: self.fast_l2_hits,
             slow_steps: self.slow_steps,
         }
     }
@@ -1249,33 +909,23 @@ mod tests {
         assert_eq!(typed.llt, item.llt);
     }
 
-    /// The fast path must hand the sampler-boundary event to the slow
-    /// path so deadness samples fire at identical instruction counts. A
-    /// tiny looping working set makes (almost) every event fast-path
-    /// eligible, and a 37-instruction sample interval forces a boundary
-    /// inside essentially every run.
+    /// Chunked replay must fire deadness samples at the same instruction
+    /// counts as event-at-a-time replay. A 37-instruction sample interval
+    /// puts a boundary inside nearly every chunk-sized stretch of a tiny
+    /// looping working set.
     #[test]
-    fn fast_path_respects_sampler_boundaries() {
+    fn run_stream_respects_sampler_boundaries() {
         let stream = EventStream::capture_mem_ops(&mut SyntheticLoads::looping(4, 2000), 800);
-        let mut slow_sys = system();
-        slow_sys.set_sample_interval(37);
-        let slow = slow_sys.run_events(&mut stream.iter(), 800);
-        let mut fast_sys = system();
-        fast_sys.set_sample_interval(37);
-        let fast = fast_sys.run_stream(&stream, &mut StreamCursor::default(), 800);
-        assert_eq!(fast, slow, "fast-path run must be architecturally identical");
-        assert_eq!(fast.llt_deadness, slow.llt_deadness, "same samples at same boundaries");
-        assert_eq!(fast.llc_deadness, slow.llc_deadness);
-        assert_eq!(slow.fast_hits, 0, "run_events never takes the fast path");
-        if dpc_types::simd::fastpath_enabled() {
-            assert!(fast.fast_hits > 0, "looping hits must retire on the fast path");
-            assert!(
-                fast.slow_steps < slow.slow_steps,
-                "the fast path must take work away from step()"
-            );
-        } else {
-            assert_eq!(fast.fast_hits, 0);
-        }
+        let mut item_sys = system();
+        item_sys.set_sample_interval(37);
+        let item = item_sys.run_events(&mut stream.iter(), 800);
+        let mut chunk_sys = system();
+        chunk_sys.set_sample_interval(37);
+        let chunked = chunk_sys.run_stream(&stream, &mut StreamCursor::default(), 800);
+        assert_eq!(chunked, item, "chunked replay must be identical to event-at-a-time");
+        assert_eq!(chunked.llt_deadness, item.llt_deadness, "same samples at same boundaries");
+        assert_eq!(chunked.llc_deadness, item.llc_deadness);
+        assert_eq!(chunked.slow_steps, item.slow_steps, "every event goes through step()");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife, SetAssoc};
 use crate::stats::StructStats;
-use dpc_types::{AllocPolicy, PageSize, Pfn, TlbConfig, VirtAddr, Vpn};
+use dpc_types::{AllocPolicy, PageSize, Pfn, TlbConfig, Vpn};
 
 /// Per-entry TLB metadata.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -166,19 +166,6 @@ impl TlbMember {
     }
 }
 
-/// A successful side-effect-free [`TlbGroup::probe`]: which member hit,
-/// at which way, and the reconstructed 4 KB-grain frame. Pass it back to
-/// [`TlbGroup::commit_probe`] to apply the hit.
-#[derive(Clone, Copy, Debug)]
-pub struct TlbProbe {
-    /// Index of the member (page-size structure) that hit.
-    member: usize,
-    /// Hit way inside that member.
-    way: usize,
-    /// The reconstructed 4 KB-grain translation.
-    pub pfn: Pfn,
-}
-
 /// A first-level TLB: per-page-size structures probed as one lookup.
 #[derive(Debug)]
 pub struct TlbGroup {
@@ -255,61 +242,6 @@ impl TlbGroup {
         })
     }
 
-    /// Side-effect-free [`lookup`](Self::lookup): probes the members in
-    /// order and returns where the 4 KB-grain `vpn` hit plus the
-    /// reconstructed frame, without touching any clock, counter, or
-    /// recency state. The replay fast path classifies with this and, only
-    /// once the whole event qualifies, replays the state transitions via
-    /// [`commit_probe`](Self::commit_probe).
-    #[inline]
-    pub fn probe(&self, vpn: Vpn) -> Option<TlbProbe> {
-        for (member, m) in self.members.iter().enumerate() {
-            let unit = m.size.vpn_unit(vpn).raw();
-            if let Some(way) = m.array.peek(unit, unit) {
-                let entry = m.array.payload(unit, way);
-                let pfn = Pfn::new((entry.pfn << m.size.unit_shift()) | m.size.frame_offset(vpn));
-                return Some(TlbProbe { member, way, pfn });
-            }
-        }
-        None
-    }
-
-    /// Commits a successful [`probe`](Self::probe) exactly as if
-    /// [`lookup`](Self::lookup) had run: the group counters, the hit
-    /// member's recency/lifetime update, *and* the lookup clocks of the
-    /// members probed before it — `lookup` advances every probed member's
-    /// clock even when that member misses, and the per-member clocks feed
-    /// [`LineLife`], so they must stay aligned. `hit` must come from a
-    /// `probe` of the same `vpn` with the group unmodified in between.
-    #[inline]
-    pub fn commit_probe(&mut self, vpn: Vpn, hit: TlbProbe) {
-        self.stats.lookups += 1;
-        self.stats.hits += 1;
-        for (member, m) in self.members.iter_mut().enumerate() {
-            if member == hit.member {
-                let unit = m.size.vpn_unit(vpn).raw();
-                m.array.commit_hit(unit, hit.way);
-                return;
-            }
-            m.array.commit_miss();
-        }
-    }
-
-    /// Commits a full miss previously established by a
-    /// [`probe`](Self::probe) that returned `None`, exactly as if
-    /// [`lookup`](Self::lookup) had missed: the group counters plus
-    /// every member's lookup clock (a missing `lookup` probes — and
-    /// clocks — every member). The second-tier fast path uses this to
-    /// descend to the LLT without re-scanning the L1 members.
-    #[inline]
-    pub fn commit_miss(&mut self) {
-        self.stats.lookups += 1;
-        self.stats.misses += 1;
-        for m in &mut self.members {
-            m.array.commit_miss();
-        }
-    }
-
     /// Allocates a translation into the member for `size`, tagging and
     /// storing at that size's grain. `vpn`/`pfn` are 4 KB-grain; the
     /// eviction (if any) reports the victim's size and *unit* VPN.
@@ -340,15 +272,6 @@ impl TlbGroup {
             .fill(unit_vpn, unit_vpn, TlbEntry { pfn: unit_pfn, state }, priority)
             .map(|e| (size, Vpn::new(e.tag), e.payload, e.life))
             .inspect(|_| self.stats.evictions += 1)
-    }
-
-    /// Early set-index hint for the upcoming access (state-free), aimed
-    /// at the primary (first-listed) member.
-    #[inline]
-    pub fn prefetch(&self, vaddr: VirtAddr) {
-        if let Some(m) = self.members.first() {
-            m.array.prefetch_set(m.size.vpn_unit(vaddr.vpn()).raw());
-        }
     }
 
     /// Read-only access to the primary member's array (tests, sampling).
@@ -446,77 +369,6 @@ mod tests {
         assert_eq!(group.lookup(Vpn::new(0x200)), Some(Pfn::new(7)));
         assert_eq!(group.stats.hits, 3);
         assert_eq!(group.stats.misses, 0);
-    }
-
-    /// probe + commit_probe must be indistinguishable from lookup — on a
-    /// single-member group and on a multi-member group where the hit
-    /// member is not the first probed (the member clocks of the earlier
-    /// misses must advance identically).
-    #[test]
-    fn probe_then_commit_matches_group_lookup() {
-        let config = SystemConfig::paper_baseline().l1_dtlb;
-        let build = || {
-            let mut g =
-                TlbGroup::for_policy(&config, AllocPolicy::Promote2M { threshold: 64 }, false);
-            g.fill(
-                PageSize::Size2M,
-                Vpn::new(0x4_0055),
-                Pfn::new(0x8000 + 0x55),
-                InsertPriority::Normal,
-                0,
-            );
-            g.fill(PageSize::Size4K, Vpn::new(0x200), Pfn::new(7), InsertPriority::Normal, 0);
-            g
-        };
-        let mut via_lookup = build();
-        let mut via_commit = build();
-        // 4K hit (first member), 2M hit (second member, after a 4K-member
-        // miss), sibling 2M hit, and a full miss.
-        for vpn in [Vpn::new(0x200), Vpn::new(0x4_0055), Vpn::new(0x4_01ff), Vpn::new(0x999)] {
-            let want = via_lookup.lookup(vpn);
-            match via_commit.probe(vpn) {
-                Some(hit) => {
-                    assert_eq!(Some(hit.pfn), want, "probe frame for {vpn:?}");
-                    via_commit.commit_probe(vpn, hit);
-                }
-                None => assert_eq!(want, None, "probe miss must match lookup miss"),
-            }
-        }
-        // commit_probe does not cover the full-miss case (the fast path
-        // never commits misses); replay it on the lookup side only and
-        // compare the hit counters plus every member's clock.
-        assert_eq!(via_commit.stats.hits, via_lookup.stats.hits);
-        assert_eq!(via_commit.stats.hits, 3);
-        // The one full miss (never committed on the fast path) probed
-        // every member on the lookup side; the committed lookups must
-        // have advanced each member's clock identically.
-        for (a, b) in via_lookup.members.iter().zip(&via_commit.members) {
-            assert_eq!(b.array.seq() + 1, a.array.seq(), "member {:?} lookup clock", a.size);
-        }
-    }
-
-    /// commit_miss (the second fast tier descending past a missing L1
-    /// D-TLB) must be indistinguishable from a missing lookup: group
-    /// counters plus every member's lookup clock.
-    #[test]
-    fn commit_miss_matches_missing_lookup() {
-        let config = SystemConfig::paper_baseline().l1_dtlb;
-        let build = || {
-            let mut g =
-                TlbGroup::for_policy(&config, AllocPolicy::Promote2M { threshold: 64 }, false);
-            g.fill(PageSize::Size4K, Vpn::new(0x200), Pfn::new(7), InsertPriority::Normal, 0);
-            g
-        };
-        let mut via_lookup = build();
-        let mut via_commit = build();
-        let missing = Vpn::new(0x999);
-        assert_eq!(via_lookup.lookup(missing), None);
-        assert!(via_commit.probe(missing).is_none());
-        via_commit.commit_miss();
-        assert_eq!(via_commit.stats, via_lookup.stats);
-        for (a, b) in via_lookup.members.iter().zip(&via_commit.members) {
-            assert_eq!(a.array.seq(), b.array.seq(), "member {:?} lookup clock", a.size);
-        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! * **exhaustive**: every op sequence of a fixed depth over a per-tag
 //!   alphabet that includes both hit flavors (`lookup` and
-//!   `peek`+`commit_hit` — the replay fast path's entry point into the
-//!   lazy buffer) for LRU, SRRIP and FIFO;
+//!   `peek`+`commit_hit` — the miss path's entry point into the lazy
+//!   buffer) for LRU, SRRIP and FIFO;
 //! * **hit runs**: long same-line hit streaks — the case the buffer
 //!   coalesces — cut by each metadata reader in turn (victim probe,
 //!   fill, invalidate, `life_of`), so every flush point is crossed with
@@ -212,8 +212,8 @@ impl EagerModel {
 enum Op {
     /// Hit path #1: a full lookup.
     Lookup(u64),
-    /// Hit path #2: peek + commit_hit / commit_miss — how the replay fast
-    /// path feeds the lazy buffer.
+    /// Hit path #2: peek + commit_hit / commit_miss — how the
+    /// probe-then-commit miss path feeds the lazy buffer.
     Commit(u64),
     Fill(u64, InsertPriority),
     Invalidate(u64),

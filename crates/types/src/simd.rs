@@ -55,44 +55,6 @@ fn detect() -> bool {
     }
 }
 
-/// Whether the replay loop should issue software prefetch hints for
-/// upcoming sets (`DPC_PREFETCH=on`/`1`/`true`, and [`enabled`]).
-///
-/// Off by default: on the machines this was tuned on, each simulated
-/// event runs hundreds of instructions of cache/TLB/core modelling, so
-/// the set arrays a hint touches are resident long before the event
-/// eight slots later needs them, and the per-event hint overhead
-/// measurably outweighs the misses it saves (see EXPERIMENTS.md). The
-/// knob stays because the balance flips when per-event work shrinks or
-/// the simulated footprint grows past the host LLC. Hints never change
-/// simulated state, so the golden output is identical either way.
-#[inline]
-pub fn prefetch_enabled() -> bool {
-    static PREFETCH: OnceLock<bool> = OnceLock::new();
-    *PREFETCH.get_or_init(|| {
-        enabled()
-            && std::env::var("DPC_PREFETCH")
-                .is_ok_and(|value| matches!(value.as_str(), "on" | "1" | "true"))
-    })
-}
-
-/// Whether the replay engine's batched L1-hit fast path is active
-/// (`DPC_FASTPATH`; on by default, `off` / `0` / `false` disables it).
-///
-/// The fast path is scalar code and bit-identical to event-at-a-time
-/// replay by construction (DESIGN.md §15), so unlike [`prefetch_enabled`]
-/// this gate is independent of the SIMD gate: it holds on every target
-/// and under Miri. The knob exists as the escape hatch and the A/B lever
-/// the golden CI legs use to prove the equivalence end to end.
-#[inline]
-pub fn fastpath_enabled() -> bool {
-    static FASTPATH: OnceLock<bool> = OnceLock::new();
-    *FASTPATH.get_or_init(|| {
-        !std::env::var("DPC_FASTPATH")
-            .is_ok_and(|value| matches!(value.as_str(), "off" | "0" | "false"))
-    })
-}
-
 /// Scans a tag window and returns `(take, mem_take)`: how many leading
 /// tags a replay chunk may consume without exceeding a budget of
 /// `max_mem` tags that differ from `compute_tag` (i.e. memory events),
@@ -270,25 +232,6 @@ mod tests {
             assert_eq!(cut_after_nth_set_bit(0b1010_0110, 3), 6);
             assert_eq!(cut_after_nth_set_bit(0b1010_0110, 4), 8);
             assert_eq!(cut_after_nth_set_bit(u32::MAX, 32), 32);
-        }
-    }
-
-    #[test]
-    fn prefetch_requires_the_simd_gate() {
-        // Whatever DPC_SIMD/DPC_PREFETCH this process runs under,
-        // prefetch hints must never be on with the vector gate off.
-        assert!(!prefetch_enabled() || enabled());
-    }
-
-    #[test]
-    fn fastpath_gate_is_independent_of_the_simd_gate() {
-        // The fast path is scalar; it may be on even when the vector gate
-        // is off. All this process can check portably is that the cached
-        // answer is stable and honors an explicit DPC_FASTPATH=off.
-        assert_eq!(fastpath_enabled(), fastpath_enabled());
-        if std::env::var("DPC_FASTPATH").is_ok_and(|v| matches!(v.as_str(), "off" | "0" | "false"))
-        {
-            assert!(!fastpath_enabled());
         }
     }
 

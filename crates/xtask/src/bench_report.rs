@@ -10,24 +10,21 @@
 //! if any bench shared with the baseline got more than 15% slower
 //! (median vs median).
 //!
-//! Five groups gate: `simulator` (end-to-end throughput of the
+//! Four groups gate: `simulator` (end-to-end throughput of the
 //! monomorphized event loop), `predictor_phases` (pHIST/bHIST lookup,
 //! shadow-table hit, and PFQ probe micro-phases, which localise a
 //! simulator regression to the predictor structure that caused it),
 //! `simd_phases` (the vectorized kernels and their scalar twins, so a
 //! regression in either the AVX2 or the `DPC_SIMD=off` path trips CI),
-//! `fastpath_phases` (the batched L1-hit retire and its `step`
-//! fallback), and `misspath_phases` (tier-2 classification, L2-hit
-//! retire, and the lazy replacement-metadata apply — the stages of
+//! and `misspath_phases` (the lazy replacement-metadata apply of
 //! DESIGN.md §16). The `structures` micro-benches stay ungated: their
 //! one-shot samples are too noisy to act as a tripwire. Like the lint
 //! pass, everything here is hand-rolled (no serde) so the workspace
 //! stays dependency-free on an offline toolchain.
 //!
 //! Besides the medians, each report records the commit it was measured
-//! at and the runtime-gate fingerprint (`DPC_SIMD` / `DPC_FASTPATH` /
-//! `DPC_PREFETCH`) active during the run: medians taken with a gate
-//! flipped are not comparable to the checked-in baseline, and `--check`
+//! at and the runtime-gate fingerprint (`DPC_SIMD`) active during the
+//! run: medians taken with the gate flipped are not comparable to the checked-in baseline, and `--check`
 //! warns when the baseline's commit is no longer an ancestor of `HEAD`
 //! (i.e. the baseline predates a rebase or was never regenerated).
 
@@ -45,7 +42,6 @@ pub const GROUPS: &[(&str, &str)] = &[
     ("simulator", "cargo bench --bench simulator"),
     ("predictor_phases", "cargo bench --bench predictor_phases"),
     ("simd_phases", "cargo bench --bench simd_phases"),
-    ("fastpath_phases", "cargo bench --bench fastpath_phases"),
     ("misspath_phases", "cargo bench --bench misspath_phases"),
 ];
 
@@ -59,51 +55,35 @@ pub type Medians = BTreeMap<String, f64>;
 /// report as a fingerprint: baseline medians are only comparable to a
 /// current run taken under the same gate settings.
 ///
-/// The parse rules mirror `dpc_types::simd` exactly (xtask is
-/// deliberately dependency-free, so it cannot call them): `DPC_SIMD`
-/// and `DPC_FASTPATH` are on unless set to `off`/`0`/`false`;
-/// `DPC_PREFETCH` is off unless set to `on`/`1`/`true` *and* the SIMD
-/// gate is on.
+/// The parse rule mirrors `dpc_types::simd` exactly (xtask is
+/// deliberately dependency-free, so it cannot call it): `DPC_SIMD` is on
+/// unless set to `off`/`0`/`false`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Gates {
-    /// `DPC_SIMD` — vector kernels (also gates prefetch).
+    /// `DPC_SIMD` — vector kernels.
     pub simd: bool,
-    /// `DPC_FASTPATH` — the replay engine's batched fast tiers.
-    pub fastpath: bool,
-    /// `DPC_PREFETCH` — software prefetch hints (opt-in).
-    pub prefetch: bool,
 }
 
 impl Gates {
     /// Reads the gate environment the same way the simulator does.
     pub fn from_env() -> Self {
-        fn disabled(var: &str) -> bool {
-            std::env::var(var).is_ok_and(|v| matches!(v.as_str(), "off" | "0" | "false"))
-        }
-        fn opted_in(var: &str) -> bool {
-            std::env::var(var).is_ok_and(|v| matches!(v.as_str(), "on" | "1" | "true"))
-        }
-        let simd = !disabled("DPC_SIMD");
-        Gates { simd, fastpath: !disabled("DPC_FASTPATH"), prefetch: simd && opted_in("DPC_PREFETCH") }
+        let off =
+            std::env::var("DPC_SIMD").is_ok_and(|v| matches!(v.as_str(), "off" | "0" | "false"));
+        Gates { simd: !off }
     }
 }
 
 impl std::fmt::Display for Gates {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn s(on: bool) -> &'static str {
-            if on {
-                "on"
-            } else {
-                "off"
-            }
-        }
-        write!(
-            f,
-            "simd={} fastpath={} prefetch={}",
-            s(self.simd),
-            s(self.fastpath),
-            s(self.prefetch)
-        )
+        write!(f, "simd={}", on_off(self.simd))
+    }
+}
+
+fn on_off(on: bool) -> &'static str {
+    if on {
+        "on"
+    } else {
+        "off"
     }
 }
 
@@ -155,24 +135,13 @@ pub fn extract_median(text: &str) -> Option<f64> {
 /// Render the report JSON: stable key order, one bench per line so the
 /// baseline parser (and humans diffing the file) stay simple.
 pub fn render(medians: &Medians, git_sha: &str, date: &str, gates: Gates) -> String {
-    fn on_off(on: bool) -> &'static str {
-        if on {
-            "on"
-        } else {
-            "off"
-        }
-    }
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 2,\n");
+    // Schema 2 added the gate fingerprint; 3 reduced it to `DPC_SIMD`.
+    out.push_str("  \"schema\": 3,\n");
     out.push_str("  \"unit\": \"ns\",\n");
     out.push_str(&format!("  \"git_sha\": \"{git_sha}\",\n"));
     out.push_str(&format!("  \"date\": \"{date}\",\n"));
-    out.push_str(&format!(
-        "  \"gates\": {{ \"DPC_SIMD\": \"{}\", \"DPC_FASTPATH\": \"{}\", \"DPC_PREFETCH\": \"{}\" }},\n",
-        on_off(gates.simd),
-        on_off(gates.fastpath),
-        on_off(gates.prefetch)
-    ));
+    out.push_str(&format!("  \"gates\": {{ \"DPC_SIMD\": \"{}\" }},\n", on_off(gates.simd)));
     out.push_str("  \"median_ns\": {\n");
     let last = medians.len().saturating_sub(1);
     for (i, (bench, median)) in medians.iter().enumerate() {
@@ -366,7 +335,7 @@ mod tests {
         medians.insert("simulator/canneal_baseline".to_owned(), 4_811_000.0);
         medians.insert("simulator/bfs_dppred_cbpred".to_owned(), 1_640_500.5);
         medians.insert("predictor_phases/phist_lookup".to_owned(), 31_250.0);
-        let gates = Gates { simd: true, fastpath: true, prefetch: false };
+        let gates = Gates { simd: true };
         let text = render(&medians, "abc1234", "2026-08-06T00:00:00+00:00", gates);
         assert_eq!(parse_report(&text), medians);
         assert_eq!(parse_git_sha(&text).as_deref(), Some("abc1234"));
@@ -374,13 +343,11 @@ mod tests {
 
     #[test]
     fn gates_fingerprint_is_rendered() {
-        let gates = Gates { simd: true, fastpath: false, prefetch: false };
+        let gates = Gates { simd: false };
         let text = render(&Medians::new(), "abc1234", "2026-08-06T00:00:00+00:00", gates);
-        assert!(text.contains("\"schema\": 2"), "gates field bumps the schema: {text}");
+        assert!(text.contains("\"schema\": 3"), "schema 3 fingerprints one gate: {text}");
         assert!(
-            text.contains(
-                "\"gates\": { \"DPC_SIMD\": \"on\", \"DPC_FASTPATH\": \"off\", \"DPC_PREFETCH\": \"off\" }"
-            ),
+            text.contains("\"gates\": { \"DPC_SIMD\": \"off\" }"),
             "fingerprint line missing: {text}"
         );
         // The gates object must not confuse the medians parser.
@@ -389,12 +356,8 @@ mod tests {
 
     #[test]
     fn unknown_sha_is_not_comparable() {
-        let text = render(
-            &Medians::new(),
-            "unknown",
-            "2026-08-06T00:00:00+00:00",
-            Gates { simd: true, fastpath: true, prefetch: false },
-        );
+        let text =
+            render(&Medians::new(), "unknown", "2026-08-06T00:00:00+00:00", Gates { simd: true });
         assert_eq!(parse_git_sha(&text), None);
     }
 

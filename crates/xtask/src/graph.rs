@@ -3,12 +3,10 @@
 //! Built from [`crate::items`]: nodes are `fn` definitions, edges are the
 //! conservatively-resolved call sites inside each body. The graph is
 //! rooted at the replay entry points the warm loop runs through —
-//! `System::run_stream`/`step`/`fast_retire_run` (with its tier-2
-//! helpers `probe_llt`/`commit_llt_hit`), `Hierarchy::access`,
-//! `SetAssoc::locate`/`fill`, `EventStream::decode_chunk`,
-//! `CoreModel::issue_mem_run`/`issue_mem_run_at` — plus every
-//! method of a `LltPolicy`/
-//! `LlcPolicy` impl (and the trait default bodies), since policy hooks
+//! `System::run_stream`/`step` (with the LLT helpers
+//! `probe_llt`/`commit_llt_hit`), `Hierarchy::access`,
+//! `SetAssoc::locate`/`fill`/`flush_pending`, `EventStream::decode_chunk`
+//! — plus every method of a `LltPolicy`/`LlcPolicy` impl (and the trait default bodies), since policy hooks
 //! fire once per simulated memory operation. Everything reachable from a
 //! root is **hot**, and [`crate::rules::hot_path`] holds it to the
 //! panic-freedom, bounds-evidence, and allocation-freedom rules wherever
@@ -34,7 +32,6 @@ use std::ops::Range;
 pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("System", "run_stream"),
     ("System", "step"),
-    ("System", "fast_retire_run"),
     ("System", "probe_llt"),
     ("System", "commit_llt_hit"),
     ("Hierarchy", "access"),
@@ -42,8 +39,6 @@ pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("SetAssoc", "fill"),
     ("SetAssoc", "flush_pending"),
     ("EventStream", "decode_chunk"),
-    ("CoreModel", "issue_mem_run"),
-    ("CoreModel", "issue_mem_run_at"),
 ];
 
 /// Traits whose entire method surface (impls and default bodies) roots

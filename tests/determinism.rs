@@ -144,10 +144,30 @@ fn oracle_table_render_is_identical_across_fresh_contexts() {
     );
 }
 
+/// Runs `workload` under `config` from the trace store (`replay`, chunked
+/// `System::run_stream`) and from a live generator (`live`,
+/// event-at-a-time `System::run_until`), asserts the two agree on the
+/// statistics and both accuracy reports, and returns `(replayed, live)`.
+fn replay_and_live(
+    replay: &WorkloadFactory,
+    live: &WorkloadFactory,
+    workload: &str,
+    config: &RunConfig,
+    label: &str,
+) -> (dpc::RunResult, dpc::RunResult) {
+    let r = dpc::run_workload(replay, workload, config);
+    let l = dpc::run_workload(live, workload, config);
+    assert_eq!(r.stats, l.stats, "{label}: replayed stats must match live generation");
+    assert_eq!(r.llt_accuracy, l.llt_accuracy, "{label}: TLB accuracy");
+    assert_eq!(r.llc_accuracy, l.llc_accuracy, "{label}: LLC accuracy");
+    (r, l)
+}
+
 /// The trace store's core guarantee: replaying a captured stream is
 /// bit-identical to generating the events live, all the way through the
 /// simulator and both predictors. Runs several workloads twice per
-/// factory so the second run exercises the store-hit path too.
+/// factory so the second run exercises the store-hit path too, then
+/// sweeps every workload × {baseline, dpPred+cbPred, AIP} × {4 KB, 2 MB}.
 #[test]
 fn trace_store_replay_is_byte_identical_to_live_generation() {
     for workload in ["bfs", "canneal", "mcf"] {
@@ -156,14 +176,8 @@ fn trace_store_replay_is_byte_identical_to_live_generation() {
         let config = RunConfig::baseline(1_000, 20_000)
             .with_policies(TlbPolicySel::DpPred, LlcPolicySel::CbPred);
         for pass in 0..2 {
-            let r = dpc::run_workload(&replay, workload, &config);
-            let l = dpc::run_workload(&live, workload, &config);
-            assert_eq!(
-                r.stats, l.stats,
-                "{workload} pass {pass}: replayed stats must match live generation"
-            );
-            assert_eq!(r.llt_accuracy, l.llt_accuracy, "{workload} pass {pass}");
-            assert_eq!(r.llc_accuracy, l.llc_accuracy, "{workload} pass {pass}");
+            let label = format!("{workload} pass {pass}");
+            let (r, l) = replay_and_live(&replay, &live, workload, &config, &label);
             assert!(l.gen_wall.is_zero(), "live runs never charge capture time");
             if pass == 1 {
                 assert!(r.gen_wall.is_zero(), "store hits never charge capture time");
@@ -171,6 +185,25 @@ fn trace_store_replay_is_byte_identical_to_live_generation() {
         }
         assert_eq!(replay.trace_store().entries(), 1, "{workload} captured exactly once");
         assert_eq!(live.trace_store().entries(), 0, "disabled store must stay empty");
+    }
+
+    let replay = WorkloadFactory::new(Scale::Tiny, 21).with_trace_store(true);
+    let live = WorkloadFactory::new(Scale::Tiny, 21).with_trace_store(false);
+    let combos = [
+        (TlbPolicySel::Baseline, LlcPolicySel::Baseline),
+        (TlbPolicySel::DpPred, LlcPolicySel::CbPred),
+        (TlbPolicySel::AipTlb, LlcPolicySel::AipLlc),
+    ];
+    for page in [AllocPolicy::Base4K, AllocPolicy::Uniform(PageSize::Size2M)] {
+        for (tlb, llc) in combos {
+            let config = RunConfig::baseline(500, 6_000)
+                .with_policies(tlb, llc)
+                .with_system(SystemConfig::paper_baseline().with_page_policy(page));
+            for workload in WORKLOAD_NAMES {
+                let label = format!("{workload} {tlb:?}/{llc:?} {page:?}");
+                replay_and_live(&replay, &live, workload, &config, &label);
+            }
+        }
     }
 }
 
