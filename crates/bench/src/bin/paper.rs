@@ -25,10 +25,14 @@
 //! tag-match and decode kernels). Output is byte-identical under either
 //! setting of the last two. `--quick` overrides scale and budgets to a
 //! seconds-long smoke configuration (Tiny scale, 2K warm-up, 20K
-//! measured) regardless of the environment.
+//! measured) regardless of the environment. A knob set to a value it
+//! does not accept, or any other `DPC_*` variable, exits with status 2
+//! before anything runs.
 
 use dpc::campaign;
 use dpc::experiments::{self, ExperimentContext, ExperimentOptions};
+use dpc::EnvError;
+use std::ffi::OsString;
 // dpc-lint: allow(determinism::wall-clock) -- CLI progress reporting on stderr; never reaches experiment output
 use std::time::Instant;
 
@@ -55,6 +59,39 @@ const EXPERIMENTS: [&str; 21] = [
     "ablation_threshold",
     "ablation_dueling",
 ];
+
+/// Every `DPC_*` environment variable `paper` reads; any other is
+/// rejected, so a recipe naming a deleted knob cannot run the wrong
+/// engine unnoticed.
+const KNOBS: [&str; 8] = [
+    "DPC_SCALE",
+    "DPC_WARMUP",
+    "DPC_MEASURE",
+    "DPC_SEED",
+    "DPC_PAGE_SIZE",
+    "DPC_THREADS",
+    "DPC_TRACE_STORE",
+    "DPC_SIMD",
+];
+
+/// The `DPC_*` names among `names` that are not in [`KNOBS`], sorted.
+fn unknown_knobs(names: impl IntoIterator<Item = OsString>) -> Vec<String> {
+    let mut unknown: Vec<String> = names
+        .into_iter()
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("DPC_") && !KNOBS.contains(&name.as_str()))
+        .collect();
+    unknown.sort();
+    unknown
+}
+
+/// Unwraps a knob read, or reports the bad value and exits with status 2.
+fn knob_or_exit<T>(read: Result<T, EnvError>) -> T {
+    read.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
 
 /// One regenerated experiment: either a structured table or prose.
 enum Output {
@@ -153,6 +190,11 @@ fn main() {
         }
         return;
     }
+    let unknown = unknown_knobs(std::env::vars_os().map(|(name, _)| name));
+    if !unknown.is_empty() {
+        eprintln!("unknown knob(s) {}; accepted: {}", unknown.join(", "), KNOBS.join(", "));
+        std::process::exit(2);
+    }
     // Optional `--csv <dir>`: also write each experiment as CSV.
     // Optional `--timing <file>`: dump campaign timing stats as JSON.
     // Optional `--quick`: Tiny-scale smoke configuration for CI.
@@ -204,7 +246,7 @@ fn main() {
         }
     }
     if positional.first().copied() == Some("probe") {
-        let mut options = ExperimentOptions::from_env();
+        let mut options = knob_or_exit(ExperimentOptions::from_env());
         if let Some(size) = page_size {
             options.page_policy = dpc::prelude::AllocPolicy::uniform(size);
         }
@@ -228,7 +270,7 @@ fn main() {
         }
     }
 
-    let mut options = ExperimentOptions::from_env();
+    let mut options = knob_or_exit(ExperimentOptions::from_env());
     if quick {
         options.scale = dpc::prelude::Scale::Tiny;
         options.warmup_mem_ops = 2_000;
@@ -237,7 +279,7 @@ fn main() {
     if let Some(size) = page_size {
         options.page_policy = dpc::prelude::AllocPolicy::uniform(size);
     }
-    let threads = campaign::default_threads();
+    let threads = knob_or_exit(campaign::default_threads());
     eprintln!(
         "# scale={:?} warmup={} measure={} seed={} threads={} page={}",
         options.scale,
@@ -274,6 +316,7 @@ fn main() {
                 let path = dir.join(format!("{id}.csv"));
                 if let Err(e) = std::fs::write(&path, table.to_csv()) {
                     eprintln!("cannot write {}: {e}", path.display());
+                    std::process::exit(2);
                 }
             }
             eprintln!(
@@ -292,4 +335,17 @@ fn main() {
     }
     eprintln!("# campaign finished: {}", stats.summary_line());
     eprintln!("# total wall (plan + execute + render): {:.1}s", start.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_documented_knobs_are_accepted() {
+        let names = ["DPC_SCALE", "DPC_FASTPATH", "PATH", "DPC_SIMD", "DPC_PREFETCH", "XDPC_X"];
+        let unknown = unknown_knobs(names.map(OsString::from));
+        assert_eq!(unknown, ["DPC_FASTPATH", "DPC_PREFETCH"]);
+        assert!(unknown_knobs(KNOBS.map(OsString::from)).is_empty());
+    }
 }

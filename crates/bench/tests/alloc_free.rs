@@ -79,8 +79,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 const MEM_OPS: u64 = 30_000;
 
 /// Replays `stream` through `sys` once (statistics side effects only).
-/// Generic over the policy pair, so it covers both the `dyn`-fallback
-/// `System` and the monomorphized instantiations.
+/// Generic over the policy pair, so one harness covers every
+/// monomorphized instantiation.
 fn replay<L: LltPolicy, C: LlcPolicy>(sys: &mut System<L, C>, stream: &EventStream) {
     for event in stream {
         sys.step(event);
@@ -122,12 +122,8 @@ fn warm_event_loop_never_allocates() {
     // AIP on both structures: exercises `with_set_views` on every LLT/LLC
     // lookup *and* the policy `pick_victim` override on every fill into a
     // full set — the two paths that previously built per-miss Vecs.
-    let aip = System::with_policies(
-        config,
-        Box::new(AipTlb::paper_default()),
-        Box::new(AipLlc::paper_default()),
-    )
-    .expect("AIP config is valid");
+    let aip = System::with_typed_policies(config, AipTlb::paper_default(), AipLlc::paper_default())
+        .expect("AIP config is valid");
     assert_event_loop_allocation_free("aip", aip, &stream);
 
     // The paper's headline configuration on the monomorphized path:

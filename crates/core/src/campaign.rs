@@ -24,26 +24,36 @@
 //! line and a machine-readable JSON dump (`--timing` in the `paper`
 //! binary).
 
-use crate::experiments::{CampaignPlan, ExperimentContext, ExperimentOptions, RunKey};
+use crate::experiments::{
+    env_var, parse_knob, CampaignPlan, EnvError, ExperimentContext, ExperimentOptions, RunKey,
+};
 use crate::runner::{record_baseline, run_oracle_from_trace, run_workload, RunResult};
 use dpc_workloads::WorkloadFactory;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default worker count: `DPC_THREADS` when set to a positive integer,
-/// otherwise the machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("DPC_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+/// Default worker count: `DPC_THREADS` when set, otherwise the
+/// machine's available parallelism.
+///
+/// # Errors
+///
+/// Returns [`EnvError`] when `DPC_THREADS` is set to anything but a
+/// positive integer.
+pub fn default_threads() -> Result<usize, EnvError> {
+    threads_from(env_var("DPC_THREADS"))
+}
+
+/// [`default_threads`] over an injected `DPC_THREADS` value.
+fn threads_from(value: Option<String>) -> Result<usize, EnvError> {
+    match value {
+        Some(value) => parse_knob::<NonZeroUsize>("DPC_THREADS", value, "a positive integer")
+            .map(NonZeroUsize::get),
+        None => Ok(std::thread::available_parallelism().map_or(1, NonZeroUsize::get)),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// What one simulation was for.
@@ -502,6 +512,16 @@ mod tests {
             warmup_mem_ops: 500,
             measure_mem_ops: 5_000,
             page_policy: dpc_types::AllocPolicy::Base4K,
+        }
+    }
+
+    #[test]
+    fn dpc_threads_must_be_a_positive_integer() {
+        assert_eq!(threads_from(Some("3".to_owned())), Ok(3));
+        assert!(threads_from(None).is_ok_and(|n| n > 0), "unset falls back to the host");
+        for value in ["0", "abc", "-1", ""] {
+            let err = threads_from(Some(value.to_owned())).expect_err(value);
+            assert_eq!((err.name, err.expected), ("DPC_THREADS", "a positive integer"));
         }
     }
 

@@ -16,9 +16,6 @@
 //! no-PFQ and custom-PFQ selectors — `ShipLlc`, `AipLlc`), so the full
 //! cross product costs 5 × 4 = 20 monomorphic instantiations of the
 //! action.
-//!
-//! Policies *outside* the matrix (tests, exotica) use the boxed
-//! constructors via [`crate::fallback`] instead.
 
 use crate::runner::{LlcPolicySel, TlbPolicySel};
 use dpc_memsim::{LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy};
@@ -43,11 +40,6 @@ pub trait PolicyApply {
 
 /// Builds the concrete policies selected by `(tlb, llc)` for the machine
 /// in `system` and applies `action` to them.
-///
-/// Construction mirrors the boxed builders in [`crate::fallback`]
-/// exactly (same constructors, same parameters), so a dispatched system
-/// and a fallback system given the same selectors are behaviorally
-/// identical — pinned by the `dispatch_equivalence` integration test.
 pub fn dispatch<A: PolicyApply>(
     tlb: TlbPolicySel,
     llc: LlcPolicySel,
@@ -78,8 +70,7 @@ pub fn dispatch<A: PolicyApply>(
 }
 
 /// cbPred's base configuration for `system`: the paper defaults with the
-/// PFQ matching grain set to the page policy's prediction unit. Must stay
-/// identical to its twin in [`crate::fallback`].
+/// PFQ matching grain set to the page policy's prediction unit.
 fn cbpred_config(system: &SystemConfig) -> CbPredConfig {
     CbPredConfig {
         pfn_unit_shift: system.page_policy.prediction_unit_shift(),

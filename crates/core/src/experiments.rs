@@ -16,8 +16,45 @@ use dpc_predictors::{DpPredConfig, LookupTrace};
 use dpc_types::{AllocPolicy, ReplacementKind, SystemConfig, TlbFillPolicy};
 use dpc_workloads::{Scale, WorkloadFactory, WORKLOAD_NAMES};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
+use std::error::Error;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 use std::sync::Arc;
+
+/// An environment knob set to a value it does not accept.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable's name, e.g. `DPC_SCALE`.
+    pub name: &'static str,
+    /// The rejected value.
+    pub value: String,
+    /// The values the knob accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?} is not accepted; expected {}", self.name, self.value, self.expected)
+    }
+}
+
+impl Error for EnvError {}
+
+/// Reads the process environment variable `name`. A value that is not
+/// valid Unicode is passed on lossily, so the knob's parser rejects it
+/// instead of it reading as unset.
+pub(crate) fn env_var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|value| value.to_string_lossy().into_owned())
+}
+
+/// Parses knob `name`'s `value` as a `T`, or names the accepted values.
+pub(crate) fn parse_knob<T: FromStr>(
+    name: &'static str,
+    value: String,
+    expected: &'static str,
+) -> Result<T, EnvError> {
+    value.parse().map_err(|_| EnvError { name, value, expected })
+}
 
 /// Global options for an experiment campaign.
 #[derive(Clone, Copy, Debug)]
@@ -53,36 +90,47 @@ impl ExperimentOptions {
     /// Reads overrides from the environment: `DPC_SCALE`
     /// (`tiny`/`small`/`paper`), `DPC_WARMUP`, `DPC_MEASURE`, `DPC_SEED`,
     /// `DPC_PAGE_SIZE` (`4k`/`2m`/`1g`).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnvError`] for the first knob set to a value it does not
+    /// accept; a bad value is never replaced by the default.
+    pub fn from_env() -> Result<Self, EnvError> {
+        Self::from_lookup(env_var)
+    }
+
+    /// [`ExperimentOptions::from_env`] over an injected variable lookup.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        const COUNT: &str = "a non-negative integer";
         let mut opts = Self::quick();
-        if let Ok(s) = std::env::var("DPC_SCALE") {
-            opts.scale = match s.as_str() {
+        if let Some(value) = lookup("DPC_SCALE") {
+            opts.scale = match value.as_str() {
                 "tiny" => Scale::Tiny,
+                "small" => Scale::Small,
                 "paper" => Scale::Paper,
-                _ => Scale::Small,
+                _ => {
+                    return Err(EnvError {
+                        name: "DPC_SCALE",
+                        value,
+                        expected: "tiny, small or paper",
+                    })
+                }
             };
         }
-        if let Ok(v) = std::env::var("DPC_WARMUP") {
-            if let Ok(n) = v.parse() {
-                opts.warmup_mem_ops = n;
-            }
+        if let Some(value) = lookup("DPC_WARMUP") {
+            opts.warmup_mem_ops = parse_knob("DPC_WARMUP", value, COUNT)?;
         }
-        if let Ok(v) = std::env::var("DPC_MEASURE") {
-            if let Ok(n) = v.parse() {
-                opts.measure_mem_ops = n;
-            }
+        if let Some(value) = lookup("DPC_MEASURE") {
+            opts.measure_mem_ops = parse_knob("DPC_MEASURE", value, COUNT)?;
         }
-        if let Ok(v) = std::env::var("DPC_SEED") {
-            if let Ok(n) = v.parse() {
-                opts.seed = n;
-            }
+        if let Some(value) = lookup("DPC_SEED") {
+            opts.seed = parse_knob("DPC_SEED", value, COUNT)?;
         }
-        if let Ok(v) = std::env::var("DPC_PAGE_SIZE") {
-            if let Ok(size) = v.parse() {
-                opts.page_policy = AllocPolicy::uniform(size);
-            }
+        if let Some(value) = lookup("DPC_PAGE_SIZE") {
+            let size = parse_knob("DPC_PAGE_SIZE", value, "4k, 2m or 1g")?;
+            opts.page_policy = AllocPolicy::uniform(size);
         }
-        opts
+        Ok(opts)
     }
 
     /// The baseline machine of this campaign: the paper machine under the
@@ -980,6 +1028,48 @@ mod tests {
             measure_mem_ops: 10_000,
             page_policy: dpc_types::AllocPolicy::Base4K,
         })
+    }
+
+    /// [`ExperimentOptions::from_lookup`] over a fixed variable set.
+    fn options_from(vars: &[(&str, &str)]) -> Result<ExperimentOptions, EnvError> {
+        ExperimentOptions::from_lookup(|name| {
+            vars.iter().find(|(key, _)| *key == name).map(|(_, value)| (*value).to_owned())
+        })
+    }
+
+    #[test]
+    fn env_knobs_override_the_defaults() {
+        let opts = options_from(&[
+            ("DPC_SCALE", "tiny"),
+            ("DPC_WARMUP", "500"),
+            ("DPC_MEASURE", "5000"),
+            ("DPC_SEED", "7"),
+            ("DPC_PAGE_SIZE", "2m"),
+        ])
+        .expect("valid knobs");
+        assert_eq!(opts.scale, Scale::Tiny);
+        assert_eq!((opts.warmup_mem_ops, opts.measure_mem_ops, opts.seed), (500, 5000, 7));
+        assert_eq!(opts.page_policy, dpc_types::AllocPolicy::uniform(dpc_types::PageSize::Size2M));
+        let unset = options_from(&[]).expect("no knobs set");
+        assert_eq!(unset.scale, ExperimentOptions::quick().scale);
+        assert_eq!(options_from(&[("DPC_SCALE", "small")]).map(|o| o.scale), Ok(Scale::Small));
+    }
+
+    #[test]
+    fn bad_env_values_are_rejected_not_defaulted() {
+        for (name, value, expected) in [
+            ("DPC_SCALE", "huge", "tiny, small or paper"),
+            ("DPC_SCALE", "", "tiny, small or paper"),
+            ("DPC_WARMUP", "lots", "a non-negative integer"),
+            ("DPC_MEASURE", "-5", "a non-negative integer"),
+            ("DPC_SEED", "0x2a", "a non-negative integer"),
+            ("DPC_PAGE_SIZE", "3m", "4k, 2m or 1g"),
+        ] {
+            let err = options_from(&[(name, value)]).expect_err(name);
+            assert_eq!(err, EnvError { name, value: value.to_owned(), expected });
+            let message = err.to_string();
+            assert!(message.contains(name) && message.contains(expected), "{message}");
+        }
     }
 
     #[test]

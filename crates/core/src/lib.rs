@@ -57,14 +57,12 @@
 pub mod campaign;
 pub mod dispatch;
 pub mod experiments;
-pub mod fallback;
 pub mod report;
 pub mod runner;
 
 pub use campaign::{CampaignStats, RunTiming, SimKind};
 pub use dispatch::{dispatch, PolicyApply};
-pub use experiments::{CampaignPlan, ExperimentContext, ExperimentOptions, RunKey};
-pub use fallback::run_workload_dyn;
+pub use experiments::{CampaignPlan, EnvError, ExperimentContext, ExperimentOptions, RunKey};
 pub use report::{geomean, ExpTable, Summary};
 pub use runner::{run_oracle, run_workload, LlcPolicySel, RunConfig, RunResult, TlbPolicySel};
 

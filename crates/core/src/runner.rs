@@ -2,8 +2,7 @@
 //!
 //! Policy selectors are resolved to *concrete* policy types through the
 //! static dispatcher in [`crate::dispatch`], so every run executes a
-//! simulator monomorphized for its policy pair; the boxed runtime path
-//! lives in [`crate::fallback`].
+//! simulator monomorphized for its policy pair.
 
 use crate::dispatch::{dispatch, PolicyApply};
 use dpc_memsim::policy::AccuracyReport;
@@ -113,7 +112,7 @@ pub struct RunResult {
     pub gen_wall: Duration,
 }
 
-pub(crate) fn run_system<L: LltPolicy, C: LlcPolicy>(
+fn run_system<L: LltPolicy, C: LlcPolicy>(
     mut system: System<L, C>,
     factory: &WorkloadFactory,
     workload: &str,
@@ -330,17 +329,5 @@ mod tests {
         let again = run_workload(&on, "canneal", &config);
         assert!(again.gen_wall.is_zero());
         assert_eq!(again.stats.cycles, replayed.stats.cycles);
-    }
-
-    #[test]
-    fn typed_dispatch_matches_dyn_fallback() {
-        let f = factory();
-        let config = RunConfig::baseline(500, 10_000)
-            .with_policies(TlbPolicySel::DpPred, LlcPolicySel::CbPred);
-        let typed = run_workload(&f, "canneal", &config);
-        let boxed = crate::fallback::run_workload_dyn(&f, "canneal", &config);
-        assert_eq!(typed.stats, boxed.stats, "monomorphized and dyn systems must agree");
-        assert_eq!(typed.llt_accuracy, boxed.llt_accuracy);
-        assert_eq!(typed.llc_accuracy, boxed.llc_accuracy);
     }
 }

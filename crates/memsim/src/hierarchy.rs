@@ -14,18 +14,16 @@
 //! page table competes for cache space, as in the paper's methodology.
 
 use crate::cache::Cache;
-use crate::fallback::DynLlcPolicy;
-use crate::policy::{BlockFillDecision, EvictedBlock, LlcPolicy};
+use crate::policy::{BlockFillDecision, EvictedBlock, LlcPolicy, NullBlockPolicy};
 use crate::set_assoc::InsertPriority;
 use crate::stats::{DeadnessSampler, EvictionClasses};
 use dpc_types::{AccessKind, BlockAddr, Pc, Pfn, PhysAddr, SystemConfig};
 
 /// The L1D/L2/LLC hierarchy plus main memory, generic over the LLC
-/// policy. The parameter defaults to the boxed fallback from
-/// [`crate::fallback`]; concrete policy types monomorphize the access
-/// path (see [`crate::System`]).
+/// policy, whose concrete type monomorphizes the access path (see
+/// [`crate::System`]). The parameter defaults to the no-op baseline.
 #[derive(Debug)]
-pub struct Hierarchy<C: LlcPolicy = DynLlcPolicy> {
+pub struct Hierarchy<C: LlcPolicy = NullBlockPolicy> {
     /// L1 data cache.
     pub l1d: Cache,
     /// L2 cache.
@@ -38,10 +36,6 @@ pub struct Hierarchy<C: LlcPolicy = DynLlcPolicy> {
     /// latencies as it descends.
     cum_latency: [u64; 4],
     policy: C,
-    /// Cached [`LlcPolicy::is_null`]: `true` for the baseline no-op
-    /// policy, letting the access path skip hook dispatch entirely
-    /// (every skipped hook is a no-op, so behavior is identical).
-    policy_null: bool,
     /// LLC eviction-time dead/DOA classification (Fig. 4).
     pub llc_evictions: EvictionClasses,
     /// LLC resident-deadness sampler (Fig. 3).
@@ -58,10 +52,8 @@ pub struct Hierarchy<C: LlcPolicy = DynLlcPolicy> {
 
 impl<C: LlcPolicy> Hierarchy<C> {
     /// Builds the hierarchy with the given LLC policy, monomorphizing
-    /// the access path around its concrete type. The boxed constructor
-    /// [`Hierarchy::new`] (in [`crate::fallback`]) delegates here.
+    /// the access path around its concrete type.
     pub fn with_typed_policy(config: &SystemConfig, policy: C) -> Self {
-        let policy_null = policy.is_null();
         let l1d = u64::from(config.l1d.latency);
         let l2 = l1d + u64::from(config.l2.latency);
         let llc = l2 + u64::from(config.llc.latency);
@@ -71,7 +63,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
             llc: Cache::new(&config.llc),
             cum_latency: [l1d, l2, llc, llc + u64::from(config.mem_latency)],
             policy,
-            policy_null,
             llc_evictions: EvictionClasses::default(),
             llc_sampler: DeadnessSampler::new(),
             pending_doa_evictions: Vec::new(),
@@ -131,23 +122,19 @@ impl<C: LlcPolicy> Hierarchy<C> {
             Some(way) => self.llc.commit_hit(block, way),
             None => self.llc.commit_miss(),
         }
-        if !self.policy_null {
-            self.policy.on_lookup(block, hit_way.is_some());
-            // Set-access hook (AIP-style interval predictors train on
-            // every access to the set). Policies that don't observe set
-            // views skip the view construction entirely.
-            if self.policy.uses_set_views() {
-                let policy = &mut self.policy;
-                self.llc
-                    .array_mut()
-                    .with_set_views(block.raw(), hit_way, |views| policy.on_set_access(views));
-            }
+        self.policy.on_lookup(block, hit_way.is_some());
+        // Set-access hook (AIP-style interval predictors train on every
+        // access to the set). Policies that don't observe set views skip
+        // the view construction entirely.
+        if self.policy.uses_set_views() {
+            let policy = &mut self.policy;
+            self.llc
+                .array_mut()
+                .with_set_views(block.raw(), hit_way, |views| policy.on_set_access(views));
         }
         if let Some(way) = hit_way {
-            if !self.policy_null {
-                let state = &mut self.llc.array_mut().payload_mut(block.raw(), way).state;
-                self.policy.on_hit(block, state);
-            }
+            let state = &mut self.llc.array_mut().payload_mut(block.raw(), way).state;
+            self.policy.on_hit(block, state);
             self.l2.fill(block, InsertPriority::Normal, 0);
             self.l1d.fill(block, InsertPriority::Normal, 0);
             return self.cum_latency[2];
@@ -158,14 +145,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
         } else {
             self.llc_walker_misses += 1;
         }
-        // The baseline always allocates with default priority and state —
-        // exactly what `LlcPolicy::on_fill`'s default body returns.
-        let decision = if self.policy_null {
-            BlockFillDecision::ALLOCATE
-        } else {
-            self.policy.on_fill(block, pc)
-        };
-        match decision {
+        match self.policy.on_fill(block, pc) {
             BlockFillDecision::Allocate { priority, state } => {
                 self.fill_llc(block, priority, state);
             }
@@ -209,7 +189,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
         // Give the policy a chance to override the victim when the set is
         // full (AIP victimizes predicted-dead blocks first).
         let evicted = if self.llc.array().set_full(block.raw()) {
-            let choice = if !self.policy_null && self.policy.overrides_victim() {
+            let choice = if self.policy.overrides_victim() {
                 let policy = &mut self.policy;
                 self.llc
                     .array_mut()
@@ -231,14 +211,12 @@ impl<C: LlcPolicy> Hierarchy<C> {
             if life.hits == 0 {
                 self.pending_doa_evictions.push(victim.pfn());
             }
-            if !self.policy_null {
-                self.policy.on_evict(EvictedBlock {
-                    block: victim,
-                    state: victim_state,
-                    life,
-                    by_invalidation: false,
-                });
-            }
+            self.policy.on_evict(EvictedBlock {
+                block: victim,
+                state: victim_state,
+                life,
+                by_invalidation: false,
+            });
             // Inclusion: the victim may not survive in upper levels.
             self.l2.invalidate(victim);
             self.l1d.invalidate(victim);
@@ -264,10 +242,9 @@ impl<C: LlcPolicy> Hierarchy<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::NullBlockPolicy;
 
     fn hierarchy() -> Hierarchy {
-        Hierarchy::new(&SystemConfig::paper_baseline(), Box::new(NullBlockPolicy))
+        Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), NullBlockPolicy)
     }
 
     fn pa(addr: u64) -> PhysAddr {
@@ -422,9 +399,9 @@ mod tests {
 
     #[test]
     fn policy_victim_override_is_used() {
-        let mut h = Hierarchy::new(
+        let mut h = Hierarchy::with_typed_policy(
             &SystemConfig::paper_baseline(),
-            Box::new(AlwaysWayZero { evictions_seen: 0 }),
+            AlwaysWayZero { evictions_seen: 0 },
         );
         let sets = h.llc.array().sets() as u64;
         // Fill one LLC set completely, then one more block: the policy
@@ -440,7 +417,7 @@ mod tests {
     fn set_access_hook_sees_hit_flags() {
         #[derive(Debug, Default)]
         struct HitWatcher {
-            hits_flagged: std::cell::Cell<u64>,
+            hits_flagged: u64,
         }
         impl LlcPolicy for HitWatcher {
             fn policy_name(&self) -> &'static str {
@@ -450,28 +427,23 @@ mod tests {
                 true
             }
             fn on_set_access(&mut self, lines: &mut [crate::policy::PolicyLineView]) {
-                for view in lines {
-                    if view.is_hit {
-                        self.hits_flagged.set(self.hits_flagged.get() + 1);
-                    }
-                }
+                self.hits_flagged += lines.iter().filter(|view| view.is_hit).count() as u64;
             }
         }
-        let mut h = Hierarchy::new(&SystemConfig::paper_baseline(), Box::<HitWatcher>::default());
+        let mut h =
+            Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), HitWatcher::default());
         h.access(pa(0x9000), AccessKind::Read, Pc::new(1), true);
         // Evict from L1/L2 so the second access reaches the LLC and hits.
         h.l1d.invalidate(pa(0x9000).block());
         h.l2.invalidate(pa(0x9000).block());
         h.access(pa(0x9000), AccessKind::Read, Pc::new(1), true);
-        // The policy cannot be downcast through the trait object; verify
-        // indirectly via LLC hit counters (the hook ran without panicking
-        // and the access pattern produced exactly one LLC hit).
         assert_eq!(h.llc.stats.hits, 1);
+        assert_eq!(h.policy().hits_flagged, 1, "the LLC hit must be flagged to the hook");
     }
 
     #[test]
     fn bypass_keeps_block_out_of_llc_but_in_l1() {
-        let mut h = Hierarchy::new(&SystemConfig::paper_baseline(), Box::new(BypassAll));
+        let mut h = Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), BypassAll);
         h.access(pa(0x3000), AccessKind::Read, Pc::new(1), true);
         let block = pa(0x3000).block();
         assert!(!h.llc.contains(block));

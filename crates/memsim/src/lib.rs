@@ -50,7 +50,6 @@
 
 pub mod cache;
 pub mod core_model;
-pub mod fallback;
 pub mod hierarchy;
 pub mod mshr;
 pub mod page_table;
@@ -64,7 +63,6 @@ pub mod system;
 pub mod tlb;
 pub mod walker;
 
-pub use fallback::{DynLlcPolicy, DynLltPolicy};
 pub use policy::{
     AccuracyReport, BlockFillDecision, EvictedBlock, EvictedPage, InsertPriority, LlcPolicy,
     LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision, PolicyLineView,

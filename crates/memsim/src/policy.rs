@@ -184,15 +184,6 @@ pub trait LltPolicy: Debug {
     /// Short name for reports (e.g. `"dpPred"`, `"SHiP-TLB"`).
     fn policy_name(&self) -> &'static str;
 
-    /// Whether this policy is the no-op baseline. **Must return `true`
-    /// only if every hook keeps its default (no-op) body** — the simulator
-    /// caches this flag at construction and skips hook dispatch entirely
-    /// on the hot path when it is set, so an overridden hook behind a
-    /// `true` gate silently never runs.
-    fn is_null(&self) -> bool {
-        false
-    }
-
     /// Prediction-quality counters, if the policy tracks them.
     fn accuracy_report(&self) -> Option<AccuracyReport> {
         None
@@ -266,15 +257,6 @@ pub trait LlcPolicy: Debug {
     /// Short name for reports (e.g. `"cbPred"`, `"SHiP-LLC"`).
     fn policy_name(&self) -> &'static str;
 
-    /// Whether this policy is the no-op baseline. **Must return `true`
-    /// only if every hook keeps its default (no-op) body** — the simulator
-    /// caches this flag at construction and skips hook dispatch entirely
-    /// on the hot path when it is set, so an overridden hook behind a
-    /// `true` gate silently never runs.
-    fn is_null(&self) -> bool {
-        false
-    }
-
     /// Prediction-quality counters, if the policy tracks them.
     fn accuracy_report(&self) -> Option<AccuracyReport> {
         None
@@ -335,11 +317,6 @@ impl LltPolicy for NullPagePolicy {
     fn policy_name(&self) -> &'static str {
         "baseline"
     }
-
-    #[inline]
-    fn is_null(&self) -> bool {
-        true
-    }
 }
 
 /// The baseline no-op LLC policy.
@@ -350,11 +327,6 @@ impl LlcPolicy for NullBlockPolicy {
     #[inline]
     fn policy_name(&self) -> &'static str {
         "baseline"
-    }
-
-    #[inline]
-    fn is_null(&self) -> bool {
-        true
     }
 }
 

@@ -2,11 +2,12 @@
 //! dead-page and dead-block policy attachment points.
 
 use crate::core_model::CoreModel;
-use crate::fallback::{DynLlcPolicy, DynLltPolicy};
 use crate::hierarchy::Hierarchy;
 use crate::mshr::Mshr;
 use crate::page_table::PageTable;
-use crate::policy::{EvictedPage, LlcPolicy, LltPolicy, PageFillDecision};
+use crate::policy::{
+    EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
+};
 use crate::set_assoc::InsertPriority;
 use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
 use crate::tlb::{Tlb, TlbGroup};
@@ -85,20 +86,19 @@ struct LltProbe {
 /// The simulated machine, generic over its two content-management
 /// policies.
 ///
-/// The type parameters default to the boxed trait objects from
-/// [`crate::fallback`], so `System` written without parameters is the
-/// runtime-dispatch fallback built by [`System::new`] /
-/// [`System::with_policies`]. Concrete policy pairs — what the campaign
-/// driver instantiates for every configuration in the paper's policy
-/// matrix — go through [`System::with_typed_policies`], which
-/// monomorphizes the whole event loop (translation path, hierarchy
-/// hooks, pHIST/bHIST lookups) around the policy types (DESIGN.md §11).
+/// Every policy pair — what the campaign driver instantiates for each
+/// configuration in the paper's policy matrix — goes through
+/// [`System::with_typed_policies`], which monomorphizes the whole event
+/// loop (translation path, hierarchy hooks, pHIST/bHIST lookups) around
+/// the policy types (DESIGN.md §11). The type parameters default to the
+/// no-op baseline policies, so `System` written without parameters is
+/// the predictor-free machine built by [`System::new`].
 ///
 /// Feed the machine a [`Workload`] via [`System::run`] /
 /// [`System::run_until`], or replay a captured stream in decoded chunks
 /// via [`System::run_stream`], then read the [`SimStats`].
 #[derive(Debug)]
-pub struct System<L: LltPolicy = DynLltPolicy, C: LlcPolicy = DynLlcPolicy> {
+pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy> {
     config: SystemConfig,
     core: CoreModel,
     l1i_tlb: TlbGroup,
@@ -117,10 +117,6 @@ pub struct System<L: LltPolicy = DynLltPolicy, C: LlcPolicy = DynLlcPolicy> {
     /// the policy's largest page size — so a dead 2 MB page kills its
     /// blocks as one unit. Zero for the paper's 4 KB configuration.
     pfq_unit_shift: u32,
-    /// Cached [`LltPolicy::is_null`]: `true` for the baseline no-op
-    /// policy, letting the translation path skip hook dispatch entirely
-    /// (every skipped hook is a no-op, so behavior is identical).
-    llt_null: bool,
     hier: Hierarchy<C>,
     page_table: PageTable,
     walker: Walker,
@@ -150,11 +146,22 @@ pub struct System<L: LltPolicy = DynLltPolicy, C: LlcPolicy = DynLlcPolicy> {
     batch: EventBatch,
 }
 
+impl System {
+    /// Builds a baseline system (no predictors) from `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::InvalidConfig`] if the configuration fails
+    /// [`SystemConfig::validate`].
+    pub fn new(config: SystemConfig) -> Result<Self, SystemError> {
+        Self::with_typed_policies(config, NullPagePolicy, NullBlockPolicy)
+    }
+}
+
 impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// Builds a system with the given LLT and LLC content-management
     /// policies, monomorphizing the event loop around their concrete
-    /// types. The boxed constructors [`System::new`] and
-    /// [`System::with_policies`] (in [`crate::fallback`]) delegate here.
+    /// types.
     ///
     /// # Errors
     ///
@@ -166,7 +173,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         llc_policy: C,
     ) -> Result<Self, SystemError> {
         config.validate()?;
-        let llt_null = llt_policy.is_null();
         let page_policy = config.page_policy;
         Ok(System {
             core: CoreModel::new(config.core.width, config.core.rob_size, config.core.mem_slots),
@@ -174,7 +180,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             l1d_tlb: TlbGroup::for_policy(&config.l1_dtlb, page_policy, false),
             llt: Tlb::new(&config.l2_tlb),
             llt_policy,
-            llt_null,
             llt_sizes: page_policy.page_sizes(),
             size_tagged: page_policy.page_sizes().len() > 1,
             pfq_unit_shift: page_policy.prediction_unit_shift(),
@@ -418,21 +423,17 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         }
         self.llt.array_mut().commit_hit(probe.key.raw(), probe.way);
         self.llt.stats.hits += 1;
-        if !self.llt_null {
-            self.llt_policy.on_lookup(probe.key, true);
-            // Policies that don't observe set views skip view construction.
-            if self.llt_policy.uses_set_views() {
-                let policy = &mut self.llt_policy;
-                self.llt.array_mut().with_set_views(probe.key.raw(), Some(probe.way), |views| {
-                    policy.on_set_access(views);
-                });
-            }
+        self.llt_policy.on_lookup(probe.key, true);
+        // Policies that don't observe set views skip view construction.
+        if self.llt_policy.uses_set_views() {
+            let policy = &mut self.llt_policy;
+            self.llt.array_mut().with_set_views(probe.key.raw(), Some(probe.way), |views| {
+                policy.on_set_access(views);
+            });
         }
         let entry = self.llt.array_mut().payload_mut(probe.key.raw(), probe.way);
         let unit_pfn = entry.pfn;
-        if !self.llt_null {
-            self.llt_policy.on_hit(probe.key, &mut entry.state);
-        }
+        self.llt_policy.on_hit(probe.key, &mut entry.state);
         let pfn = Self::compose_pfn(probe.size, unit_pfn, vpn);
         self.fill_l1(side, probe.size, vpn, pfn, pc);
         pfn
@@ -450,9 +451,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         }
         latency += u64::from(self.llt.latency);
 
-        // --- LLT lookup with policy hooks (all no-ops for the baseline,
-        // so `llt_null` skips the dynamic dispatch without changing
-        // behavior). The unified LLT holds every size; probe-then-commit
+        // --- LLT lookup with policy hooks (all inlined no-ops for the
+        // baseline). The unified LLT holds every size; probe-then-commit
         // (the probe classifies side-effect-free, the commit replays the
         // per-size lookup clocks, counters, and hooks in the pre-split
         // order). ---
@@ -470,29 +470,24 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         // fill.
         let hook_size = self.page_table.probe_size(vpn);
         let hook_key = self.llt_key(hook_size, vpn);
-        if !self.llt_null {
-            self.llt_policy.on_lookup(hook_key, false);
-            // Policies that don't observe set views skip view construction.
-            if self.llt_policy.uses_set_views() {
-                let policy = &mut self.llt_policy;
-                self.llt
-                    .array_mut()
-                    .with_set_views(hook_key.raw(), None, |views| policy.on_set_access(views));
-            }
+        self.llt_policy.on_lookup(hook_key, false);
+        // Policies that don't observe set views skip view construction.
+        if self.llt_policy.uses_set_views() {
+            let policy = &mut self.llt_policy;
+            self.llt
+                .array_mut()
+                .with_set_views(hook_key.raw(), None, |views| policy.on_set_access(views));
         }
 
         // --- LLT miss: shadow/victim-buffer probe ---
-        if !self.llt_null {
-            if let Some(unit_pfn) = self.llt_policy.shadow_lookup(hook_key) {
-                self.llt.stats.shadow_hits += 1;
-                // Paper Fig. 6a: re-allocate the mispredicted entry in the
-                // LLT.
-                let state = self.llt_policy.refill_state(hook_key, pc);
-                self.fill_llt(hook_key, unit_pfn, InsertPriority::Normal, state);
-                let pfn = Self::compose_pfn(hook_size, unit_pfn.raw(), vpn);
-                self.fill_l1(side, hook_size, vpn, pfn, pc);
-                return (pfn, latency);
-            }
+        if let Some(unit_pfn) = self.llt_policy.shadow_lookup(hook_key) {
+            self.llt.stats.shadow_hits += 1;
+            // Paper Fig. 6a: re-allocate the mispredicted entry in the LLT.
+            let state = self.llt_policy.refill_state(hook_key, pc);
+            self.fill_llt(hook_key, unit_pfn, InsertPriority::Normal, state);
+            let pfn = Self::compose_pfn(hook_size, unit_pfn.raw(), vpn);
+            self.fill_l1(side, hook_size, vpn, pfn, pc);
+            return (pfn, latency);
         }
 
         // --- True miss: page walk ---
@@ -517,14 +512,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// bookkeeping, dpPred → PFQ message). `key` and `unit_pfn` are at
     /// `size`'s grain: one huge page is one prediction unit.
     fn llt_insert(&mut self, size: PageSize, key: Vpn, unit_pfn: Pfn, pc: Pc) {
-        // The baseline always allocates with default priority and state —
-        // exactly what `LltPolicy::on_fill`'s default body returns.
-        let decision = if self.llt_null {
-            PageFillDecision::ALLOCATE
-        } else {
-            self.llt_policy.on_fill(key, unit_pfn, pc)
-        };
-        match decision {
+        match self.llt_policy.on_fill(key, unit_pfn, pc) {
             PageFillDecision::Allocate { priority, state } => {
                 self.fill_llt(key, unit_pfn, priority, state);
             }
@@ -572,7 +560,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
 
     fn fill_llt(&mut self, key: Vpn, unit_pfn: Pfn, priority: InsertPriority, state: u32) {
         let evicted = if self.llt.array().set_full(key.raw()) {
-            let choice = if !self.llt_null && self.llt_policy.overrides_victim() {
+            let choice = if self.llt_policy.overrides_victim() {
                 let policy = &mut self.llt_policy;
                 self.llt
                     .array_mut()
@@ -592,14 +580,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             self.llt_evictions.record(life, end_seq);
             self.llt_sampler.record_stay(life, end_seq);
             self.page_stay_doa.insert(evicted_key, life.hits == 0);
-            if !self.llt_null {
-                self.llt_policy.on_evict(EvictedPage {
-                    vpn: evicted_key,
-                    pfn: Pfn::new(entry.pfn),
-                    state: entry.state,
-                    life,
-                });
-            }
+            self.llt_policy.on_evict(EvictedPage {
+                vpn: evicted_key,
+                pfn: Pfn::new(entry.pfn),
+                state: entry.state,
+                life,
+            });
         }
     }
 
@@ -893,20 +879,6 @@ mod tests {
         assert_eq!(chunked.llt, item.llt);
         assert_eq!(chunked.llc, item.llc);
         assert_eq!(cursor.mem_position(), 600);
-        // A typed (monomorphized) system consumes the same stream with
-        // the same result as the dyn fallback above.
-        let mut typed_sys = System::with_typed_policies(
-            SystemConfig::paper_baseline(),
-            crate::policy::NullPagePolicy,
-            crate::policy::NullBlockPolicy,
-        )
-        .expect("baseline config is valid");
-        let mut typed_cursor = StreamCursor::default();
-        typed_sys.run_stream(&stream, &mut typed_cursor, 100);
-        typed_sys.reset_stats();
-        let typed = typed_sys.run_stream(&stream, &mut typed_cursor, 500);
-        assert_eq!(typed.cycles, item.cycles, "typed and dyn systems must agree");
-        assert_eq!(typed.llt, item.llt);
     }
 
     /// Chunked replay must fire deadness samples at the same instruction

@@ -104,7 +104,7 @@ mod tests {
         (
             Walker::new(&config.pwc),
             PageTable::with_policy(policy),
-            Hierarchy::new(&config, Box::new(NullBlockPolicy)),
+            Hierarchy::with_typed_policy(&config, NullBlockPolicy),
         )
     }
 

@@ -25,7 +25,8 @@
 //!
 //! All predictors implement the [`LltPolicy`](dpc_memsim::LltPolicy) /
 //! [`LlcPolicy`](dpc_memsim::LlcPolicy) hook traits and plug into
-//! [`System::with_policies`](dpc_memsim::System::with_policies).
+//! [`System::with_typed_policies`](dpc_memsim::System::with_typed_policies),
+//! which monomorphizes the simulator around the concrete policy pair.
 //!
 //! # Example
 //!
@@ -35,10 +36,10 @@
 //! use dpc_types::SystemConfig;
 //!
 //! let config = SystemConfig::paper_baseline();
-//! let system = System::with_policies(
+//! let system = System::with_typed_policies(
 //!     config,
-//!     Box::new(DpPred::paper_default()),
-//!     Box::new(CbPred::paper_default(&config.llc)),
+//!     DpPred::paper_default(),
+//!     CbPred::paper_default(&config.llc),
 //! )?;
 //! # let _ = system;
 //! # Ok::<(), dpc_memsim::SystemError>(())

@@ -17,13 +17,10 @@
 //! # fn main() -> Result<(), dpc_memsim::SystemError> {
 //! let config = SystemConfig::paper_baseline();
 //! let (recorder, record) = DoaRecorder::new();
-//! let mut pass1 = System::with_policies(config, Box::new(recorder), Box::new(NullBlockPolicy))?;
+//! let mut pass1 = System::with_typed_policies(config, recorder, NullBlockPolicy)?;
 //! // ... run pass1 with the workload, then:
-//! let mut pass2 = System::with_policies(
-//!     config,
-//!     Box::new(OracleBypass::new(record)),
-//!     Box::new(NullBlockPolicy),
-//! )?;
+//! let mut pass2 =
+//!     System::with_typed_policies(config, OracleBypass::new(record), NullBlockPolicy)?;
 //! // ... run pass2 with a fresh instance of the same workload.
 //! # let _ = (&mut pass1, &mut pass2);
 //! # Ok(()) }

@@ -20,8 +20,8 @@
 //!   lives — plus no heap construction (`hot-path::alloc`) in that
 //!   reachable set;
 //! * **dispatch** — no `dyn LltPolicy`/`dyn LlcPolicy` trait objects in
-//!   `crates/memsim`/`crates/core` outside the designated fallback
-//!   modules;
+//!   non-test code under `crates/memsim`/`crates/core`, with no
+//!   exempt module;
 //! * **simd** — `unsafe` and `core::arch` confined to the dedicated
 //!   `simd.rs` modules of the hot-path crates, every `unsafe` block
 //!   there carrying a `// SAFETY:` justification.

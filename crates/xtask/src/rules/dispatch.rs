@@ -7,30 +7,25 @@
 //! is concrete, which is the whole point of the `System<L, C>`
 //! monomorphization. A `dyn LltPolicy` / `dyn LlcPolicy` anywhere in
 //! `memsim` or `core` silently reintroduces two virtual calls per hook
-//! site, so trait-object policy types are confined to the designated
-//! fallback modules (`crates/memsim/src/fallback.rs`,
-//! `crates/core/src/fallback.rs`), which exist precisely to box exotic
-//! or test-only policies behind the same constructors.
+//! site, so non-test code there may not name a trait-object policy at
+//! all: every `System` and `Hierarchy` is built from concrete policy
+//! types.
 
 use super::{push, Violation};
 use crate::source::SourceFile;
 
-/// No `dyn LltPolicy` / `dyn LlcPolicy` (boxed or borrowed) outside the
-/// designated fallback modules.
+/// No `dyn LltPolicy` / `dyn LlcPolicy` (boxed or borrowed) in non-test
+/// code of the dispatch scopes.
 pub const BOXED_POLICY: &str = "dispatch::boxed-policy";
 
 /// Crate source trees the family applies to: the simulator kernel and
 /// the experiment-construction layer that instantiates it.
 const DISPATCH_SCOPES: &[&str] = &["crates/memsim/src/", "crates/core/src/"];
 
-/// Module allowed to name trait-object policy types: the fallback that
-/// deliberately trades dispatch cost for runtime flexibility.
-const FALLBACK_SUFFIX: &str = "/fallback.rs";
-
 const POLICY_OBJECT_TOKENS: &[&str] = &["dyn LltPolicy", "dyn LlcPolicy"];
 
 pub fn in_scope(rel: &str) -> bool {
-    DISPATCH_SCOPES.iter().any(|scope| rel.starts_with(scope)) && !rel.ends_with(FALLBACK_SUFFIX)
+    DISPATCH_SCOPES.iter().any(|scope| rel.starts_with(scope))
 }
 
 pub fn check(file: &SourceFile, violations: &mut Vec<Violation>) {
@@ -48,9 +43,8 @@ pub fn check(file: &SourceFile, violations: &mut Vec<Violation>) {
                 BOXED_POLICY,
                 offset,
                 format!(
-                    "`{token}` outside the fallback module: trait-object policies devirtualize \
-                     the per-event hook sites; use `System<L, C>` with concrete types (or the \
-                     `fallback` module if dynamic dispatch is genuinely required)",
+                    "`{token}` in the simulator: trait-object policies put virtual calls on \
+                     the per-event hook sites; build `System<L, C>` with concrete policy types",
                 ),
             );
         }
@@ -85,10 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn fallback_modules_exempt() {
+    fn former_fallback_modules_flagged() {
         for rel in ["crates/memsim/src/fallback.rs", "crates/core/src/fallback.rs"] {
             let f = file(rel, "pub type DynLltPolicy = Box<dyn LltPolicy>;\n");
-            assert_eq!(rules(&f), Vec::<&str>::new(), "{rel} is the designated home");
+            assert_eq!(rules(&f), vec![BOXED_POLICY], "{rel} has no exemption");
         }
     }
 

@@ -89,10 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline_system = System::new(config)?;
     let baseline = baseline_system.run_until(&mut HashJoinProbe::new(), mem_ops);
 
-    let mut predicted_system = System::with_policies(
+    let mut predicted_system = System::with_typed_policies(
         config,
-        Box::new(DpPred::paper_default()),
-        Box::new(CbPred::paper_default(&config.llc)),
+        DpPred::paper_default(),
+        CbPred::paper_default(&config.llc),
     )?;
     let predicted = predicted_system.run_until(&mut HashJoinProbe::new(), mem_ops);
 

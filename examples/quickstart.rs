@@ -22,10 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The paper's configuration: dpPred on the L2 TLB, cbPred on the
     //     LLC, coupled through the PFN filter queue. ---
-    let mut predicted_system = System::with_policies(
+    let mut predicted_system = System::with_typed_policies(
         config,
-        Box::new(DpPred::paper_default()),
-        Box::new(CbPred::paper_default(&config.llc)),
+        DpPred::paper_default(),
+        CbPred::paper_default(&config.llc),
     )?;
     let mut workload = factory.build(workload_name)?;
     let predicted = predicted_system.run_until(workload.as_mut(), mem_ops);

@@ -63,10 +63,10 @@ proptest! {
     fn arbitrary_streams_respect_invariants_with_predictors(spec in spec_strategy()) {
         let n = spec.accesses.len();
         let config = SystemConfig::paper_baseline();
-        let mut system = System::with_policies(
+        let mut system = System::with_typed_policies(
             config,
-            Box::new(DpPred::paper_default()),
-            Box::new(CbPred::paper_default(&config.llc)),
+            DpPred::paper_default(),
+            CbPred::paper_default(&config.llc),
         )
         .unwrap();
         let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
@@ -77,10 +77,10 @@ proptest! {
     fn arbitrary_streams_respect_invariants_with_baseline_predictors(spec in spec_strategy()) {
         let n = spec.accesses.len();
         let config = SystemConfig::paper_baseline();
-        let mut system = System::with_policies(
+        let mut system = System::with_typed_policies(
             config,
-            Box::new(ShipTlb::paper_default()),
-            Box::new(AipLlc::paper_default()),
+            ShipTlb::paper_default(),
+            AipLlc::paper_default(),
         )
         .unwrap();
         let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
