@@ -5,11 +5,11 @@
 //! `EventStream::decode_chunk`), and the dpPred negative-feedback row
 //! clear (`dpc_predictors::simd::clear_counters`).
 //!
-//! Each kernel is benched twice — once through the runtime dispatch
-//! wrapper (AVX2 on any machine CI runs on) and once through its scalar
-//! twin — so `BENCH_simulator.json` records both the vector speedup and
-//! a regression tripwire for the scalar fallback that `DPC_SIMD=off`
-//! and non-x86 targets still rely on.
+//! Each kernel is benched twice — once through the dispatch wrapper
+//! (AVX2 on any machine CI runs on) and once through its scalar twin —
+//! so `BENCH_simulator.json` records both the vector speedup and a
+//! regression tripwire for the scalar path that Miri and non-x86
+//! targets run.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};

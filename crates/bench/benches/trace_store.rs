@@ -20,7 +20,7 @@ fn bench_event_source(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_store_event_source");
     group.throughput(Throughput::Elements(MEM_OPS));
     group.sample_size(10);
-    let factory = WorkloadFactory::new(Scale::Tiny, 42).with_trace_store(true);
+    let factory = WorkloadFactory::new(Scale::Tiny, 42);
     // Capture outside the measured loop: campaigns pay this once, then
     // every run replays.
     let (_, report) = factory.stream("bfs", MEM_OPS).expect("known workload");
@@ -58,7 +58,7 @@ fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_store_simulation");
     group.throughput(Throughput::Elements(MEM_OPS));
     group.sample_size(10);
-    let replay_factory = WorkloadFactory::new(Scale::Tiny, 42).with_trace_store(true);
+    let replay_factory = WorkloadFactory::new(Scale::Tiny, 42);
     let live_factory = replay_factory.clone().with_trace_store(false);
     let (_, report) = replay_factory.stream("bfs", MEM_OPS).expect("known workload");
     assert!(report.captured);

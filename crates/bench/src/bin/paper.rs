@@ -8,6 +8,7 @@
 //! paper --timing t.json     # dump campaign timing as JSON
 //! paper all --quick         # Tiny scale, small budgets (CI smoke runs)
 //! paper all --page-size=2m  # whole campaign on 2 MB huge pages
+//! paper probe mcf --quick   # raw baseline/dpPred/cbPred counters
 //! ```
 //!
 //! Experiments run through the plan/execute campaign engine: the
@@ -19,15 +20,14 @@
 //! Environment knobs: `DPC_SCALE` (`tiny`/`small`/`paper`), `DPC_WARMUP`,
 //! `DPC_MEASURE`, `DPC_SEED`, `DPC_PAGE_SIZE` (`4k`/`2m`/`1g`; the
 //! `--page-size` flag wins over the environment), `DPC_THREADS` (worker
-//! threads for the campaign executor; default = available parallelism),
-//! `DPC_TRACE_STORE` (`off` disables the shared trace store, forcing
-//! live generation per run), and `DPC_SIMD` (`off` forces the scalar
-//! tag-match and decode kernels). Output is byte-identical under either
-//! setting of the last two. `--quick` overrides scale and budgets to a
-//! seconds-long smoke configuration (Tiny scale, 2K warm-up, 20K
-//! measured) regardless of the environment. A knob set to a value it
-//! does not accept, or any other `DPC_*` variable, exits with status 2
-//! before anything runs.
+//! threads for the campaign executor; default = available parallelism).
+//! `--quick` overrides scale and budgets to a seconds-long smoke
+//! configuration (Tiny scale, 2K warm-up, 20K measured) regardless of
+//! the environment. `probe` takes the same knobs and `--quick`/
+//! `--page-size` flags as a campaign, but writes no `--csv`/`--timing`
+//! output. A knob set to a value it does not accept, any other `DPC_*`
+//! variable (deleted knobs included), a flag the command cannot honour
+//! or an unknown workload exits with status 2 before anything runs.
 
 use dpc::campaign;
 use dpc::experiments::{self, ExperimentContext, ExperimentOptions};
@@ -63,16 +63,8 @@ const EXPERIMENTS: [&str; 21] = [
 /// Every `DPC_*` environment variable `paper` reads; any other is
 /// rejected, so a recipe naming a deleted knob cannot run the wrong
 /// engine unnoticed.
-const KNOBS: [&str; 8] = [
-    "DPC_SCALE",
-    "DPC_WARMUP",
-    "DPC_MEASURE",
-    "DPC_SEED",
-    "DPC_PAGE_SIZE",
-    "DPC_THREADS",
-    "DPC_TRACE_STORE",
-    "DPC_SIMD",
-];
+const KNOBS: [&str; 6] =
+    ["DPC_SCALE", "DPC_WARMUP", "DPC_MEASURE", "DPC_SEED", "DPC_PAGE_SIZE", "DPC_THREADS"];
 
 /// The `DPC_*` names among `names` that are not in [`KNOBS`], sorted.
 fn unknown_knobs(names: impl IntoIterator<Item = OsString>) -> Vec<String> {
@@ -245,23 +237,25 @@ fn main() {
             positional.push(arg.as_str());
         }
     }
-    if positional.first().copied() == Some("probe") {
-        let mut options = knob_or_exit(ExperimentOptions::from_env());
-        if let Some(size) = page_size {
-            options.page_policy = dpc::prelude::AllocPolicy::uniform(size);
+    // `probe [workload…]` dumps raw counters instead of a campaign.
+    let probe_names = if positional.first().copied() == Some("probe") {
+        if csv_dir.is_some() || timing_path.is_some() {
+            eprintln!("probe writes no --csv or --timing output");
+            std::process::exit(2);
         }
-        let names: Vec<&str> = if positional.len() > 1 {
+        let names = if positional.len() > 1 {
             positional[1..].to_vec()
         } else {
             dpc::prelude::WORKLOAD_NAMES.to_vec()
         };
-        probe(&names, options);
-        return;
-    }
-    let requested: Vec<&str> = if positional.is_empty() || positional.contains(&"all") {
-        EXPERIMENTS.to_vec()
+        if let Some(name) = names.iter().find(|name| !dpc::prelude::WORKLOAD_NAMES.contains(name)) {
+            let accepted = dpc::prelude::WORKLOAD_NAMES.join(", ");
+            eprintln!("unknown workload {name:?}; accepted: {accepted}");
+            std::process::exit(2);
+        }
+        Some(names)
     } else {
-        positional
+        None
     };
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -289,6 +283,15 @@ fn main() {
         threads,
         options.page_policy
     );
+    if let Some(names) = probe_names {
+        probe(&names, options);
+        return;
+    }
+    let requested: Vec<&str> = if positional.is_empty() || positional.contains(&"all") {
+        EXPERIMENTS.to_vec()
+    } else {
+        positional
+    };
     let start = Instant::now(); // dpc-lint: allow(determinism::wall-clock) -- stderr timing only
 
     // Plan: replay the requested experiments against a planning context to
@@ -343,9 +346,17 @@ mod tests {
 
     #[test]
     fn only_documented_knobs_are_accepted() {
-        let names = ["DPC_SCALE", "DPC_FASTPATH", "PATH", "DPC_SIMD", "DPC_PREFETCH", "XDPC_X"];
+        let names = [
+            "DPC_SCALE",
+            "DPC_FASTPATH",
+            "PATH",
+            "DPC_SIMD",
+            "DPC_PREFETCH",
+            "DPC_TRACE_STORE",
+            "XDPC_X",
+        ];
         let unknown = unknown_knobs(names.map(OsString::from));
-        assert_eq!(unknown, ["DPC_FASTPATH", "DPC_PREFETCH"]);
+        assert_eq!(unknown, ["DPC_FASTPATH", "DPC_PREFETCH", "DPC_SIMD", "DPC_TRACE_STORE"]);
         assert!(unknown_knobs(KNOBS.map(OsString::from)).is_empty());
     }
 }

@@ -95,8 +95,9 @@ pub struct RunTiming {
     pub wall: Duration,
     /// Wall time spent generating the event stream — the trace-store
     /// capture cost, charged to the one run that performed the capture.
-    /// Zero on store hits and on live (`DPC_TRACE_STORE=off`) runs, where
-    /// generation is interleaved with simulation.
+    /// Zero on store hits and on live runs (a factory built
+    /// `with_trace_store(false)`), where generation is interleaved with
+    /// simulation.
     pub gen_wall: Duration,
     /// Memory operations simulated (warm-up + measured).
     pub mem_ops: u64,

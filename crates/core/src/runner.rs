@@ -119,11 +119,11 @@ fn run_system<L: LltPolicy, C: LlcPolicy>(
     config: &RunConfig,
 ) -> RunResult {
     // One event source for the whole run: a zero-copy replay cursor from
-    // the shared trace store when enabled (captured once per campaign,
-    // covering exactly warmup + measure memory events), or a fresh live
-    // generator under `DPC_TRACE_STORE=off`. Both yield bit-identical
-    // events, so the simulation below cannot tell them apart; the replay
-    // side is additionally consumed in decoded chunks
+    // the shared trace store (captured once per campaign, covering
+    // exactly warmup + measure memory events), or a fresh live generator
+    // for a factory built `with_trace_store(false)`. Both yield
+    // bit-identical events, so the simulation below cannot tell them
+    // apart; the replay side is additionally consumed in decoded chunks
     // (`System::run_stream`), which is bit-identical to event-at-a-time
     // consumption by construction.
     let total_mem_ops = config.warmup_mem_ops + config.measure_mem_ops;
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn trace_store_replay_matches_live_generation() {
-        let on = factory().with_trace_store(true);
+        let on = factory();
         let off = factory().with_trace_store(false);
         let config = RunConfig::baseline(1_000, 20_000)
             .with_policies(TlbPolicySel::DpPred, LlcPolicySel::CbPred);

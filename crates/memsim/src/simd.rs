@@ -3,9 +3,9 @@
 //! All `unsafe` SIMD code of this crate is confined to this module (the
 //! dpc-lint `simd::confined-unsafe` rule enforces the confinement); the
 //! rest of the crate calls the safe dispatch wrappers exported here.
-//! Dispatch follows the process-wide [`dpc_types::simd::enabled`] gate:
-//! AVX2 probed once at startup, `DPC_SIMD=off` escape hatch, scalar under
-//! Miri and on non-x86 targets (DESIGN.md §12).
+//! Dispatch follows the platform through [`dpc_types::simd::enabled`]:
+//! AVX2 where the x86-64 host has it, scalar under Miri and on non-x86
+//! targets (DESIGN.md §12).
 
 #![allow(unsafe_code)]
 
@@ -28,7 +28,8 @@ pub fn match_mask(tags: &[u64], needle: u64) -> u64 {
 }
 
 /// Scalar twin of [`match_mask`] — the reference semantics the vector
-/// kernel must reproduce bit for bit, and the `DPC_SIMD=off` path.
+/// kernel must reproduce bit for bit, and the path under Miri and off
+/// x86.
 ///
 /// The paper-baseline associativities (4-way L1 TLB, 8-way L1D/L2/LLT,
 /// 16-way LLC) are dispatched to fixed-width comparisons so the compiler

@@ -3,9 +3,9 @@
 //! All `unsafe` SIMD code of this crate is confined to this module (the
 //! dpc-lint `simd::confined-unsafe` rule enforces the confinement); the
 //! predictors call the safe dispatch wrappers exported here. Dispatch
-//! follows the process-wide [`dpc_types::simd::enabled`] gate: AVX2
-//! probed once at startup, `DPC_SIMD=off` escape hatch, scalar under Miri
-//! and on non-x86 targets (DESIGN.md §12).
+//! follows the platform through [`dpc_types::simd::enabled`]: AVX2 where
+//! the x86-64 host has it, scalar under Miri and on non-x86 targets
+//! (DESIGN.md §12).
 
 #![allow(unsafe_code)]
 
@@ -32,8 +32,8 @@ pub fn clear_counters(row: &mut [SatCounter]) {
 }
 
 /// Scalar twin of [`clear_counters`] — the reference semantics the
-/// vector kernel must reproduce bit for bit, and the `DPC_SIMD=off`
-/// path.
+/// vector kernel must reproduce bit for bit, and the path under Miri
+/// and off x86.
 #[inline]
 pub fn clear_counters_scalar(row: &mut [SatCounter]) {
     for counter in row {

@@ -6,16 +6,13 @@
 //!
 //! # Dispatch contract (DESIGN.md §12)
 //!
-//! Feature detection runs **once**, at the first call to [`enabled`], and
-//! the result is cached for the life of the process:
+//! The platform alone picks the path; nothing at run time overrides it:
 //!
-//! * `DPC_SIMD=off` (or `0` / `false`) forces the scalar fallback — the
-//!   escape hatch CI uses to prove both paths render byte-identical
-//!   output;
 //! * under Miri the scalar path is always taken (vendor intrinsics are
 //!   outside Miri's supported subset);
-//! * otherwise AVX2 is probed with `is_x86_feature_detected!`; non-x86
-//!   builds always take the scalar path.
+//! * otherwise x86-64 probes AVX2 with `is_x86_feature_detected!`, whose
+//!   answer std caches for the life of the process; non-x86 builds
+//!   always take the scalar path.
 //!
 //! Every vector kernel has a scalar twin with identical semantics, and
 //! the pinned golden output plus the differential tests in this module
@@ -23,33 +20,17 @@
 
 #![allow(unsafe_code)]
 
-use std::sync::OnceLock;
-
-/// Whether the vector kernels are active for this process.
-///
-/// Computed once (see the module docs for the decision order) and cached,
-/// so the per-call cost on the hot path is one relaxed atomic load.
+/// Whether the vector kernels are active for this process: AVX2 on an
+/// x86-64 host that has it, scalar under Miri and on every other
+/// architecture (see the module docs). The feature probe is cached by
+/// std, so the per-call cost on the hot path is one relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(detect)
-}
-
-/// One-time feature probe backing [`enabled`].
-fn detect() -> bool {
-    if cfg!(miri) {
-        return false;
-    }
-    if let Ok(value) = std::env::var("DPC_SIMD") {
-        if matches!(value.as_str(), "off" | "0" | "false") {
-            return false;
-        }
-    }
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(target_arch = "x86_64"))]
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     {
         false
     }

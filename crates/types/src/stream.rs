@@ -167,28 +167,14 @@ impl EventStream {
     /// nothing after the budget-th memory event is — so chunked replay of
     /// a warm-up/measure split is bit-identical to event-at-a-time
     /// replay.
+    ///
+    /// A tag prescan ([`crate::simd::classify_tags`], AVX2 or scalar by
+    /// platform) finds the chunk boundary (window end or memory budget)
+    /// column-wise, then the payload columns are decoded through
+    /// pre-sliced windows with no per-event end-of-array checks. The
+    /// differential tests below hold it to the per-event
+    /// [`next_from`](Self::next_from) decoder.
     pub fn decode_chunk(
-        &self,
-        cursor: &mut StreamCursor,
-        batch: &mut EventBatch,
-        max_events: usize,
-        max_mem: u64,
-    ) -> u64 {
-        if crate::simd::enabled() {
-            self.decode_chunk_prescan(cursor, batch, max_events, max_mem)
-        } else {
-            self.decode_chunk_serial(cursor, batch, max_events, max_mem)
-        }
-    }
-
-    /// [`decode_chunk`](Self::decode_chunk) with a vectorized tag
-    /// prescan: [`crate::simd::classify_tags`] finds the chunk boundary
-    /// (window end or memory budget) column-wise, then the payload
-    /// columns are decoded through pre-sliced windows with no per-event
-    /// end-of-array checks. Selected when [`crate::simd::enabled`];
-    /// bit-identical to the serial decoder (asserted by the differential
-    /// tests below and by the pinned golden output).
-    fn decode_chunk_prescan(
         &self,
         cursor: &mut StreamCursor,
         batch: &mut EventBatch,
@@ -203,14 +189,14 @@ impl EventStream {
         let compute_take = take - mem_take as usize;
         // The struct invariant (mem tags ⇔ pcs/vaddrs entries, compute
         // tags ⇔ ops entries) guarantees these windows exist; `get`
-        // keeps the decoder total and falls back to the per-event
-        // checked loop rather than panicking if it were ever violated.
+        // keeps the decoder total, and were it ever violated the empty
+        // batch ends the replay like the end of the stream.
         let (Some(pcs), Some(vaddrs), Some(ops)) = (
             self.pcs.get(cursor.mem..cursor.mem + mem_take as usize),
             self.vaddrs.get(cursor.mem..cursor.mem + mem_take as usize),
             self.ops.get(cursor.compute..cursor.compute + compute_take),
         ) else {
-            return self.decode_chunk_serial(cursor, batch, max_events, max_mem);
+            return 0;
         };
         let mut mem = 0usize;
         let mut compute = 0usize;
@@ -241,45 +227,6 @@ impl EventStream {
         cursor.mem += mem;
         cursor.compute += compute;
         mem_take
-    }
-
-    /// The event-at-a-time reference decoder behind
-    /// [`decode_chunk`](Self::decode_chunk) — the `DPC_SIMD=off` path,
-    /// and the semantics [`Self::decode_chunk_prescan`] must match.
-    fn decode_chunk_serial(
-        &self,
-        cursor: &mut StreamCursor,
-        batch: &mut EventBatch,
-        max_events: usize,
-        max_mem: u64,
-    ) -> u64 {
-        batch.events.clear();
-        let mut mem_taken = 0u64;
-        while batch.events.len() < max_events && mem_taken < max_mem {
-            let Some(&tag) = self.tags.get(cursor.index) else { break };
-            let event = if tag == TAG_COMPUTE {
-                let Some(&ops) = self.ops.get(cursor.compute) else { break };
-                cursor.compute += 1;
-                Event::Compute { ops }
-            } else {
-                let Some(&pc) = self.pcs.get(cursor.mem) else { break };
-                let Some(&vaddr) = self.vaddrs.get(cursor.mem) else { break };
-                cursor.mem += 1;
-                mem_taken += 1;
-                let (kind, dependent) = match tag {
-                    TAG_LOAD => (AccessKind::Read, false),
-                    TAG_LOAD_DEP => (AccessKind::Read, true),
-                    TAG_STORE => (AccessKind::Write, false),
-                    // The constructors only ever store tags 0..=4; anything
-                    // else would have been rejected by `read_from`.
-                    _ => (AccessKind::Write, true),
-                };
-                Event::Mem { pc: Pc::new(pc), vaddr: VirtAddr::new(vaddr), kind, dependent }
-            };
-            batch.events.push(event);
-            cursor.index += 1;
-        }
-        mem_taken
     }
 
     /// Iterates the stream from the beginning (borrowing, zero-copy).
@@ -731,8 +678,8 @@ mod tests {
         assert_eq!((mem, batch.len()), (0, 0));
     }
 
-    /// Deterministic LCG-driven stream for the prescan/serial
-    /// differential sweep: mixes all five tags with uneven frequencies.
+    /// Deterministic LCG-driven stream for the decoder differential
+    /// sweep: mixes all five tags with uneven frequencies.
     fn random_stream(events: usize, seed: u64) -> EventStream {
         let mut state = seed | 1;
         let mut next = || {
@@ -757,25 +704,44 @@ mod tests {
             .collect()
     }
 
-    /// Runs both decoders over the same stream with the same chunk size
-    /// and per-call budgets, asserting every observable (batch contents,
-    /// returned mem count, cursor) matches call for call.
+    /// The serial reference for [`EventStream::decode_chunk`]: the
+    /// per-event [`EventStream::next_from`] decoder behind a
+    /// `while len < max_events && mem < max_mem` gate.
+    fn decode_serial(
+        stream: &EventStream,
+        cursor: &mut StreamCursor,
+        batch: &mut Vec<Event>,
+        max_events: usize,
+        max_mem: u64,
+    ) -> u64 {
+        batch.clear();
+        let mut mem = 0u64;
+        while batch.len() < max_events && mem < max_mem {
+            let Some(event) = stream.next_from(cursor) else { break };
+            mem += u64::from(event.is_mem());
+            batch.push(event);
+        }
+        mem
+    }
+
+    /// Runs the chunk decoder and the serial reference over the same
+    /// stream with the same chunk size and per-call budgets, asserting
+    /// every observable (batch contents, returned mem count, cursor)
+    /// matches call for call.
     fn assert_decoders_agree(stream: &EventStream, chunk: usize, budgets: &[u64]) {
         let mut serial_cursor = StreamCursor::default();
         let mut prescan_cursor = StreamCursor::default();
-        let mut serial_batch = EventBatch::new();
+        let mut serial_batch = Vec::new();
         let mut prescan_batch = EventBatch::new();
         let mut budget_iter = budgets.iter().cycle();
         loop {
             let budget = *budget_iter.next().expect("cycle is infinite");
-            let want =
-                stream.decode_chunk_serial(&mut serial_cursor, &mut serial_batch, chunk, budget);
-            let got =
-                stream.decode_chunk_prescan(&mut prescan_cursor, &mut prescan_batch, chunk, budget);
+            let want = decode_serial(stream, &mut serial_cursor, &mut serial_batch, chunk, budget);
+            let got = stream.decode_chunk(&mut prescan_cursor, &mut prescan_batch, chunk, budget);
             assert_eq!(got, want, "mem count at {serial_cursor:?} (chunk {chunk})");
             assert_eq!(
                 prescan_batch.events(),
-                serial_batch.events(),
+                &serial_batch[..],
                 "batch at {serial_cursor:?} (chunk {chunk})"
             );
             assert_eq!(prescan_cursor, serial_cursor, "cursor (chunk {chunk})");
@@ -812,7 +778,7 @@ mod tests {
         let empty = EventStream::new();
         let mut cursor = StreamCursor::default();
         let mut batch = EventBatch::new();
-        assert_eq!(empty.decode_chunk_prescan(&mut cursor, &mut batch, 256, u64::MAX), 0);
+        assert_eq!(empty.decode_chunk(&mut cursor, &mut batch, 256, u64::MAX), 0);
         assert!(batch.is_empty());
         // All-compute stream: budget never binds, window does.
         let computes: EventStream = (0..100).map(|ops| Event::Compute { ops }).collect();
@@ -820,7 +786,7 @@ mod tests {
         // Zero budget decodes nothing on either path.
         let stream = random_stream(64, 9);
         let mut cursor = StreamCursor::default();
-        assert_eq!(stream.decode_chunk_prescan(&mut cursor, &mut batch, 256, 0), 0);
+        assert_eq!(stream.decode_chunk(&mut cursor, &mut batch, 256, 0), 0);
         assert_eq!((batch.len(), cursor.position()), (0, 0));
     }
 

@@ -195,18 +195,6 @@ struct SharedInputs {
     traces: TraceStore,
 }
 
-/// Whether `DPC_TRACE_STORE` enables the shared trace store (the
-/// default). `off`, `0`, and `false` disable it; anything else enables.
-fn trace_store_env_enabled() -> bool {
-    match std::env::var("DPC_TRACE_STORE") {
-        Ok(value) => {
-            let value = value.to_ascii_lowercase();
-            !matches!(value.as_str(), "off" | "0" | "false")
-        }
-        Err(_) => true,
-    }
-}
-
 /// Builds workloads by name, caching the expensive shared inputs (graphs)
 /// so a sweep over configurations does not regenerate them per run.
 ///
@@ -227,29 +215,24 @@ impl WorkloadFactory {
     /// Creates a factory for the given scale and master seed. The same
     /// `(scale, seed)` always produces identical workloads.
     ///
-    /// The shared [`TraceStore`] is enabled unless the `DPC_TRACE_STORE`
-    /// environment variable is `off`/`0`/`false` (the escape hatch for
-    /// memory-constrained hosts); see [`WorkloadFactory::source`].
+    /// Runs replay from the shared [`TraceStore`]; see
+    /// [`WorkloadFactory::source`].
     pub fn new(scale: Scale, seed: u64) -> Self {
         WorkloadFactory {
             scale,
             seed,
-            use_trace_store: trace_store_env_enabled(),
+            use_trace_store: true,
             inputs: Arc::new(SharedInputs::default()),
         }
     }
 
-    /// Overrides the `DPC_TRACE_STORE` default for this factory (clones
-    /// inherit the setting; the underlying store stays shared either
-    /// way).
+    /// With `false`, [`WorkloadFactory::source`] generates every run live
+    /// instead of replaying from the store: the reference that replay is
+    /// tested and benchmarked against. Clones inherit the setting; the
+    /// underlying store stays shared either way.
     pub fn with_trace_store(mut self, enabled: bool) -> Self {
         self.use_trace_store = enabled;
         self
-    }
-
-    /// Whether [`WorkloadFactory::source`] replays from the shared store.
-    pub fn trace_store_enabled(&self) -> bool {
-        self.use_trace_store
     }
 
     /// The factory's scale.
@@ -437,7 +420,7 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_to_live_generation_for_every_workload() {
         const MEM_OPS: u64 = 2_000;
-        let factory = WorkloadFactory::new(Scale::Tiny, 42).with_trace_store(true);
+        let factory = WorkloadFactory::new(Scale::Tiny, 42);
         let live_factory = WorkloadFactory::new(Scale::Tiny, 42);
         for name in WORKLOAD_NAMES {
             let (mut replay, report) = factory.stream(name, MEM_OPS).unwrap();
@@ -461,11 +444,9 @@ mod tests {
     }
 
     #[test]
-    fn source_respects_trace_store_toggle_and_env_default() {
-        let on = WorkloadFactory::new(Scale::Tiny, 3).with_trace_store(true);
+    fn source_replays_by_default_and_respects_trace_store_toggle() {
+        let on = WorkloadFactory::new(Scale::Tiny, 3);
         let off = on.clone().with_trace_store(false);
-        assert!(on.trace_store_enabled());
-        assert!(!off.trace_store_enabled());
         let (mut replay, _) = on.source("mcf", 100).unwrap();
         let (mut live, report) = off.source("mcf", 100).unwrap();
         assert!(matches!(replay, EventSource::Replay(_)));

@@ -15,7 +15,8 @@
 //! shadow-table hit, and PFQ probe micro-phases, which localise a
 //! simulator regression to the predictor structure that caused it),
 //! `simd_phases` (the vectorized kernels and their scalar twins, so a
-//! regression in either the AVX2 or the `DPC_SIMD=off` path trips CI),
+//! regression in either the AVX2 path or the scalar path that Miri and
+//! non-x86 targets run trips CI),
 //! and `misspath_phases` (the lazy replacement-metadata apply of
 //! DESIGN.md §16). The `structures` micro-benches stay ungated: their
 //! one-shot samples are too noisy to act as a tripwire. Like the lint
@@ -23,10 +24,9 @@
 //! stays dependency-free on an offline toolchain.
 //!
 //! Besides the medians, each report records the commit it was measured
-//! at and the runtime-gate fingerprint (`DPC_SIMD`) active during the
-//! run: medians taken with the gate flipped are not comparable to the checked-in baseline, and `--check`
-//! warns when the baseline's commit is no longer an ancestor of `HEAD`
-//! (i.e. the baseline predates a rebase or was never regenerated).
+//! at, and `--check` warns when the baseline's commit is no longer an
+//! ancestor of `HEAD` (i.e. the baseline predates a rebase or was never
+//! regenerated).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -50,42 +50,6 @@ pub const REPORT_FILE: &str = "BENCH_simulator.json";
 
 /// Collected medians, bench id → nanoseconds.
 pub type Medians = BTreeMap<String, f64>;
-
-/// The runtime gates active while the benches ran, recorded in the
-/// report as a fingerprint: baseline medians are only comparable to a
-/// current run taken under the same gate settings.
-///
-/// The parse rule mirrors `dpc_types::simd` exactly (xtask is
-/// deliberately dependency-free, so it cannot call it): `DPC_SIMD` is on
-/// unless set to `off`/`0`/`false`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Gates {
-    /// `DPC_SIMD` — vector kernels.
-    pub simd: bool,
-}
-
-impl Gates {
-    /// Reads the gate environment the same way the simulator does.
-    pub fn from_env() -> Self {
-        let off =
-            std::env::var("DPC_SIMD").is_ok_and(|v| matches!(v.as_str(), "off" | "0" | "false"));
-        Gates { simd: !off }
-    }
-}
-
-impl std::fmt::Display for Gates {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "simd={}", on_off(self.simd))
-    }
-}
-
-fn on_off(on: bool) -> &'static str {
-    if on {
-        "on"
-    } else {
-        "off"
-    }
-}
 
 /// Walk `target/criterion/<group>/*/new/estimates.json` under `root`
 /// for every gated group and return the median point estimate for each
@@ -134,14 +98,14 @@ pub fn extract_median(text: &str) -> Option<f64> {
 
 /// Render the report JSON: stable key order, one bench per line so the
 /// baseline parser (and humans diffing the file) stay simple.
-pub fn render(medians: &Medians, git_sha: &str, date: &str, gates: Gates) -> String {
+pub fn render(medians: &Medians, git_sha: &str, date: &str) -> String {
     let mut out = String::from("{\n");
-    // Schema 2 added the gate fingerprint; 3 reduced it to `DPC_SIMD`.
-    out.push_str("  \"schema\": 3,\n");
+    // Schemas 2 and 3 carried a runtime-gate fingerprint; 4 dropped it
+    // with the last gate.
+    out.push_str("  \"schema\": 4,\n");
     out.push_str("  \"unit\": \"ns\",\n");
     out.push_str(&format!("  \"git_sha\": \"{git_sha}\",\n"));
     out.push_str(&format!("  \"date\": \"{date}\",\n"));
-    out.push_str(&format!("  \"gates\": {{ \"DPC_SIMD\": \"{}\" }},\n", on_off(gates.simd)));
     out.push_str("  \"median_ns\": {\n");
     let last = medians.len().saturating_sub(1);
     for (i, (bench, median)) in medians.iter().enumerate() {
@@ -163,7 +127,7 @@ pub fn parse_git_sha(text: &str) -> Option<String> {
 
 /// Parse a report previously written by [`render`]: every
 /// `"<group>/<bench>": <number>` line inside the `median_ns` object.
-/// Schema-1 reports (no `gates` field) parse identically — the medians
+/// Reports of every earlier schema parse identically — the medians
 /// block is unchanged.
 pub fn parse_report(text: &str) -> Medians {
     let mut medians = Medians::new();
@@ -295,17 +259,12 @@ pub fn run(root: &Path, check: bool) -> u8 {
     // clock so re-running on the same tree rewrites the same file.
     let sha = git_output(root, &["rev-parse", "--short", "HEAD"]);
     let date = git_output(root, &["log", "-1", "--format=%cI"]);
-    let gates = Gates::from_env();
-    let text = render(&current, &sha, &date, gates);
+    let text = render(&current, &sha, &date);
     if let Err(err) = std::fs::write(&report_path, &text) {
         eprintln!("bench-report: cannot write {}: {err}", report_path.display());
         return 2;
     }
-    println!(
-        "bench-report: wrote {} ({} benches, gates {gates})",
-        report_path.display(),
-        current.len()
-    );
+    println!("bench-report: wrote {} ({} benches)", report_path.display(), current.len());
     0
 }
 
@@ -335,35 +294,28 @@ mod tests {
         medians.insert("simulator/canneal_baseline".to_owned(), 4_811_000.0);
         medians.insert("simulator/bfs_dppred_cbpred".to_owned(), 1_640_500.5);
         medians.insert("predictor_phases/phist_lookup".to_owned(), 31_250.0);
-        let gates = Gates { simd: true };
-        let text = render(&medians, "abc1234", "2026-08-06T00:00:00+00:00", gates);
+        let text = render(&medians, "abc1234", "2026-08-06T00:00:00+00:00");
         assert_eq!(parse_report(&text), medians);
         assert_eq!(parse_git_sha(&text).as_deref(), Some("abc1234"));
     }
 
     #[test]
-    fn gates_fingerprint_is_rendered() {
-        let gates = Gates { simd: false };
-        let text = render(&Medians::new(), "abc1234", "2026-08-06T00:00:00+00:00", gates);
-        assert!(text.contains("\"schema\": 3"), "schema 3 fingerprints one gate: {text}");
-        assert!(
-            text.contains("\"gates\": { \"DPC_SIMD\": \"off\" }"),
-            "fingerprint line missing: {text}"
-        );
-        // The gates object must not confuse the medians parser.
+    fn schema_4_header_has_no_gates() {
+        let text = render(&Medians::new(), "abc1234", "2026-08-06T00:00:00+00:00");
+        assert!(text.starts_with("{\n  \"schema\": 4,\n"), "schema 4 header: {text}");
+        assert!(!text.contains("gates"), "no runtime gate is left to fingerprint: {text}");
         assert!(parse_report(&text).is_empty());
     }
 
     #[test]
     fn unknown_sha_is_not_comparable() {
-        let text =
-            render(&Medians::new(), "unknown", "2026-08-06T00:00:00+00:00", Gates { simd: true });
+        let text = render(&Medians::new(), "unknown", "2026-08-06T00:00:00+00:00");
         assert_eq!(parse_git_sha(&text), None);
     }
 
     #[test]
     fn schema_1_reports_still_parse() {
-        // The checked-in baseline may predate the gates field; the
+        // The checked-in baseline may predate the current header; the
         // medians block is unchanged, so it must keep parsing.
         let text = "{\n  \"schema\": 1,\n  \"unit\": \"ns\",\n  \"git_sha\": \"9c09b0f\",\n  \
                     \"median_ns\": {\n    \"simulator/lbm_baseline\": 1349450.0\n  }\n}\n";

@@ -163,15 +163,37 @@ fn replay_and_live(
     (r, l)
 }
 
+/// Runs the two oracle passes of `workload` from the trace store and
+/// from a live generator: the recording pass must agree on its
+/// statistics and on the lookup trace it freezes, and the Belady pass fed
+/// each side's trace must agree on its statistics.
+fn oracle_replay_and_live(
+    replay: &WorkloadFactory,
+    live: &WorkloadFactory,
+    workload: &str,
+    config: &RunConfig,
+    label: &str,
+) {
+    use dpc::runner::{record_baseline, run_oracle_from_trace};
+    let (replay_rec, replay_trace) = record_baseline(replay, workload, config);
+    let (live_rec, live_trace) = record_baseline(live, workload, config);
+    assert_eq!(replay_rec.stats, live_rec.stats, "{label}: oracle recording pass");
+    assert!(replay_trace == live_trace, "{label}: recorded LLT lookup trace");
+    let r = run_oracle_from_trace(replay_trace, replay, workload, config);
+    let l = run_oracle_from_trace(live_trace, live, workload, config);
+    assert_eq!(r.stats, l.stats, "{label}: Belady oracle pass");
+}
+
 /// The trace store's core guarantee: replaying a captured stream is
 /// bit-identical to generating the events live, all the way through the
-/// simulator and both predictors. Runs several workloads twice per
-/// factory so the second run exercises the store-hit path too, then
-/// sweeps every workload × {baseline, dpPred+cbPred, AIP} × {4 KB, 2 MB}.
+/// simulator, both predictors and the two-pass oracle. Runs several
+/// workloads twice per factory so the second run exercises the store-hit
+/// path too, then sweeps every workload × {baseline, dpPred+cbPred, AIP,
+/// oracle} × {4 KB, 2 MB}.
 #[test]
 fn trace_store_replay_is_byte_identical_to_live_generation() {
     for workload in ["bfs", "canneal", "mcf"] {
-        let replay = WorkloadFactory::new(Scale::Tiny, 13).with_trace_store(true);
+        let replay = WorkloadFactory::new(Scale::Tiny, 13);
         let live = WorkloadFactory::new(Scale::Tiny, 13).with_trace_store(false);
         let config = RunConfig::baseline(1_000, 20_000)
             .with_policies(TlbPolicySel::DpPred, LlcPolicySel::CbPred);
@@ -187,7 +209,7 @@ fn trace_store_replay_is_byte_identical_to_live_generation() {
         assert_eq!(live.trace_store().entries(), 0, "disabled store must stay empty");
     }
 
-    let replay = WorkloadFactory::new(Scale::Tiny, 21).with_trace_store(true);
+    let replay = WorkloadFactory::new(Scale::Tiny, 21);
     let live = WorkloadFactory::new(Scale::Tiny, 21).with_trace_store(false);
     let combos = [
         (TlbPolicySel::Baseline, LlcPolicySel::Baseline),
@@ -195,6 +217,12 @@ fn trace_store_replay_is_byte_identical_to_live_generation() {
         (TlbPolicySel::AipTlb, LlcPolicySel::AipLlc),
     ];
     for page in [AllocPolicy::Base4K, AllocPolicy::Uniform(PageSize::Size2M)] {
+        let oracle = RunConfig::baseline(500, 6_000)
+            .with_system(SystemConfig::paper_baseline().with_page_policy(page));
+        for workload in WORKLOAD_NAMES {
+            let label = format!("{workload} oracle {page:?}");
+            oracle_replay_and_live(&replay, &live, workload, &oracle, &label);
+        }
         for (tlb, llc) in combos {
             let config = RunConfig::baseline(500, 6_000)
                 .with_policies(tlb, llc)
