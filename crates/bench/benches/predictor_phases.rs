@@ -2,18 +2,20 @@
 //! path exercises on every LLT/LLC fill and eviction: the dpPred pHIST
 //! lookup (`on_fill`), the cbPred bHIST lookup (`on_fill` with PFQ
 //! disabled so the counter read dominates), the dpPred shadow-table hit
-//! path (`shadow_lookup`), and the cbPred PFQ probe (`on_fill` against a
-//! full PFQ).
+//! path (`shadow_lookup`), the cbPred PFQ probe (`on_fill` against a
+//! full PFQ), and for comparison the fill decisions of the SHiP and AIP
+//! baseline predictors.
 //!
 //! These phases are what the monomorphized dispatch inlines into the
-//! event loop; tracking them separately in `BENCH_simulator.json` makes
-//! a regression in one predictor structure visible even when the
-//! end-to-end `simulator` numbers are dominated by cache modelling.
+//! event loop. The repository benchmark (`perfbench`, gated by `cargo
+//! xtask bench-gate`) prices the predictors only as the difference of
+//! two whole-run medians, which is noisy enough to read negative; these
+//! groups price each predictor structure on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dpc_memsim::set_assoc::LineLife;
 use dpc_memsim::{EvictedPage, LlcPolicy, LltPolicy};
-use dpc_predictors::{CbPred, DpPred};
+use dpc_predictors::{AipTlb, CbPred, DpPred, ShipLlc, ShipTlb};
 use dpc_types::{BlockAddr, Pc, Pfn, SystemConfig, Vpn};
 
 const PROBES: u64 = 4_096;
@@ -108,6 +110,46 @@ fn bench_predictor_phases(c: &mut Criterion) {
                     let pfn = if i % 2 == 0 { i % *entries } else { i + (1 << 20) };
                     let addr = (pfn << 12) | ((i % 64) << 6);
                     black_box(pred.on_fill(BlockAddr::new(addr >> 6), Pc::new(0)));
+                }
+            },
+            BatchSize::PerIteration,
+        );
+    });
+
+    group.bench_function("ship_tlb_fill", |b| {
+        b.iter_batched_ref(
+            ShipTlb::paper_default,
+            |pred| {
+                for i in 0..PROBES {
+                    black_box(pred.on_fill(
+                        Vpn::new(i),
+                        Pfn::new(i),
+                        Pc::new(0x40_0000 + (i % 13) * 4),
+                    ));
+                }
+            },
+            BatchSize::PerIteration,
+        );
+    });
+
+    group.bench_function("ship_llc_fill", |b| {
+        b.iter_batched_ref(
+            || ShipLlc::for_cache(&config.llc),
+            |pred| {
+                for i in 0..PROBES {
+                    black_box(pred.on_fill(BlockAddr::new(i << 3), Pc::new(0x40_0000)));
+                }
+            },
+            BatchSize::PerIteration,
+        );
+    });
+
+    group.bench_function("aip_tlb_fill", |b| {
+        b.iter_batched_ref(
+            AipTlb::paper_default,
+            |pred| {
+                for i in 0..PROBES {
+                    black_box(pred.on_fill(Vpn::new(i), Pfn::new(i), Pc::new(0x40_0000)));
                 }
             },
             BatchSize::PerIteration,

@@ -7,9 +7,10 @@
 //!
 //! Each kernel is benched twice — once through the dispatch wrapper
 //! (AVX2 on any machine CI runs on) and once through its scalar twin —
-//! so `BENCH_simulator.json` records both the vector speedup and a
-//! regression tripwire for the scalar path that Miri and non-x86
-//! targets run.
+//! so the two can be priced against each other, which the repository
+//! benchmark (`perfbench`, gated by `cargo xtask bench-gate`) cannot do:
+//! it only ever runs the path the host selects. This prices the vector
+//! speedup and the scalar path that Miri and non-x86 targets run.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};

@@ -33,6 +33,7 @@ use dpc::campaign;
 use dpc::experiments::{self, ExperimentContext, ExperimentOptions};
 use dpc::EnvError;
 use std::ffi::OsString;
+use std::io::Write as _;
 // dpc-lint: allow(determinism::wall-clock) -- CLI progress reporting on stderr; never reaches experiment output
 use std::time::Instant;
 
@@ -263,6 +264,14 @@ fn main() {
             std::process::exit(2);
         }
     }
+    // Created now, so an unwritable path fails before the campaign runs.
+    let timing = timing_path.map(|path| match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => {
+            eprintln!("cannot create {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    });
 
     let mut options = knob_or_exit(ExperimentOptions::from_env());
     if quick {
@@ -329,8 +338,8 @@ fn main() {
             );
         }
     }
-    if let Some(path) = &timing_path {
-        if let Err(e) = std::fs::write(path, stats.to_json()) {
+    if let Some((path, mut file)) = timing {
+        if let Err(e) = file.write_all(stats.to_json().as_bytes()) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(2);
         }

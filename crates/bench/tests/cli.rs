@@ -1,6 +1,6 @@
 //! The `paper` binary's command-line contract, driven through the built
-//! executable: knob names it rejects, and the flags `probe` honours or
-//! refuses.
+//! executable: knob names it rejects, an output path it refuses before
+//! any simulation, and the flags `probe` honours or refuses.
 
 use std::process::{Command, Output};
 
@@ -59,4 +59,17 @@ fn probe_rejects_campaign_outputs_and_unknown_workloads() {
         assert!(output.stdout.is_empty(), "{args:?}: nothing may run");
     }
     assert!(!std::path::Path::new(&dir).exists(), "a rejected probe creates no directory");
+}
+
+#[test]
+fn unwritable_timing_path_exits_2_before_any_simulation() {
+    let output = paper()
+        .args(["fig9", "--quick", "--timing", "/nonexistent-dpc-dir/t.json"])
+        .output()
+        .unwrap();
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(2), "{err}");
+    assert!(output.stdout.is_empty(), "nothing may be rendered: {err}");
+    assert!(!err.contains("# campaign plan"), "rejected before planning: {err}");
+    assert!(err.contains("/nonexistent-dpc-dir/t.json"), "the message names the path: {err}");
 }

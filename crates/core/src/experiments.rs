@@ -18,6 +18,7 @@ use dpc_workloads::{Scale, WorkloadFactory, WORKLOAD_NAMES};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt::{self, Write as _};
+use std::num::NonZeroU64;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -88,8 +89,9 @@ impl ExperimentOptions {
     }
 
     /// Reads overrides from the environment: `DPC_SCALE`
-    /// (`tiny`/`small`/`paper`), `DPC_WARMUP`, `DPC_MEASURE`, `DPC_SEED`,
-    /// `DPC_PAGE_SIZE` (`4k`/`2m`/`1g`).
+    /// (`tiny`/`small`/`paper`), `DPC_WARMUP` (a non-negative integer),
+    /// `DPC_MEASURE` (a positive integer: an empty measured window has no
+    /// rates to report), `DPC_SEED`, `DPC_PAGE_SIZE` (`4k`/`2m`/`1g`).
     ///
     /// # Errors
     ///
@@ -121,7 +123,8 @@ impl ExperimentOptions {
             opts.warmup_mem_ops = parse_knob("DPC_WARMUP", value, COUNT)?;
         }
         if let Some(value) = lookup("DPC_MEASURE") {
-            opts.measure_mem_ops = parse_knob("DPC_MEASURE", value, COUNT)?;
+            opts.measure_mem_ops =
+                parse_knob::<NonZeroU64>("DPC_MEASURE", value, "a positive integer")?.get();
         }
         if let Some(value) = lookup("DPC_SEED") {
             opts.seed = parse_knob("DPC_SEED", value, COUNT)?;
@@ -1061,7 +1064,8 @@ mod tests {
             ("DPC_SCALE", "huge", "tiny, small or paper"),
             ("DPC_SCALE", "", "tiny, small or paper"),
             ("DPC_WARMUP", "lots", "a non-negative integer"),
-            ("DPC_MEASURE", "-5", "a non-negative integer"),
+            ("DPC_MEASURE", "-5", "a positive integer"),
+            ("DPC_MEASURE", "0", "a positive integer"),
             ("DPC_SEED", "0x2a", "a non-negative integer"),
             ("DPC_PAGE_SIZE", "3m", "4k, 2m or 1g"),
         ] {

@@ -2,10 +2,11 @@
 //!
 //! The workspace is dependency-free by policy (the lint gate must build
 //! on an offline toolchain), so this hand-rolled recursive-descent parser
-//! stands in for `serde_json` where `dpc-lint` needs to *read* JSON: the
-//! committed lint baseline, and the structural SARIF validation in the
-//! test suite. It accepts strict JSON (no comments or trailing commas)
-//! and keeps object keys in document order.
+//! stands in for `serde_json` where the workspace tools need to *read*
+//! JSON: `BENCHMARK.json` and the benchmark's result lines for
+//! `bench-gate`, and the structural SARIF validation in the test suite.
+//! It accepts strict JSON (no comments or trailing commas) and keeps
+//! object keys in document order.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

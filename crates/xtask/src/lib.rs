@@ -35,12 +35,11 @@
 //!
 //! A missing `-- <reason>` is itself an error, and under `--strict` a
 //! marker that suppresses nothing is too. Diagnostics are available as
-//! text, JSON, or SARIF 2.1.0 ([`output`]), with a committed baseline
-//! file tolerating fingerprinted pre-existing findings. The pass is
+//! text, JSON, or SARIF 2.1.0 ([`output`]). The pass is
 //! dependency-free by design (it lexes the source itself rather than
 //! using `syn`) so it builds and gates CI on an offline toolchain.
 
-pub mod bench_report;
+pub mod bench_gate;
 pub mod graph;
 pub mod items;
 pub mod json;

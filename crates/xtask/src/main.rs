@@ -5,25 +5,21 @@
 //! * `lint` — run the `dpc-lint` static-analysis pass (line rules plus
 //!   call-graph hot-path reachability) over the workspace.
 //! * `lint --list` — list every rule with its one-line description.
-//! * `lint --strict` — promote unused allow markers and stale baseline
-//!   entries from warnings to errors (the CI configuration).
+//! * `lint --strict` — promote unused allow markers from warnings to
+//!   errors (the CI configuration).
 //! * `lint --format text|json|sarif` — diagnostic output format; SARIF
 //!   2.1.0 is what GitHub code scanning ingests.
 //! * `lint --output <path>` — write the formatted diagnostics to a file
 //!   (a human summary still goes to stdout).
-//! * `lint --baseline <path>` — tolerate findings fingerprinted in the
-//!   baseline file (default: `lint-baseline.json` at the workspace root
-//!   when present).
-//! * `lint --write-baseline` — write the current findings' fingerprints
-//!   to the baseline file and exit 0.
-//! * `bench-report [--check]` — collect/gate criterion medians (see
-//!   [`xtask::bench_report`]).
+//! * `bench-gate <parent-tree> <change-tree>` — run the repository
+//!   benchmark interleaved in both trees and fail on a regression past
+//!   its bounds (see [`xtask::bench_gate`]).
 //!
 //! **Exit codes** (CI depends on the distinction): `0` clean, `1` rule
-//! violations (a dirty tree), `2` I/O or parse failure (a broken linter
-//! invocation — unreadable workspace, malformed baseline, bad flags).
+//! violations or a benchmark regression, `2` I/O or parse failure (a
+//! broken invocation — unreadable workspace or benchmark output, bad
+//! flags).
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -31,17 +27,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-report") => {
-            let check = args[1..].iter().any(|a| a == "--check");
-            ExitCode::from(xtask::bench_report::run(&workspace_root(), check))
+        Some("bench-gate") if args.len() == 3 => {
+            ExitCode::from(xtask::bench_gate::run(args[1].as_ref(), args[2].as_ref()))
         }
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--list] [--strict] [--format text|json|sarif]\n\
-                 \x20                       [--output <path>] [--baseline <path>] \
-                 [--write-baseline]"
+                "usage: cargo xtask lint [--list] [--strict] [--format text|json|sarif] \
+                 [--output <path>]"
             );
-            eprintln!("       cargo xtask bench-report [--check]");
+            eprintln!("       cargo xtask bench-gate <parent-tree> <change-tree>");
             eprintln!("       (cargo run --package xtask -- <cmd>, without the alias)");
             ExitCode::from(2)
         }
@@ -54,8 +48,6 @@ struct LintOptions {
     strict: bool,
     format: Format,
     output: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
 }
 
 #[derive(PartialEq, Clone, Copy)]
@@ -65,24 +57,13 @@ enum Format {
     Sarif,
 }
 
-/// Default baseline file name at the workspace root.
-const BASELINE_FILE: &str = "lint-baseline.json";
-
 fn parse_lint_args(args: &[String]) -> Result<LintOptions, String> {
-    let mut opts = LintOptions {
-        list: false,
-        strict: false,
-        format: Format::Text,
-        output: None,
-        baseline: None,
-        write_baseline: false,
-    };
+    let mut opts = LintOptions { list: false, strict: false, format: Format::Text, output: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => opts.list = true,
             "--strict" => opts.strict = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--format" => {
                 opts.format = match it.next().map(String::as_str) {
                     Some("text") => Format::Text,
@@ -98,9 +79,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintOptions, String> {
             }
             "--output" => {
                 opts.output = Some(it.next().ok_or("--output needs a path")?.into());
-            }
-            "--baseline" => {
-                opts.baseline = Some(it.next().ok_or("--baseline needs a path")?.into());
             }
             other => return Err(format!("unknown lint flag `{other}`")),
         }
@@ -132,43 +110,7 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
 
-    // Load the baseline: an explicitly named file must exist and parse;
-    // the default one is optional but must parse when present.
-    let baseline_path = opts.baseline.clone().unwrap_or_else(|| root.join(BASELINE_FILE));
-    let baseline: BTreeSet<String> = if opts.write_baseline {
-        BTreeSet::new()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match xtask::output::parse_baseline(&text) {
-                Ok(set) => set,
-                Err(err) => {
-                    eprintln!("dpc-lint: {}: {err}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(err) if opts.baseline.is_some() => {
-                eprintln!("dpc-lint: cannot read {}: {err}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            Err(_) => BTreeSet::new(),
-        }
-    };
-
-    let set = xtask::output::collect(&report, opts.strict, &baseline);
-
-    if opts.write_baseline {
-        let text = xtask::output::render_baseline(&set);
-        if let Err(err) = std::fs::write(&baseline_path, &text) {
-            eprintln!("dpc-lint: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "dpc-lint: wrote {} ({} fingerprint(s))",
-            baseline_path.display(),
-            set.count(xtask::output::Level::Error)
-        );
-        return ExitCode::SUCCESS;
-    }
+    let set = xtask::output::collect(&report, opts.strict);
 
     let rendered = match opts.format {
         Format::Text => render_text(&set),
@@ -226,14 +168,10 @@ fn summary_line(report: &xtask::LintReport, errors: usize, warnings: usize, stri
 fn render_text(set: &xtask::output::DiagnosticSet) -> String {
     let mut out = String::new();
     for d in &set.diagnostics {
-        if d.rel.is_empty() {
-            out.push_str(&format!("{}[{}]: {}\n", d.level, d.rule, d.message));
-        } else {
-            out.push_str(&format!(
-                "{}[{}]: {}\n  --> {}:{}\n",
-                d.level, d.rule, d.message, d.rel, d.line
-            ));
-        }
+        out.push_str(&format!(
+            "{}[{}]: {}\n  --> {}:{}\n",
+            d.level, d.rule, d.message, d.rel, d.line
+        ));
     }
     out
 }

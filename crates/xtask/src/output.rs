@@ -4,20 +4,15 @@
 //! a severity-tagged [`Diagnostic`] list and renders it as plain text,
 //! JSON, or SARIF 2.1.0 (the format GitHub code scanning ingests).
 //!
-//! **Fingerprints and the baseline.** Every violation carries a
-//! fingerprint — an FNV-1a hash of `(rule, file, offending line text)` —
-//! that survives unrelated edits elsewhere in the file. A committed
-//! baseline file (`lint-baseline.json` at the workspace root) lists
-//! fingerprints of tolerated pre-existing findings: matching violations
-//! are downgraded to `note` severity and do not fail the build, while
-//! anything new stays an error. A baseline entry that no longer matches
-//! any finding is *stale* and reported (error under `--strict`), so the
-//! baseline can only ever shrink.
+//! **Fingerprints.** Every violation carries a fingerprint — an FNV-1a
+//! hash of `(rule, file, offending line text)` — that survives unrelated
+//! edits elsewhere in the file. SARIF carries it as
+//! `partialFingerprints`, so code scanning tracks a finding across
+//! commits.
 
 use crate::json;
 use crate::rules;
 use crate::LintReport;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Diagnostic severity, mapped 1:1 onto SARIF `level`.
@@ -25,7 +20,6 @@ use std::fmt;
 pub enum Level {
     Error,
     Warning,
-    Note,
 }
 
 impl fmt::Display for Level {
@@ -33,7 +27,6 @@ impl fmt::Display for Level {
         f.write_str(match self {
             Level::Error => "error",
             Level::Warning => "warning",
-            Level::Note => "note",
         })
     }
 }
@@ -42,23 +35,18 @@ impl fmt::Display for Level {
 /// rule name, unused marker).
 pub const ALLOW_MARKER_RULE: &str = "allow-marker";
 
-/// Synthetic rule id for stale baseline entries.
-pub const BASELINE_RULE: &str = "baseline";
-
 /// One rendered diagnostic.
 #[derive(Debug)]
 pub struct Diagnostic {
     /// Rule id (a name from [`rules::ALL_RULES`] or a synthetic id).
     pub rule: String,
     pub level: Level,
-    /// Workspace-relative path (`/` separators); empty for tree-wide
-    /// diagnostics such as stale baseline entries.
+    /// Workspace-relative path (`/` separators).
     pub rel: String,
-    /// 1-based line, 0 for tree-wide diagnostics.
+    /// 1-based line.
     pub line: usize,
     pub message: String,
-    /// Stable fingerprint (empty for diagnostics that cannot recur, e.g.
-    /// stale baseline entries).
+    /// Stable fingerprint, see [`fingerprint`].
     pub fingerprint: String,
 }
 
@@ -96,30 +84,18 @@ pub fn fingerprint(rule: &str, rel: &str, line_text: &str) -> String {
 
 /// Flattens `report` into severity-tagged diagnostics.
 ///
-/// * violations → `error`, unless fingerprint-matched by `baseline`
-///   (→ `note`);
+/// * violations → `error`;
 /// * allow markers missing a reason / naming unknown rules → `error`;
-/// * unused allow markers → `warning`, or `error` under `strict`;
-/// * baseline entries matching no violation → `warning`, or `error`
-///   under `strict` (the baseline may only shrink).
-pub fn collect(report: &LintReport, strict: bool, baseline: &BTreeSet<String>) -> DiagnosticSet {
+/// * unused allow markers → `warning`, or `error` under `strict`.
+pub fn collect(report: &LintReport, strict: bool) -> DiagnosticSet {
     let mut diagnostics = Vec::new();
-    let mut matched: BTreeSet<&str> = BTreeSet::new();
     for v in &report.violations {
-        let baselined = baseline.contains(&v.fingerprint);
-        if baselined {
-            matched.insert(v.fingerprint.as_str());
-        }
         diagnostics.push(Diagnostic {
             rule: v.rule.to_owned(),
-            level: if baselined { Level::Note } else { Level::Error },
+            level: Level::Error,
             rel: v.rel.clone(),
             line: v.line,
-            message: if baselined {
-                format!("{} [baselined: tolerated pre-existing finding]", v.message)
-            } else {
-                v.message.clone()
-            },
+            message: v.message.clone(),
             fingerprint: v.fingerprint.clone(),
         });
     }
@@ -141,19 +117,6 @@ pub fn collect(report: &LintReport, strict: bool, baseline: &BTreeSet<String>) -
             line: *line,
             message: format!("allow({rules}) suppressed nothing; remove the stale marker"),
             fingerprint: fingerprint(ALLOW_MARKER_RULE, rel, rules),
-        });
-    }
-    for stale in baseline.iter().filter(|fp| !matched.contains(fp.as_str())) {
-        diagnostics.push(Diagnostic {
-            rule: BASELINE_RULE.to_owned(),
-            level: if strict { Level::Error } else { Level::Warning },
-            rel: String::new(),
-            line: 0,
-            message: format!(
-                "baseline fingerprint {stale} matches no current finding; remove it from the \
-                 baseline file"
-            ),
-            fingerprint: String::new(),
         });
     }
     diagnostics.sort_by(|a, b| (&a.rel, a.line, &a.rule).cmp(&(&b.rel, b.line, &b.rule)));
@@ -205,11 +168,6 @@ pub fn render_sarif(set: &DiagnosticSet) -> String {
          something"
             .to_owned(),
     ));
-    rules_catalog.push((
-        BASELINE_RULE.to_owned(),
-        "the committed lint baseline may only shrink; stale fingerprints must be removed"
-            .to_owned(),
-    ));
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -252,71 +210,21 @@ pub fn render_sarif(set: &DiagnosticSet) -> String {
             d.level,
             json::escape(&d.message),
         ));
-        if !d.rel.is_empty() {
-            out.push_str(&format!(
-                ",\n          \"locations\": [\n            {{\"physicalLocation\": \
-                 {{\"artifactLocation\": {{\"uri\": \"{}\", \"uriBaseId\": \"%SRCROOT%\"}}, \
-                 \"region\": {{\"startLine\": {}}}}}}}\n          ]",
-                json::escape(&d.rel),
-                d.line.max(1),
-            ));
-        }
-        if !d.fingerprint.is_empty() {
-            out.push_str(&format!(
-                ",\n          \"partialFingerprints\": {{\"dpcLintFingerprint/v1\": \"{}\"}}",
-                json::escape(&d.fingerprint),
-            ));
-        }
+        out.push_str(&format!(
+            ",\n          \"locations\": [\n            {{\"physicalLocation\": \
+             {{\"artifactLocation\": {{\"uri\": \"{}\", \"uriBaseId\": \"%SRCROOT%\"}}, \
+             \"region\": {{\"startLine\": {}}}}}}}\n          ],\n          \
+             \"partialFingerprints\": {{\"dpcLintFingerprint/v1\": \"{}\"}}",
+            json::escape(&d.rel),
+            d.line.max(1),
+            json::escape(&d.fingerprint),
+        ));
         out.push_str(&format!("\n        }}{comma}"));
     }
     if !set.diagnostics.is_empty() {
         out.push_str("\n      ");
     }
     out.push_str("]\n    }\n  ]\n}\n");
-    out
-}
-
-/// Parses a baseline file into its fingerprint set. The file is JSON:
-/// `{"schema": 1, "tool": "dpc-lint", "fingerprints": ["<hex>", ...]}`.
-pub fn parse_baseline(text: &str) -> Result<BTreeSet<String>, String> {
-    let doc = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let fps = doc
-        .get("fingerprints")
-        .and_then(json::Value::as_arr)
-        .ok_or("baseline has no `fingerprints` array")?;
-    let mut set = BTreeSet::new();
-    for fp in fps {
-        let s = fp.as_str().ok_or("baseline fingerprints must be strings")?;
-        set.insert(s.to_owned());
-    }
-    Ok(set)
-}
-
-/// Renders the current error-level findings as a baseline file.
-pub fn render_baseline(set: &DiagnosticSet) -> String {
-    let mut fps: Vec<&str> = set
-        .diagnostics
-        .iter()
-        .filter(|d| {
-            (d.level == Level::Error || d.level == Level::Note)
-                && !d.fingerprint.is_empty()
-                && d.rule != ALLOW_MARKER_RULE
-        })
-        .map(|d| d.fingerprint.as_str())
-        .collect();
-    fps.sort_unstable();
-    fps.dedup();
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"tool\": \"dpc-lint\",\n");
-    out.push_str("  \"fingerprints\": [");
-    let last = fps.len().saturating_sub(1);
-    for (i, fp) in fps.iter().enumerate() {
-        let comma = if i == last { "" } else { "," };
-        out.push_str(&format!("\n    \"{fp}\"{comma}"));
-    }
-    if !fps.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
     out
 }
 
@@ -340,67 +248,22 @@ mod tests {
     }
 
     #[test]
-    fn baseline_downgrades_matching_violation() {
-        let report =
-            report_for("crates/memsim/src/cache.rs", "fn f(x: Option<u32>) { x.unwrap(); }\n");
-        assert_eq!(report.violations.len(), 1);
-        let fp = report.violations[0].fingerprint.clone();
-        let strictly_empty = collect(&report, false, &BTreeSet::new());
-        assert!(strictly_empty.has_errors());
-        let baseline: BTreeSet<String> = [fp].into();
-        let baselined = collect(&report, false, &baseline);
-        assert!(!baselined.has_errors(), "{baselined:?}");
-        assert_eq!(baselined.count(Level::Note), 1);
-    }
-
-    #[test]
-    fn stale_baseline_entry_warns_then_fails_strict() {
-        let report = report_for("crates/memsim/src/cache.rs", "fn f() {}\n");
-        let baseline: BTreeSet<String> = ["deadbeefdeadbeef".to_owned()].into();
-        let lax = collect(&report, false, &baseline);
-        assert!(!lax.has_errors());
-        assert_eq!(lax.count(Level::Warning), 1);
-        let strict = collect(&report, true, &baseline);
-        assert!(strict.has_errors());
-    }
-
-    #[test]
     fn unused_allow_is_error_only_in_strict() {
         let src = "// dpc-lint: allow(determinism::wall-clock) -- stale\nlet x = 1;\n";
         let report = report_for("crates/core/src/report.rs", src);
-        assert!(!collect(&report, false, &BTreeSet::new()).has_errors());
-        assert!(collect(&report, true, &BTreeSet::new()).has_errors());
+        assert!(!collect(&report, false).has_errors());
+        assert!(collect(&report, true).has_errors());
     }
 
     #[test]
     fn json_output_parses_and_carries_fields() {
         let report =
             report_for("crates/memsim/src/cache.rs", "fn f(x: Option<u32>) { x.unwrap(); }\n");
-        let set = collect(&report, false, &BTreeSet::new());
+        let set = collect(&report, false);
         let doc = json::parse(&render_json(&set)).expect("valid JSON");
         let diags = doc.get("diagnostics").and_then(json::Value::as_arr).expect("array");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].get("rule").and_then(json::Value::as_str), Some("hot-path::unwrap"));
         assert_eq!(diags[0].get("line").and_then(json::Value::as_num), Some(1.0));
-    }
-
-    #[test]
-    fn baseline_round_trips_through_render_and_parse() {
-        let report =
-            report_for("crates/memsim/src/cache.rs", "fn f(x: Option<u32>) { x.unwrap(); }\n");
-        let set = collect(&report, false, &BTreeSet::new());
-        let text = render_baseline(&set);
-        let parsed = parse_baseline(&text).expect("valid baseline");
-        assert_eq!(parsed.len(), 1);
-        let again = collect(&report, false, &parsed);
-        assert!(!again.has_errors(), "round-tripped baseline must suppress the finding");
-    }
-
-    #[test]
-    fn empty_baseline_renders_and_parses() {
-        let report = report_for("crates/memsim/src/cache.rs", "fn f() {}\n");
-        let set = collect(&report, false, &BTreeSet::new());
-        let text = render_baseline(&set);
-        assert_eq!(parse_baseline(&text).expect("valid").len(), 0);
     }
 }

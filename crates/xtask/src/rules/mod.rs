@@ -11,9 +11,9 @@
 //! Every rule is deny-by-default; the only escape hatch is an inline
 //! `// dpc-lint: allow(<rule>) -- <reason>` comment on the offending line
 //! or the line directly above it. Rule names are **stable identifiers**:
-//! they key allow markers, the committed baseline fingerprints, and the
-//! SARIF `ruleId`s uploaded to code scanning, so renaming one is a
-//! breaking change to all three.
+//! they key allow markers, the finding fingerprints, and the SARIF
+//! `ruleId`s uploaded to code scanning, so renaming one is a breaking
+//! change to all three.
 
 pub mod budget;
 pub mod determinism;
@@ -39,8 +39,8 @@ pub struct Violation {
     /// Human explanation, including the offending token.
     pub message: String,
     /// Line-content fingerprint (rule + path + offending line text),
-    /// stable across unrelated insertions above the line. Keys the
-    /// committed baseline and the SARIF `partialFingerprints`.
+    /// stable across unrelated insertions above the line. Keys the SARIF
+    /// `partialFingerprints`.
     pub fingerprint: String,
 }
 

@@ -8,7 +8,6 @@
 //! full pipeline (item parse → call graph → rules → severity collect →
 //! JSON render → JSON parse) so a golden mismatch in any layer fails.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use xtask::json::{self, Value};
 use xtask::source::SourceFile;
@@ -70,7 +69,7 @@ fn run_case(case_dir: &Path) {
     assert!(!files.is_empty(), "{case}: no fixture .rs files");
 
     let report = xtask::lint_files(&files);
-    let set = xtask::output::collect(&report, strict, &BTreeSet::new());
+    let set = xtask::output::collect(&report, strict);
     let rendered = xtask::output::render_json(&set);
     let actual = json::parse(&rendered).unwrap_or_else(|e| panic!("{case}: bad JSON output: {e}"));
 

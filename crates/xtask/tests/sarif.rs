@@ -6,13 +6,12 @@
 //! whose `ruleId`/`ruleIndex` agree with that catalog and whose
 //! locations use `%SRCROOT%`-relative artifact URIs.
 
-use std::collections::BTreeSet;
 use xtask::json::{self, Value};
 use xtask::source::SourceFile;
 
 fn sarif_for(files: &[SourceFile]) -> Value {
     let report = xtask::lint_files(files);
-    let set = xtask::output::collect(&report, false, &BTreeSet::new());
+    let set = xtask::output::collect(&report, false);
     let text = xtask::output::render_sarif(&set);
     json::parse(&text).expect("SARIF output must be valid JSON")
 }
@@ -49,7 +48,7 @@ fn sarif_log_satisfies_the_2_1_0_required_shape() {
     let driver = run.get("tool").and_then(|t| t.get("driver")).expect("tool.driver");
     assert_eq!(str_of(driver, "name"), "dpc-lint");
     let rules = driver.get("rules").and_then(Value::as_arr).expect("driver.rules");
-    assert!(rules.len() >= 13, "11 lint rules + 2 synthetic ids, got {}", rules.len());
+    assert!(rules.len() >= 12, "11 lint rules + 1 synthetic id, got {}", rules.len());
     let rule_ids: Vec<&str> = rules.iter().map(|r| str_of(r, "id")).collect();
     for rule in rules {
         assert!(
@@ -122,7 +121,7 @@ fn workspace_sarif_parses_and_is_well_formed() {
         .expect("workspace root")
         .to_path_buf();
     let report = xtask::lint_workspace(&root).expect("workspace scan");
-    let set = xtask::output::collect(&report, true, &BTreeSet::new());
+    let set = xtask::output::collect(&report, true);
     let doc = json::parse(&xtask::output::render_sarif(&set)).expect("valid JSON");
     assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
     let runs = doc.get("runs").and_then(Value::as_arr).expect("runs");
