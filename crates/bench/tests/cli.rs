@@ -73,3 +73,24 @@ fn unwritable_timing_path_exits_2_before_any_simulation() {
     assert!(!err.contains("# campaign plan"), "rejected before planning: {err}");
     assert!(err.contains("/nonexistent-dpc-dir/t.json"), "the message names the path: {err}");
 }
+
+#[test]
+fn run_lengths_that_wrap_or_pass_the_clock_limit_exit_2() {
+    let limit = dpc_memsim::MAX_RUN_MEM_OPS;
+    let past_limit = limit.to_string();
+    for (warmup, measure) in [("18446744073709551615", "2"), (past_limit.as_str(), "1")] {
+        let output = paper()
+            .arg("fig1")
+            .env("DPC_SCALE", "tiny")
+            .env("DPC_WARMUP", warmup)
+            .env("DPC_MEASURE", measure)
+            .output()
+            .unwrap();
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(2), "{warmup} + {measure}: {err}");
+        assert!(output.stdout.is_empty(), "nothing may be rendered: {err}");
+        assert!(!err.contains("# campaign plan"), "rejected before planning: {err}");
+        assert!(err.contains("DPC_WARMUP + DPC_MEASURE"), "names both knobs: {err}");
+        assert!(err.contains(&limit.to_string()), "names the limit: {err}");
+    }
+}

@@ -338,7 +338,7 @@ fn timing(key: &RunKey, kind: SimKind, wall: Duration, result: &RunResult) -> Ru
         kind,
         wall,
         gen_wall: result.gen_wall,
-        mem_ops: key.1.warmup_mem_ops + key.1.measure_mem_ops,
+        mem_ops: key.1.checked_total_mem_ops(),
         events: result.stats.slow_steps,
     }
 }
@@ -355,8 +355,10 @@ fn timing(key: &RunKey, kind: SimKind, wall: Duration, result: &RunResult) -> Ru
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads (a simulation panicking is a
-/// bug, not an expected failure mode).
+/// Panics before any simulation starts if a planned run is longer than
+/// [`dpc_memsim::MAX_RUN_MEM_OPS`] ([`crate::RunConfig::total_mem_ops`]
+/// documents the limit). Propagates panics from worker threads (a
+/// simulation panicking is a bug, not an expected failure mode).
 pub fn execute(
     options: ExperimentOptions,
     plan: &CampaignPlan,
@@ -364,6 +366,9 @@ pub fn execute(
     progress: bool,
 ) -> (ExperimentContext, CampaignStats) {
     let threads = threads.max(1);
+    for key in plan.plain.iter().chain(&plan.oracle) {
+        key.1.checked_total_mem_ops();
+    }
     let factory = WorkloadFactory::new(options.scale, options.seed);
 
     // Oracle jobs subsume the recorded baseline's plain run; drop those

@@ -48,6 +48,10 @@ pub(crate) fn env_var(name: &str) -> Option<String> {
     std::env::var_os(name).map(|value| value.to_string_lossy().into_owned())
 }
 
+/// What a run whose `DPC_WARMUP + DPC_MEASURE` exceeds
+/// [`dpc_memsim::MAX_RUN_MEM_OPS`] is told; a unit test pins the number.
+const RUN_LENGTH_LIMIT: &str = "a total of at most 477218588 memory operations";
+
 /// Parses knob `name`'s `value` as a `T`, or names the accepted values.
 pub(crate) fn parse_knob<T: FromStr>(
     name: &'static str,
@@ -92,11 +96,15 @@ impl ExperimentOptions {
     /// (`tiny`/`small`/`paper`), `DPC_WARMUP` (a non-negative integer),
     /// `DPC_MEASURE` (a positive integer: an empty measured window has no
     /// rates to report), `DPC_SEED`, `DPC_PAGE_SIZE` (`4k`/`2m`/`1g`).
+    /// Warm-up plus measured operations may total at most
+    /// [`dpc_memsim::MAX_RUN_MEM_OPS`].
     ///
     /// # Errors
     ///
     /// Returns [`EnvError`] for the first knob set to a value it does not
-    /// accept; a bad value is never replaced by the default.
+    /// accept, and one naming `DPC_WARMUP + DPC_MEASURE` when their sum
+    /// overflows or exceeds the run-length limit; a bad value is never
+    /// replaced by the default.
     pub fn from_env() -> Result<Self, EnvError> {
         Self::from_lookup(env_var)
     }
@@ -132,6 +140,13 @@ impl ExperimentOptions {
         if let Some(value) = lookup("DPC_PAGE_SIZE") {
             let size = parse_knob("DPC_PAGE_SIZE", value, "4k, 2m or 1g")?;
             opts.page_policy = AllocPolicy::uniform(size);
+        }
+        if opts.base_run().total_mem_ops().is_none() {
+            return Err(EnvError {
+                name: "DPC_WARMUP + DPC_MEASURE",
+                value: format!("{} + {}", opts.warmup_mem_ops, opts.measure_mem_ops),
+                expected: RUN_LENGTH_LIMIT,
+            });
         }
         Ok(opts)
     }
@@ -1074,6 +1089,30 @@ mod tests {
             let message = err.to_string();
             assert!(message.contains(name) && message.contains(expected), "{message}");
         }
+        // A run whose length wraps u64, or passes the limit the simulated
+        // structures' u32 clocks allow, is refused naming both knobs.
+        let limit = dpc_memsim::MAX_RUN_MEM_OPS;
+        let past_limit = (limit - 5).to_string();
+        for (warmup, measure, sum) in [
+            ("18446744073709551615", "2", "18446744073709551615 + 2"),
+            (past_limit.as_str(), "6", &format!("{} + 6", limit - 5)),
+            ("0", "477218589", "0 + 477218589"),
+        ] {
+            let err =
+                options_from(&[("DPC_WARMUP", warmup), ("DPC_MEASURE", measure)]).expect_err(sum);
+            assert_eq!(
+                err,
+                EnvError {
+                    name: "DPC_WARMUP + DPC_MEASURE",
+                    value: sum.to_owned(),
+                    expected: RUN_LENGTH_LIMIT
+                }
+            );
+        }
+        assert!(RUN_LENGTH_LIMIT.contains(&format!(" {limit} ")), "{RUN_LENGTH_LIMIT}");
+        // Exactly the limit is a valid run.
+        let opts = options_from(&[("DPC_WARMUP", &past_limit), ("DPC_MEASURE", "5")]).unwrap();
+        assert_eq!(opts.base_run().total_mem_ops(), Some(limit));
     }
 
     #[test]

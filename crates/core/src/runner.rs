@@ -6,7 +6,7 @@
 
 use crate::dispatch::{dispatch, PolicyApply};
 use dpc_memsim::policy::AccuracyReport;
-use dpc_memsim::{LlcPolicy, LltPolicy, NullBlockPolicy, SimStats, System};
+use dpc_memsim::{LlcPolicy, LltPolicy, NullBlockPolicy, SimStats, System, MAX_RUN_MEM_OPS};
 use dpc_predictors::{BeladyOracle, DpPredConfig, LookupRecorder, LookupTrace};
 use dpc_types::SystemConfig;
 use dpc_workloads::{EventSource, WorkloadFactory};
@@ -91,6 +91,26 @@ impl RunConfig {
         self.system = system;
         self
     }
+
+    /// The run's length, warm-up plus measured memory operations, or
+    /// `None` when that sum overflows or exceeds [`MAX_RUN_MEM_OPS`] —
+    /// the longest run whose simulated structures' `u32` clocks cannot
+    /// wrap.
+    pub fn total_mem_ops(&self) -> Option<u64> {
+        self.warmup_mem_ops.checked_add(self.measure_mem_ops).filter(|&t| t <= MAX_RUN_MEM_OPS)
+    }
+
+    /// [`total_mem_ops`](Self::total_mem_ops), or a panic naming the
+    /// limit: a run past it is refused before anything simulates.
+    pub(crate) fn checked_total_mem_ops(&self) -> u64 {
+        self.total_mem_ops().unwrap_or_else(|| {
+            panic!(
+                "a run of {} warm-up + {} measured memory operations exceeds the limit of \
+                 {MAX_RUN_MEM_OPS}",
+                self.warmup_mem_ops, self.measure_mem_ops
+            )
+        })
+    }
 }
 
 /// Captured output of one run.
@@ -126,7 +146,7 @@ fn run_system<L: LltPolicy, C: LlcPolicy>(
     // apart; the replay side is additionally consumed in decoded chunks
     // (`System::run_stream`), which is bit-identical to event-at-a-time
     // consumption by construction.
-    let total_mem_ops = config.warmup_mem_ops + config.measure_mem_ops;
+    let total_mem_ops = config.checked_total_mem_ops();
     let (source, capture) =
         factory.source(workload, total_mem_ops).expect("experiment uses known workload names");
     // Sample deadness ~200 times over the measured window.
@@ -183,7 +203,9 @@ impl PolicyApply for RunAction<'_> {
 /// # Panics
 ///
 /// Panics if the system configuration is invalid or the workload name is
-/// unknown — experiment definitions control both.
+/// unknown — experiment definitions control both — and, before anything
+/// simulates, if the run is longer than [`MAX_RUN_MEM_OPS`]
+/// ([`RunConfig::total_mem_ops`]).
 pub fn run_workload(factory: &WorkloadFactory, workload: &str, config: &RunConfig) -> RunResult {
     dispatch(
         config.tlb_policy,

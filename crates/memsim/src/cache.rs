@@ -166,6 +166,20 @@ mod tests {
         })
     }
 
+    /// Host memory per simulated line of the paper's 2 MB, 16-way LLC,
+    /// tag included: 12.5 bytes of set block (validity, tag, `u32` stamp)
+    /// plus a 16-byte record (three `u32` lifetime fields, 4-byte
+    /// payload). It was 45 with one 8-byte column per field; a new
+    /// per-line field has to move this pin on purpose.
+    #[test]
+    fn paper_llc_costs_at_most_29_host_bytes_per_line() {
+        let llc = Cache::new(&SystemConfig::paper_baseline().llc);
+        let lines = llc.array().sets() * llc.array().ways();
+        assert_eq!(lines, 32_768);
+        let per_line = llc.array().host_bytes() as f64 / lines as f64;
+        assert!(per_line <= 29.0, "{per_line} host bytes per LLC line");
+    }
+
     #[test]
     fn miss_fill_hit() {
         let mut c = small();

@@ -67,5 +67,6 @@ pub use policy::{
     AccuracyReport, BlockFillDecision, EvictedBlock, EvictedPage, InsertPriority, LlcPolicy,
     LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision, PolicyLineView,
 };
+pub use set_assoc::MAX_RUN_MEM_OPS;
 pub use stats::{DeadnessStats, EvictionClasses, SimStats, StructStats};
 pub use system::{System, SystemError};

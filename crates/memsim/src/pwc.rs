@@ -150,6 +150,12 @@ impl PwcSet {
         }
     }
 
+    /// The three levels' arrays, leaf-closest first.
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> &[SetAssoc<Pfn>; 3] {
+        &self.levels
+    }
+
     /// Hits per level so far.
     pub fn hits(&self) -> [u64; 3] {
         self.hits

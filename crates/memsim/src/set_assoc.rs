@@ -5,23 +5,30 @@
 //! selected by [`ReplacementKind`]: LRU keeps a per-line recency stamp,
 //! SRRIP a 2-bit re-reference prediction value, FIFO an insertion stamp.
 //!
-//! Storage is the struct-of-arrays layout of [`crate::soa`]: lookups do a
-//! branchless tag compare over one contiguous tag column per set and a
-//! single validity-bitmask intersection, instead of walking an
-//! array-of-structs. Set indexing uses a precomputed mask when the set
-//! count is a power of two (every paper-baseline structure) and falls back
-//! to modulo otherwise (e.g. a 3 MB LLC with 3072 sets).
+//! Storage is the set-blocked layout of [`crate::soa`]: each set's
+//! validity mask, contiguous tags and `u32` replacement stamps share one
+//! block, so a lookup is a branchless tag compare plus one mask
+//! intersection inside a few adjacent host lines, and each line's
+//! lifetime statistics sit next to its payload in one record. Set
+//! indexing uses a precomputed mask when the set count is a power of two
+//! (every paper-baseline structure) and falls back to modulo otherwise
+//! (e.g. a 3 MB LLC with 3072 sets).
 //!
 //! Lifetime statistics needed by the paper's deadness characterization
-//! (fill time, last-hit time, hit count) are tracked per line in
-//! [`LineLife`].
+//! (fill time, last-hit time, hit count) are tracked per line and read
+//! as [`LineLife`]. The array's two clocks and everything stamped from
+//! them are `u32`: [`MAX_CLOCK_STEPS_PER_MEM_OP`] bounds how fast any
+//! array's clocks advance per simulated memory operation, and
+//! [`MAX_RUN_MEM_OPS`] is the longest run that bound keeps below
+//! `u32::MAX` (DESIGN.md §10). The `u64` fields of [`LineLife`] are
+//! widened copies.
 //!
 //! The victim-selection hooks ([`SetAssoc::with_set_views`]) reuse a
 //! scratch buffer owned by the array, so steady-state operation performs
 //! **zero heap allocations per event** (see DESIGN.md §10).
 
 use crate::policy::PolicyLineView;
-use crate::soa::{LineRef, SoaColumns};
+use crate::soa::{LineRecord, LineRef, SetBlocks};
 use dpc_types::{invariant, ReplacementKind};
 
 /// Payloads that expose 32 bits of policy scratch state to the
@@ -30,6 +37,28 @@ pub trait HasPolicyState {
     /// Mutable access to the per-line policy state.
     fn policy_state_mut(&mut self) -> &mut u32;
 }
+
+/// The most any one array's lookup clock or recency clock advances per
+/// simulated memory operation.
+///
+/// A memory operation makes at most two translations (instruction side,
+/// data side), each with at most one page walk of at most four PTE loads
+/// through the caches, plus its own data access: at most 9 cache
+/// accesses, and each advances a cache's lookup clock once and its
+/// recency clock once (a hit, or the fill after a miss). A translation
+/// advances an L1 TLB member's clocks at most once each, the LLT's lookup
+/// clock once per enabled page size (at most 3) and its recency clock at
+/// most twice (a hit or fill, plus an L1 victim written back under
+/// `L1ThenVictim`), and each PWC level's clocks at most once per walk.
+/// The largest of these is the caches' 9. `System` tests pin this on
+/// walk-heavy streams.
+pub const MAX_CLOCK_STEPS_PER_MEM_OP: u64 = 9;
+
+/// The longest run, warm-up plus measured memory operations, whose array
+/// clocks stay below `u32::MAX`: `u32::MAX / MAX_CLOCK_STEPS_PER_MEM_OP`
+/// (477 218 588). The experiment runner refuses longer runs before
+/// anything simulates.
+pub const MAX_RUN_MEM_OPS: u64 = u32::MAX as u64 / MAX_CLOCK_STEPS_PER_MEM_OP;
 
 /// Maximum RRPV for 2-bit SRRIP (2^2 - 1).
 pub const RRPV_MAX: u8 = 3;
@@ -55,7 +84,8 @@ pub enum InsertPriority {
 }
 
 /// Per-line lifetime statistics, in units of the owning structure's lookup
-/// sequence numbers.
+/// sequence numbers. Stored as `u32`s (see [`MAX_RUN_MEM_OPS`]) and
+/// widened on read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LineLife {
     /// Lookup sequence number at fill.
@@ -70,30 +100,34 @@ pub struct LineLife {
 /// Sentinel for [`PendingHit::idx`]: no hit-promotion is buffered.
 const NO_PENDING: usize = usize::MAX;
 
-/// A buffered hit-promotion not yet applied to the metadata columns.
+/// A buffered hit-promotion not yet applied to the line metadata.
 ///
-/// The hit paths advance the scalar clocks eagerly but defer the column
+/// The hit paths advance the scalar clocks eagerly but defer the metadata
 /// stores (lifetime stats, LRU stamp / SRRIP promotion) into this
 /// one-entry buffer; consecutive hits to the same line coalesce into a
 /// single eventual store. The buffer is applied ([`SetAssoc`]'s
-/// `flush_pending`) before any code path reads or writes the metadata
-/// columns, and merged on the fly by the `&self` readers — so the
+/// `flush_pending`) before any code path reads or writes stamps or
+/// records, and merged on the fly by the `&self` readers — so the
 /// deferral is unobservable (DESIGN.md §16).
 #[derive(Clone, Copy, Debug)]
 struct PendingHit {
-    /// Flat column index of the hit line, or [`NO_PENDING`].
+    /// Record index of the hit line, or [`NO_PENDING`].
     idx: usize,
+    /// Word index of the hit line's set block.
+    block: usize,
+    /// Way of the hit line.
+    way: usize,
     /// Coalesced hit count.
-    hits: u64,
+    hits: u32,
     /// Lookup-clock value of the most recent coalesced hit.
-    last_seq: u64,
+    last_seq: u32,
     /// Recency-clock value of the most recent coalesced hit.
-    last_tick: u64,
+    last_tick: u32,
 }
 
 impl PendingHit {
     const fn empty() -> Self {
-        PendingHit { idx: NO_PENDING, hits: 0, last_seq: 0, last_tick: 0 }
+        PendingHit { idx: NO_PENDING, block: 0, way: 0, hits: 0, last_seq: 0, last_tick: 0 }
     }
 }
 
@@ -109,7 +143,7 @@ pub struct Evicted<P> {
 }
 
 /// A set-associative array of `sets × ways` lines holding payload `P`,
-/// stored as dense parallel columns ([`SoaColumns`]).
+/// stored as set blocks plus line records ([`SetBlocks`]).
 #[derive(Clone, Debug)]
 pub struct SetAssoc<P> {
     sets: usize,
@@ -121,15 +155,15 @@ pub struct SetAssoc<P> {
     /// Bitmask with the low `ways` bits set (a full set's validity mask).
     way_mask: u64,
     replacement: ReplacementKind,
-    cols: SoaColumns<P>,
+    store: SetBlocks<P>,
     /// Reusable buffer for [`SetAssoc::with_set_views`]; preallocated to
     /// `ways` so the hot path never reallocates.
     scratch: Vec<PolicyLineView>,
     /// Monotonic recency clock (advanced on every touch/insert).
-    tick: u64,
+    tick: u32,
     /// Monotonic lookup sequence (advanced on every lookup), used for
     /// lifetime statistics.
-    seq: u64,
+    seq: u32,
     /// Lazily-applied hit-promotion buffer (see [`PendingHit`]).
     pending: PendingHit,
 }
@@ -152,13 +186,21 @@ impl<P: Default> SetAssoc<P> {
             sets_pow2,
             way_mask,
             replacement,
-            cols: SoaColumns::new(sets, ways, RRPV_MAX),
+            store: SetBlocks::new(sets, ways),
             scratch: Vec::with_capacity(ways),
             tick: 0,
             seq: 0,
             pending: PendingHit::empty(),
         }
     }
+}
+
+/// Advances an array clock. [`MAX_RUN_MEM_OPS`] keeps every clock of a
+/// run below `u32::MAX`.
+#[inline]
+fn advance(clock: &mut u32) {
+    invariant!(*clock < u32::MAX, "array clock overflow: the run exceeds MAX_RUN_MEM_OPS");
+    *clock += 1;
 }
 
 impl<P> SetAssoc<P> {
@@ -190,55 +232,75 @@ impl<P> SetAssoc<P> {
     /// [`LineLife`]).
     #[inline]
     pub fn seq(&self) -> u64 {
-        self.seq
+        u64::from(self.seq)
     }
 
-    /// Flat column index of `way` in the set `addr` maps to, with the set
-    /// index alongside it.
+    /// Current recency clock (advanced on every hit and fill).
+    #[cfg(test)]
+    pub(crate) fn tick(&self) -> u64 {
+        u64::from(self.tick)
+    }
+
+    /// Starts both clocks at `start`, so tests can drive an array across
+    /// the top of the `u32` clock range without simulating 4 billion
+    /// lookups first.
+    #[cfg(test)]
+    pub(crate) fn start_clocks_at(&mut self, start: u32) {
+        self.seq = start;
+        self.tick = start;
+    }
+
+    /// The block (word index) of the set `addr` maps to and the record
+    /// index of `way` in that set (`way` checked against the
+    /// associativity).
     #[inline]
     fn locate(&self, addr: u64, way: usize) -> (usize, usize) {
         let set = self.set_of(addr);
         invariant!(way < self.ways, "way {way} out of range for {}-way array", self.ways);
-        (set, set * self.ways + way)
+        (self.store.block(set), set * self.ways + way)
     }
 
-    /// Records a hit on flat index `idx` in the lazy promotion buffer.
-    /// Consecutive hits to the same line coalesce; a hit elsewhere first
-    /// applies whatever was buffered. Must run *after* the hit advanced
-    /// `seq` and `tick` (the buffer captures their current values).
+    /// Records a hit on `way` (record index `idx`, set block `block`) in
+    /// the lazy promotion buffer. Consecutive hits to the same line
+    /// coalesce; a hit elsewhere first applies whatever was buffered.
+    /// Must run *after* the hit advanced `seq` and `tick` (the buffer
+    /// captures their current values).
     #[inline]
-    fn note_hit(&mut self, idx: usize) {
+    fn note_hit(&mut self, block: usize, way: usize, idx: usize) {
         if self.pending.idx == idx {
             self.pending.hits += 1;
             self.pending.last_seq = self.seq;
             self.pending.last_tick = self.tick;
         } else {
             self.flush_pending();
-            self.pending = PendingHit { idx, hits: 1, last_seq: self.seq, last_tick: self.tick };
+            self.pending =
+                PendingHit { idx, block, way, hits: 1, last_seq: self.seq, last_tick: self.tick };
         }
     }
 
-    /// Applies the buffered hit-promotion to the metadata columns.
+    /// Applies the buffered hit-promotion to the line's record and stamp.
     ///
     /// Equivalent to having performed the eager per-hit stores: the
     /// intermediate values of a coalesced run are overwritten by its
     /// last hit (`last_hit_seq`, LRU stamp) or idempotent (SRRIP
     /// promotion to 0), and `hits` accumulates — so applying once at the
-    /// first metadata read gives the exact eager column state. Called
-    /// before every path that reads or writes stamps/rrpvs/lives.
+    /// first metadata read gives the exact eager state. Called before
+    /// every path that reads or writes stamps or records.
     #[inline]
     fn flush_pending(&mut self) {
         let idx = self.pending.idx;
         if idx == NO_PENDING {
             return;
         }
-        invariant!(idx < self.cols.lives.len(), "pending index came from an in-bounds hit");
-        let life = &mut self.cols.lives[idx];
-        life.hits += self.pending.hits;
-        life.last_hit_seq = self.pending.last_seq;
+        invariant!(idx < self.store.records.len(), "pending index came from an in-bounds hit");
+        let record = &mut self.store.records[idx];
+        record.hits += self.pending.hits;
+        record.last_hit_seq = self.pending.last_seq;
         match self.replacement {
-            ReplacementKind::Lru => self.cols.stamps[idx] = self.pending.last_tick,
-            ReplacementKind::Srrip => self.cols.rrpvs[idx] = 0,
+            ReplacementKind::Lru => {
+                self.store.set_stamp(self.pending.block, self.pending.way, self.pending.last_tick);
+            }
+            ReplacementKind::Srrip => self.store.set_stamp(self.pending.block, self.pending.way, 0),
             ReplacementKind::Fifo => {}
         }
         self.pending.idx = NO_PENDING;
@@ -250,17 +312,17 @@ impl<P> SetAssoc<P> {
     /// lookup clock advances.
     #[inline]
     pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
-        self.seq += 1;
+        advance(&mut self.seq);
         let set = self.set_of(addr);
-        let base = set * self.ways;
-        let hit = self.cols.match_mask(set, base, tag);
+        let block = self.store.block(set);
+        let hit = self.store.match_mask(block, tag);
         if hit == 0 {
             return None;
         }
-        // First-match-wins, exactly like the previous linear scan.
+        // First-match-wins, exactly like a linear scan.
         let way = hit.trailing_zeros() as usize;
-        self.tick += 1;
-        self.note_hit(base + way);
+        advance(&mut self.tick);
+        self.note_hit(block, way, set * self.ways + way);
         Some(way)
     }
 
@@ -270,19 +332,19 @@ impl<P> SetAssoc<P> {
     /// [`payload`](Self::payload) call would perform.
     #[inline]
     pub fn lookup_payload(&mut self, addr: u64, tag: u64) -> Option<(usize, &P)> {
-        self.seq += 1;
+        advance(&mut self.seq);
         let set = self.set_of(addr);
-        let base = set * self.ways;
-        let hit = self.cols.match_mask(set, base, tag);
+        let block = self.store.block(set);
+        let hit = self.store.match_mask(block, tag);
         if hit == 0 {
             return None;
         }
         let way = hit.trailing_zeros() as usize;
-        let idx = base + way;
-        self.tick += 1;
-        self.note_hit(idx);
-        invariant!(idx < self.cols.payloads.len(), "set * ways + way stays inside the columns");
-        Some((way, &self.cols.payloads[idx]))
+        let idx = set * self.ways + way;
+        advance(&mut self.tick);
+        self.note_hit(block, way, idx);
+        invariant!(idx < self.store.records.len(), "set * ways + way stays inside the records");
+        Some((way, &self.store.records[idx].payload))
     }
 
     /// Commits a hit previously found by [`peek`](Self::peek), applying
@@ -296,11 +358,10 @@ impl<P> SetAssoc<P> {
     /// with the array unmodified in between.
     #[inline]
     pub fn commit_hit(&mut self, addr: u64, way: usize) {
-        self.seq += 1;
-        let (_, idx) = self.locate(addr, way);
-        self.tick += 1;
-        invariant!(idx < self.cols.lives.len(), "locate() stays inside the columns");
-        self.note_hit(idx);
+        advance(&mut self.seq);
+        let (block, idx) = self.locate(addr, way);
+        advance(&mut self.tick);
+        self.note_hit(block, way, idx);
     }
 
     /// Commits a miss previously established by [`peek`](Self::peek):
@@ -308,15 +369,14 @@ impl<P> SetAssoc<P> {
     /// [`lookup`](Self::lookup).
     #[inline]
     pub fn commit_miss(&mut self) {
-        self.seq += 1;
+        advance(&mut self.seq);
     }
 
     /// Probes for `tag` without advancing any clock or updating recency
     /// (used by inclusion checks and tests).
     #[inline]
     pub fn peek(&self, addr: u64, tag: u64) -> Option<usize> {
-        let set = self.set_of(addr);
-        let hit = self.cols.match_mask(set, set * self.ways, tag);
+        let hit = self.store.match_mask(self.store.block(self.set_of(addr)), tag);
         if hit == 0 {
             None
         } else {
@@ -329,16 +389,16 @@ impl<P> SetAssoc<P> {
     #[inline]
     pub fn payload(&self, addr: u64, way: usize) -> &P {
         let (_, idx) = self.locate(addr, way);
-        invariant!(idx < self.cols.payloads.len(), "locate() stays inside the columns");
-        &self.cols.payloads[idx]
+        invariant!(idx < self.store.records.len(), "locate() stays inside the records");
+        &self.store.records[idx].payload
     }
 
     /// Mutable payload of a way in the set that `addr` maps to.
     #[inline]
     pub fn payload_mut(&mut self, addr: u64, way: usize) -> &mut P {
         let (_, idx) = self.locate(addr, way);
-        invariant!(idx < self.cols.payloads.len(), "locate() stays inside the columns");
-        &mut self.cols.payloads[idx]
+        invariant!(idx < self.store.records.len(), "locate() stays inside the records");
+        &mut self.store.records[idx].payload
     }
 
     /// Lifetime statistics of a way in the set that `addr` maps to,
@@ -347,11 +407,11 @@ impl<P> SetAssoc<P> {
     #[inline]
     pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
         let (_, idx) = self.locate(addr, way);
-        invariant!(idx < self.cols.lives.len(), "locate() stays inside the columns");
-        let mut life = self.cols.lives[idx];
+        invariant!(idx < self.store.records.len(), "locate() stays inside the records");
+        let mut life = self.store.records[idx].life();
         if self.pending.idx == idx {
-            life.hits += self.pending.hits;
-            life.last_hit_seq = self.pending.last_seq;
+            life.hits += u64::from(self.pending.hits);
+            life.last_hit_seq = u64::from(self.pending.last_seq);
         }
         life
     }
@@ -362,20 +422,19 @@ impl<P> SetAssoc<P> {
     #[inline]
     pub fn victim_way(&mut self, addr: u64) -> usize {
         self.flush_pending();
-        let set = self.set_of(addr);
-        let base = set * self.ways;
+        let block = self.store.block(self.set_of(addr));
         // Prefer the first invalid way.
-        let invalid = !self.cols.valid[set] & self.way_mask;
+        let invalid = !self.store.valid(block) & self.way_mask;
         if invalid != 0 {
             return invalid.trailing_zeros() as usize;
         }
         match self.replacement {
             ReplacementKind::Lru | ReplacementKind::Fifo => {
-                // First-encountered minimum stamp, as before.
-                let stamps = &self.cols.stamps[base..base + self.ways];
+                // First-encountered minimum stamp.
                 let mut best = 0;
-                let mut best_stamp = u64::MAX;
-                for (way, &stamp) in stamps.iter().enumerate() {
+                let mut best_stamp = self.store.stamp(block, 0);
+                for way in 1..self.ways {
+                    let stamp = self.store.stamp(block, way);
                     if stamp < best_stamp {
                         best_stamp = stamp;
                         best = way;
@@ -384,12 +443,13 @@ impl<P> SetAssoc<P> {
                 best
             }
             ReplacementKind::Srrip => loop {
-                let rrpvs = &mut self.cols.rrpvs[base..base + self.ways];
-                if let Some(way) = rrpvs.iter().position(|&r| r >= RRPV_MAX) {
+                let max = u32::from(RRPV_MAX);
+                if let Some(way) = (0..self.ways).find(|&w| self.store.stamp(block, w) >= max) {
                     return way;
                 }
-                for rrpv in rrpvs {
-                    *rrpv += 1;
+                for way in 0..self.ways {
+                    let rrpv = self.store.stamp(block, way);
+                    self.store.set_stamp(block, way, rrpv + 1);
                 }
             },
         }
@@ -408,41 +468,32 @@ impl<P> SetAssoc<P> {
     ) -> Option<Evicted<P>> {
         assert!(way < self.ways, "way {way} out of range (ways = {})", self.ways);
         self.flush_pending();
-        self.tick += 1;
+        advance(&mut self.tick);
         let tick = self.tick;
         let seq = self.seq;
-        let set = self.set_of(addr);
-        let idx = set * self.ways + way;
+        let (block, idx) = self.locate(addr, way);
         let way_bit = 1u64 << way;
-        let evicted = if self.cols.valid[set] & way_bit != 0 {
-            Some(Evicted {
-                tag: self.cols.tags[idx],
-                life: self.cols.lives[idx],
-                payload: std::mem::replace(&mut self.cols.payloads[idx], payload),
-            })
-        } else {
-            self.cols.payloads[idx] = payload;
-            None
+        let old_tag = self.store.tag(block, way);
+        let was_valid = self.store.valid(block) & way_bit != 0;
+        let fresh = LineRecord { fill_seq: seq, last_hit_seq: seq, hits: 0, payload };
+        let old = std::mem::replace(&mut self.store.records[idx], fresh);
+        let evicted =
+            was_valid.then(|| Evicted { tag: old_tag, life: old.life(), payload: old.payload });
+        *self.store.valid_mut(block) |= way_bit;
+        self.store.set_tag(block, way, tag);
+        let stamp = match self.replacement {
+            ReplacementKind::Lru => match priority {
+                InsertPriority::Normal | InsertPriority::High => tick,
+                InsertPriority::Distant => 0,
+            },
+            ReplacementKind::Fifo => tick,
+            ReplacementKind::Srrip => u32::from(match priority {
+                InsertPriority::Normal => RRPV_LONG,
+                InsertPriority::Distant => RRPV_MAX,
+                InsertPriority::High => 0,
+            }),
         };
-        self.cols.valid[set] |= way_bit;
-        self.cols.tags[idx] = tag;
-        self.cols.lives[idx] = LineLife { fill_seq: seq, last_hit_seq: seq, hits: 0 };
-        match self.replacement {
-            ReplacementKind::Lru => {
-                self.cols.stamps[idx] = match priority {
-                    InsertPriority::Normal | InsertPriority::High => tick,
-                    InsertPriority::Distant => 0,
-                };
-            }
-            ReplacementKind::Fifo => self.cols.stamps[idx] = tick,
-            ReplacementKind::Srrip => {
-                self.cols.rrpvs[idx] = match priority {
-                    InsertPriority::Normal => RRPV_LONG,
-                    InsertPriority::Distant => RRPV_MAX,
-                    InsertPriority::High => 0,
-                };
-            }
-        }
+        self.store.set_stamp(block, way, stamp);
         evicted
     }
 
@@ -467,22 +518,17 @@ impl<P> SetAssoc<P> {
     {
         let way = self.peek(addr, tag)?;
         self.flush_pending();
-        let set = self.set_of(addr);
-        invariant!(way < self.ways, "peek returned way {way} beyond {}-way set", self.ways);
-        let idx = set * self.ways + way;
-        self.cols.valid[set] &= !(1u64 << way);
-        Some(Evicted {
-            tag: self.cols.tags[idx],
-            life: self.cols.lives[idx],
-            payload: std::mem::take(&mut self.cols.payloads[idx]),
-        })
+        let (block, idx) = self.locate(addr, way);
+        *self.store.valid_mut(block) &= !(1u64 << way);
+        let tag = self.store.tag(block, way);
+        let record = &mut self.store.records[idx];
+        Some(Evicted { tag, life: record.life(), payload: std::mem::take(&mut record.payload) })
     }
 
     /// Whether every way of the set `addr` maps to holds valid contents.
     #[inline]
     pub fn set_full(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        self.cols.valid[set] == self.way_mask
+        self.store.valid(self.store.block(self.set_of(addr))) == self.way_mask
     }
 
     /// Runs `f` over [`PolicyLineView`]s of all *valid* lines in the set
@@ -505,19 +551,21 @@ impl<P> SetAssoc<P> {
     {
         self.flush_pending();
         let set = self.set_of(addr);
+        let block = self.store.block(set);
         let base = set * self.ways;
         self.scratch.clear();
-        let mut mask = self.cols.valid[set];
+        let mut mask = self.store.valid(block);
         while mask != 0 {
             let way = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let idx = base + way;
+            let record = &mut self.store.records[base + way];
+            let (hits, state) = (u64::from(record.hits), *record.payload.policy_state_mut());
             self.scratch.push(PolicyLineView {
                 way,
-                tag: self.cols.tags[idx],
-                hits: self.cols.lives[idx].hits,
+                tag: self.store.tag(block, way),
+                hits,
                 is_hit: hit_way == Some(way),
-                state: *self.cols.payloads[idx].policy_state_mut(),
+                state,
             });
         }
         let result = f(&mut self.scratch);
@@ -527,7 +575,7 @@ impl<P> SetAssoc<P> {
                 "policy moved a view beyond the {}-way set",
                 self.ways
             );
-            *self.cols.payloads[base + view.way].policy_state_mut() = view.state;
+            *self.store.records[base + view.way].payload.policy_state_mut() = view.state;
         }
         result
     }
@@ -536,12 +584,18 @@ impl<P> SetAssoc<P> {
     /// flush and by tests), with any buffered hit-promotion merged into
     /// the yielded lifetime stats.
     pub fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
-        self.cols.iter_valid_pending(self.pending.idx, self.pending.hits, self.pending.last_seq)
+        self.store.iter_valid_pending(self.pending.idx, self.pending.hits, self.pending.last_seq)
     }
 
     /// Number of currently valid lines.
     pub fn valid_count(&self) -> usize {
-        self.cols.valid_count()
+        self.store.valid_count()
+    }
+
+    /// Host bytes of this array's line storage (set blocks and records).
+    #[cfg(test)]
+    pub(crate) fn host_bytes(&self) -> usize {
+        self.store.host_bytes()
     }
 }
 
@@ -731,6 +785,69 @@ mod tests {
             let b = via_commit.fill(1, 7, 0, InsertPriority::Normal).expect("set full");
             assert_eq!(a.tag, b.tag, "{kind:?} victim choice");
             assert_eq!(a.life, b.life, "{kind:?} evicted lifetime stats");
+        }
+    }
+
+    /// The `u32` storage must hand back exactly the `u64` clock values a
+    /// run near the top of the clock range produced: through a coalesced
+    /// hit run, an eviction, `life_of`, `iter_valid` and `with_set_views`,
+    /// for every replacement kind.
+    #[test]
+    fn lifetimes_round_trip_near_the_top_of_the_clock_range() {
+        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        struct S(u32);
+        impl HasPolicyState for S {
+            fn policy_state_mut(&mut self) -> &mut u32 {
+                &mut self.0
+            }
+        }
+        let start = u32::MAX - 40;
+        let top = u64::from(start);
+        for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo] {
+            let mut s: SetAssoc<S> = SetAssoc::new(1, 2, kind);
+            s.start_clocks_at(start);
+            assert_eq!(s.lookup(0, 10), None); // seq top+1
+            s.fill(0, 10, S(1), InsertPriority::Normal); // fill_seq top+1
+            s.lookup(0, 20); // seq top+2, miss
+            s.fill(0, 20, S(2), InsertPriority::Normal); // fill_seq top+2
+            for _ in 0..3 {
+                s.lookup(0, 10).expect("resident"); // seq top+3..=top+5
+            }
+            let way = s.peek(0, 10).expect("resident");
+            let want = LineLife { fill_seq: top + 1, last_hit_seq: top + 5, hits: 3 };
+            assert_eq!(s.life_of(0, way), want, "{kind:?} life_of merges the pending run");
+            let lives: Vec<LineLife> = s.iter_valid().map(|l| l.life()).collect();
+            assert!(lives.contains(&want), "{kind:?} iter_valid: {lives:?}");
+            let hits = s.with_set_views(0, Some(way), |views| views[way].hits);
+            assert_eq!(hits, 3, "{kind:?} set views see the flushed hits");
+            s.commit_hit(0, way); // seq top+6
+            s.commit_miss(); // seq top+7
+            let evicted = s.invalidate(0, 10).expect("resident");
+            assert_eq!(
+                evicted.life,
+                LineLife { fill_seq: top + 1, last_hit_seq: top + 6, hits: 4 },
+                "{kind:?} invalidation"
+            );
+            // Fill the freed way, then force an eviction of the other line
+            // through the replacement policy.
+            s.fill(0, 30, S(3), InsertPriority::Normal);
+            s.lookup(0, 30).expect("resident"); // seq top+8
+                                                // Every kind evicts the never-hit, earlier-filled tag 20.
+            let evicted = s.fill(0, 40, S(4), InsertPriority::Normal).expect("set full");
+            assert_eq!(evicted.tag, 20, "{kind:?} victim");
+            assert_eq!(
+                evicted.life,
+                LineLife { fill_seq: top + 2, last_hit_seq: top + 2, hits: 0 },
+                "{kind:?} eviction"
+            );
+            let survivor = s.peek(0, 30).expect("resident");
+            assert_eq!(
+                s.life_of(0, survivor),
+                LineLife { fill_seq: top + 7, last_hit_seq: top + 8, hits: 1 },
+                "{kind:?} survivor"
+            );
+            assert_eq!(s.seq(), top + 8);
+            assert!(s.tick() > top, "{kind:?} recency clock kept its range");
         }
     }
 

@@ -11,7 +11,7 @@
 
 /// Way-match bitmask over a set's contiguous tag column: bit `w` of the
 /// result is set iff `tags[w] == needle`. Validity intersection is the
-/// caller's job ([`crate::soa::SoaColumns::match_mask`]), which keeps
+/// caller's job ([`crate::soa::SetBlocks::match_mask`]), which keeps
 /// this kernel a pure column compare.
 ///
 /// First-match-wins order is the bit order, so `trailing_zeros` on the
@@ -77,7 +77,7 @@ fn generic_match(tags: &[u64], needle: u64) -> u64 {
 /// packs the lane results into the way bitmask via `movemask`. Covers
 /// every paper-baseline associativity with whole vectors (4-way = 1,
 /// 8-way = 2, 16-way = 4) and handles other geometries with a scalar
-/// tail; the `SoaColumns` 64-way ceiling bounds every shift below 64.
+/// tail; the `SetBlocks` 64-way ceiling bounds every shift below 64.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn match_mask_avx2(tags: &[u64], needle: u64) -> u64 {

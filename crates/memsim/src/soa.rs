@@ -1,33 +1,50 @@
-//! Struct-of-arrays backing store for [`SetAssoc`](crate::set_assoc::SetAssoc).
+//! Set-blocked backing store for [`SetAssoc`](crate::set_assoc::SetAssoc).
 //!
-//! The hot path of the simulator is the tag search in `SetAssoc::lookup`;
-//! with an array-of-structs layout every probed way drags a whole
-//! `Line<P>` (tag + stamp + rrpv + lifetime stats + payload) through the
-//! data cache. This module stores each field in its own dense column so a
-//! set's tags occupy one contiguous run of `ways` × 8 bytes — a 16-way
-//! set's tags fit in two hardware cache lines — and validity is a single
-//! `u64` bitmask per set:
+//! The hot path of the simulator is the tag search in `SetAssoc::lookup`,
+//! and a simulated 2 MB LLC holds 32768 lines, so the host bytes and host
+//! cache lines each simulated line costs decide how fast the cache ladder
+//! runs (DESIGN.md §10). Storage is two arrays:
 //!
-//! * `valid[set]` — bit `w` set ⇔ way `w` holds valid contents;
-//! * `tags[set * ways + w]` — the tag stored in way `w`;
-//! * `stamps` / `rrpvs` — LRU/FIFO recency stamps and SRRIP re-reference
-//!   values, only touched by the replacement policy;
-//! * `lives` — [`LineLife`] lifetime statistics for the deadness
-//!   characterization;
-//! * `payloads` — the structure-specific payload (TLB translation, cache
-//!   block flags, PWC node, ...).
+//! * **set blocks** — one block of `u64` words per set, holding everything
+//!   a lookup or a victim search reads, in this order:
 //!
-//! [`SoaColumns::match_mask`] compares every tag of a set without
+//!   | words | contents |
+//!   |---|---|
+//!   | `0` | validity mask: bit `w` set ⇔ way `w` holds valid contents |
+//!   | `1 ..= ways` | the tags, one per way, contiguous |
+//!   | `ways + 1 ..` | the `u32` replacement stamps, two per word (way `w` in the low half of word `w / 2` when `w` is even, the high half when odd) |
+//!
+//!   A stamp is the LRU/FIFO recency stamp or, under SRRIP, the 2-bit
+//!   re-reference prediction value: one array uses one replacement kind,
+//!   so the two never share a slot. The block stride is `1 + ways +
+//!   ceil(ways / 2)` words (200 bytes for the paper's 16-way LLC) and is
+//!   not padded; the first block starts on a 64-byte boundary (a safe
+//!   word offset into the allocation, see [`AlignedWords`]). Validity
+//!   first means the mask and a 16-way set's tags always span three host
+//!   lines, the same count a 64-byte-padded stride would give, for 22%
+//!   fewer bytes.
+//! * **line records** — one [`LineRecord`] per line, `set * ways + way`:
+//!   the line's lifetime statistics as three `u32`s next to its payload
+//!   (16 bytes for a cache block's 4-byte payload).
+//!
+//! Every clock stored here is a `u32`. The owning array's clocks advance
+//! at most [`MAX_CLOCK_STEPS_PER_MEM_OP`](crate::set_assoc::MAX_CLOCK_STEPS_PER_MEM_OP)
+//! times per simulated memory operation, and runs longer than
+//! [`MAX_RUN_MEM_OPS`](crate::set_assoc::MAX_RUN_MEM_OPS) are refused
+//! before they start, so no stored value wraps; [`LineRecord::life`]
+//! widens to the public `u64` [`LineLife`].
+//!
+//! [`SetBlocks::match_mask`] compares every tag of a set without
 //! branching and intersects with the validity mask; `trailing_zeros` on
 //! the result recovers the first matching way, preserving the
-//! first-match-wins semantics of the original linear scan bit for bit.
+//! first-match-wins semantics of a linear scan bit for bit.
 //!
-//! Bounds evidence for the dpc-lint `hot-path::index` rule: every flat
-//! index is `set * ways + way` where `set` comes from
-//! `SetAssoc::set_of` (reduced modulo / masked by the set count) and
-//! `way < ways` is asserted by `invariant!` at the call sites, so all
-//! column accesses stay inside the `sets * ways` allocation made by
-//! [`SoaColumns::new`].
+//! Bounds evidence for the dpc-lint `hot-path::index` rule: every block
+//! base is `start + set * stride` and every record index `set * ways +
+//! way`, where `set` comes from `SetAssoc::set_of` (reduced modulo /
+//! masked by the set count) and `way < ways` is asserted by `invariant!`
+//! at the call sites, so all accesses stay inside the `sets` blocks and
+//! `sets * ways` records allocated by [`SetBlocks::new`].
 
 use crate::set_assoc::LineLife;
 use dpc_types::invariant;
@@ -36,90 +53,204 @@ use dpc_types::invariant;
 /// bitmask.
 pub const MAX_WAYS: usize = 64;
 
-/// The dense parallel columns of a set-associative array.
+/// Host cache-line size the block array is aligned to, in `u64` words.
+const ALIGN_WORDS: usize = 8;
+
+/// Word offset of the tags inside a set block (the validity mask is
+/// word 0).
+const TAGS: usize = 1;
+
+/// Lifetime statistics and payload of one line, stored side by side.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LineRecord<P> {
+    /// Lookup sequence number at fill.
+    pub(crate) fill_seq: u32,
+    /// Lookup sequence number of the most recent hit.
+    pub(crate) last_hit_seq: u32,
+    /// Hits since fill.
+    pub(crate) hits: u32,
+    /// The structure-specific payload (TLB translation, cache block
+    /// flags, PWC node, ...).
+    pub(crate) payload: P,
+}
+
+impl<P> LineRecord<P> {
+    /// The record's lifetime statistics, widened to the public form.
+    #[inline]
+    pub(crate) fn life(&self) -> LineLife {
+        LineLife {
+            fill_seq: u64::from(self.fill_seq),
+            last_hit_seq: u64::from(self.last_hit_seq),
+            hits: u64::from(self.hits),
+        }
+    }
+}
+
+/// A `u64` array whose usable part, `words[start..]`, begins on a
+/// 64-byte boundary: the allocation is over-sized by up to seven words
+/// and `start` skips to the first aligned one, so no `unsafe` allocator
+/// call is needed. A clone keeps the offset, so its blocks may start off
+/// a host-line boundary; only speed, never contents, depends on it.
+#[derive(Clone, Debug)]
+pub(crate) struct AlignedWords {
+    words: Vec<u64>,
+    start: usize,
+}
+
+impl AlignedWords {
+    fn new(len: usize) -> Self {
+        let words = vec![0u64; len + ALIGN_WORDS - 1];
+        let misalign = (words.as_ptr().addr() / 8) % ALIGN_WORDS;
+        let start = (ALIGN_WORDS - misalign) % ALIGN_WORDS;
+        AlignedWords { words, start }
+    }
+
+    fn len(&self) -> usize {
+        self.words.len() + 1 - ALIGN_WORDS
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        let end = self.start + self.len();
+        invariant!(end <= self.words.len(), "the offset skips less than one host line");
+        &self.words[self.start..end]
+    }
+}
+
+/// The set blocks and line records of a set-associative array.
 ///
 /// Field layout is crate-internal; [`SetAssoc`](crate::set_assoc::SetAssoc)
 /// is the only consumer and re-exposes typed accessors.
 #[derive(Clone, Debug)]
-pub struct SoaColumns<P> {
+pub struct SetBlocks<P> {
     ways: usize,
-    /// One validity bitmask per set (bit `w` = way `w` is valid).
-    pub(crate) valid: Vec<u64>,
-    /// Packed tags, `ways` consecutive entries per set.
-    pub(crate) tags: Vec<u64>,
-    /// LRU/FIFO recency stamps, same layout as `tags`.
-    pub(crate) stamps: Vec<u64>,
-    /// SRRIP re-reference prediction values, same layout as `tags`.
-    pub(crate) rrpvs: Vec<u8>,
-    /// Per-line lifetime statistics, same layout as `tags`.
-    pub(crate) lives: Vec<LineLife>,
-    /// Per-line payloads, same layout as `tags`.
-    pub(crate) payloads: Vec<P>,
+    /// `u64` words per set block.
+    stride: usize,
+    /// All set blocks, set `s` at words `start + s * stride ..`.
+    blocks: AlignedWords,
+    /// One record per line, `set * ways + way`.
+    pub(crate) records: Vec<LineRecord<P>>,
 }
 
-impl<P: Default> SoaColumns<P> {
-    /// Allocates empty columns for `sets × ways` lines.
+impl<P: Default> SetBlocks<P> {
+    /// Allocates empty storage for `sets × ways` lines: every way
+    /// invalid, every tag and stamp 0. Victim search takes an invalid way
+    /// before it reads any stamp, and a fill sets the stamp of the way it
+    /// validates, so no initial stamp is ever read.
     ///
     /// # Panics
     ///
     /// Panics if `ways` exceeds [`MAX_WAYS`] (the validity bitmask is one
     /// `u64` per set).
-    pub(crate) fn new(sets: usize, ways: usize, initial_rrpv: u8) -> Self {
+    pub(crate) fn new(sets: usize, ways: usize) -> Self {
         assert!(ways <= MAX_WAYS, "associativity {ways} exceeds the {MAX_WAYS}-way bitmask limit");
+        let stride = TAGS + ways + ways.div_ceil(2);
+        let blocks = AlignedWords::new(sets * stride);
         let lines = sets * ways;
-        let mut payloads = Vec::with_capacity(lines);
-        payloads.resize_with(lines, P::default);
-        SoaColumns {
-            ways,
-            valid: vec![0; sets],
-            tags: vec![0; lines],
-            stamps: vec![0; lines],
-            rrpvs: vec![initial_rrpv; lines],
-            lives: vec![LineLife::default(); lines],
-            payloads,
-        }
+        let mut records = Vec::with_capacity(lines);
+        records.resize_with(lines, LineRecord::default);
+        SetBlocks { ways, stride, blocks, records }
     }
 }
 
-impl<P> SoaColumns<P> {
-    /// Branchless tag compare over the set's contiguous tag column,
-    /// intersected with the validity mask. Bit `w` of the result is set
-    /// iff way `w` is valid and holds `tag`; `trailing_zeros` recovers
-    /// the first match.
+impl<P> SetBlocks<P> {
+    /// Word index of set `set`'s block (its validity mask).
+    #[inline]
+    pub(crate) fn block(&self, set: usize) -> usize {
+        self.blocks.start + set * self.stride
+    }
+
+    /// Validity mask of the block at `block`.
+    #[inline]
+    pub(crate) fn valid(&self, block: usize) -> u64 {
+        invariant!(block < self.blocks.words.len(), "block() stays inside the blocks");
+        self.blocks.words[block]
+    }
+
+    /// Mutable validity mask of the block at `block`.
+    #[inline]
+    pub(crate) fn valid_mut(&mut self, block: usize) -> &mut u64 {
+        invariant!(block < self.blocks.words.len(), "block() stays inside the blocks");
+        &mut self.blocks.words[block]
+    }
+
+    /// Tag of `way` in the block at `block`.
+    #[inline]
+    pub(crate) fn tag(&self, block: usize, way: usize) -> u64 {
+        invariant!(way < self.ways, "way {way} beyond the {}-way set", self.ways);
+        self.blocks.words[block + TAGS + way]
+    }
+
+    /// Stores `tag` in `way` of the block at `block`.
+    #[inline]
+    pub(crate) fn set_tag(&mut self, block: usize, way: usize, tag: u64) {
+        invariant!(way < self.ways, "way {way} beyond the {}-way set", self.ways);
+        self.blocks.words[block + TAGS + way] = tag;
+    }
+
+    /// Word index and bit shift of `way`'s stamp in the block at `block`.
+    #[inline]
+    fn stamp_slot(&self, block: usize, way: usize) -> (usize, u32) {
+        invariant!(way < self.ways, "way {way} beyond the {}-way set", self.ways);
+        (block + TAGS + self.ways + way / 2, 32 * (way as u32 & 1))
+    }
+
+    /// Replacement stamp of `way` in the block at `block`.
+    #[inline]
+    pub(crate) fn stamp(&self, block: usize, way: usize) -> u32 {
+        let (word, shift) = self.stamp_slot(block, way);
+        invariant!(word < self.blocks.words.len(), "block() stays inside the blocks");
+        (self.blocks.words[word] >> shift) as u32
+    }
+
+    /// Stores `stamp` as `way`'s replacement stamp in the block at `block`.
+    #[inline]
+    pub(crate) fn set_stamp(&mut self, block: usize, way: usize, stamp: u32) {
+        let (word, shift) = self.stamp_slot(block, way);
+        invariant!(word < self.blocks.words.len(), "block() stays inside the blocks");
+        let slot = &mut self.blocks.words[word];
+        *slot = (*slot & !(u64::from(u32::MAX) << shift)) | (u64::from(stamp) << shift);
+    }
+
+    /// Branchless tag compare over the set's contiguous tags, intersected
+    /// with the validity mask. Bit `w` of the result is set iff way `w`
+    /// is valid and holds `tag`; `trailing_zeros` recovers the first
+    /// match.
     ///
     /// The compare itself is [`crate::simd::match_mask`]: 256-bit AVX2
-    /// tag compares (four ways per vector) when the runtime SIMD gate is
-    /// on, fixed-width unrolled scalar comparisons otherwise — both
-    /// producing the identical way bitmask.
+    /// tag compares (four ways per vector) where the host has AVX2,
+    /// fixed-width unrolled scalar comparisons otherwise — both producing
+    /// the identical way bitmask.
     #[inline]
-    pub(crate) fn match_mask(&self, set: usize, base: usize, tag: u64) -> u64 {
-        invariant!(set < self.valid.len(), "caller masks the set index into range");
-        invariant!(base + self.ways <= self.tags.len(), "base = set * ways stays inside the tags");
-        crate::simd::match_mask(&self.tags[base..base + self.ways], tag) & self.valid[set]
+    pub(crate) fn match_mask(&self, block: usize, tag: u64) -> u64 {
+        let words = &self.blocks.words;
+        invariant!(block + TAGS + self.ways <= words.len(), "block() stays inside the blocks");
+        crate::simd::match_mask(&words[block + TAGS..block + TAGS + self.ways], tag) & words[block]
     }
 
     /// Iterates over all valid lines in storage order, with the owning
-    /// array's lazily buffered hit-promotion merged in: the line at flat index
-    /// `pending_idx` is yielded with `pending_hits` extra hits and
-    /// `pending_seq` as its last-hit time, exactly the state eager
-    /// updates would have left in the columns. Pass `usize::MAX` (never
-    /// a valid index) when nothing is buffered.
+    /// array's lazily buffered hit-promotion merged in: the line at
+    /// record index `pending_idx` is yielded with `pending_hits` extra
+    /// hits and `pending_seq` as its last-hit time, exactly the state
+    /// eager updates would have left in the records. Pass `usize::MAX`
+    /// (never a valid index) when nothing is buffered.
     pub(crate) fn iter_valid_pending(
         &self,
         pending_idx: usize,
-        pending_hits: u64,
-        pending_seq: u64,
+        pending_hits: u32,
+        pending_seq: u32,
     ) -> impl Iterator<Item = LineRef<'_, P>> {
-        self.valid.iter().enumerate().flat_map(move |(set, &mask)| {
-            let base = set * self.ways;
-            BitIter(mask).map(move |way| {
-                let idx = base + way;
-                let mut life = self.lives[idx];
+        let sets = self.records.len() / self.ways;
+        (0..sets).flat_map(move |set| {
+            let block = self.block(set);
+            BitIter(self.valid(block)).map(move |way| {
+                let idx = set * self.ways + way;
+                let record = &self.records[idx];
+                let mut life = record.life();
                 if idx == pending_idx {
-                    life.hits += pending_hits;
-                    life.last_hit_seq = pending_seq;
+                    life.hits += u64::from(pending_hits);
+                    life.last_hit_seq = u64::from(pending_seq);
                 }
-                LineRef { tag: self.tags[idx], life, payload: &self.payloads[idx] }
+                LineRef { tag: self.tag(block, way), life, payload: &record.payload }
             })
         })
     }
@@ -127,7 +258,15 @@ impl<P> SoaColumns<P> {
     /// Number of valid lines across all sets.
     #[inline]
     pub(crate) fn valid_count(&self) -> usize {
-        self.valid.iter().map(|m| m.count_ones() as usize).sum()
+        self.blocks.as_slice().chunks_exact(self.stride).map(|b| b[0].count_ones() as usize).sum()
+    }
+
+    /// Host bytes this storage occupies: the block words (alignment slack
+    /// included) plus the records.
+    #[cfg(test)]
+    pub(crate) fn host_bytes(&self) -> usize {
+        self.blocks.words.capacity() * std::mem::size_of::<u64>()
+            + self.records.capacity() * std::mem::size_of::<LineRecord<P>>()
     }
 }
 
@@ -178,20 +317,20 @@ mod tests {
 
     #[test]
     fn match_mask_respects_validity_and_order() {
-        let mut cols: SoaColumns<u32> = SoaColumns::new(2, 4, 0);
+        let mut store: SetBlocks<u32> = SetBlocks::new(2, 4);
         // Set 1: ways 0 and 2 hold tag 7, but only way 2 is valid.
-        let base = 4;
-        cols.tags[base] = 7;
-        cols.tags[base + 2] = 7;
-        cols.valid[1] = 0b0100;
-        assert_eq!(cols.match_mask(1, base, 7), 0b0100);
+        let block = store.block(1);
+        store.set_tag(block, 0, 7);
+        store.set_tag(block, 2, 7);
+        *store.valid_mut(block) = 0b0100;
+        assert_eq!(store.match_mask(block, 7), 0b0100);
         // Making way 0 valid restores first-match-wins via trailing_zeros.
-        cols.valid[1] = 0b0101;
-        let mask = cols.match_mask(1, base, 7);
+        *store.valid_mut(block) = 0b0101;
+        let mask = store.match_mask(block, 7);
         assert_eq!(mask, 0b0101);
         assert_eq!(mask.trailing_zeros(), 0);
         // An invalid set contributes nothing.
-        assert_eq!(cols.match_mask(0, 0, 0), 0);
+        assert_eq!(store.match_mask(store.block(0), 0), 0);
     }
 
     #[test]
@@ -203,32 +342,73 @@ mod tests {
 
     #[test]
     fn iter_valid_walks_storage_order() {
-        let mut cols: SoaColumns<u32> = SoaColumns::new(2, 2, 0);
-        cols.tags[1] = 11; // set 0, way 1
-        cols.tags[2] = 22; // set 1, way 0
-        cols.valid[0] = 0b10;
-        cols.valid[1] = 0b01;
-        let tags: Vec<u64> = cols.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
+        let mut store: SetBlocks<u32> = SetBlocks::new(2, 2);
+        let (b0, b1) = (store.block(0), store.block(1));
+        store.set_tag(b0, 1, 11);
+        store.set_tag(b1, 0, 22);
+        *store.valid_mut(b0) = 0b10;
+        *store.valid_mut(b1) = 0b01;
+        let tags: Vec<u64> = store.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
         assert_eq!(tags, vec![11, 22]);
-        assert_eq!(cols.valid_count(), 2);
+        assert_eq!(store.valid_count(), 2);
     }
 
     #[test]
     fn iter_valid_pending_merges_the_buffered_promotion() {
-        let mut cols: SoaColumns<u32> = SoaColumns::new(1, 2, 0);
-        cols.valid[0] = 0b11;
-        cols.lives[0] = LineLife { fill_seq: 1, last_hit_seq: 1, hits: 0 };
-        cols.lives[1] = LineLife { fill_seq: 2, last_hit_seq: 2, hits: 5 };
-        let lives: Vec<LineLife> = cols.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
-        assert_eq!(lives[0], cols.lives[0], "unbuffered line is yielded verbatim");
+        let mut store: SetBlocks<u32> = SetBlocks::new(1, 2);
+        *store.valid_mut(store.block(0)) = 0b11;
+        store.records[0] = LineRecord { fill_seq: 1, last_hit_seq: 1, hits: 0, payload: 0 };
+        store.records[1] = LineRecord { fill_seq: 2, last_hit_seq: 2, hits: 5, payload: 0 };
+        let lives: Vec<LineLife> = store.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
+        assert_eq!(lives[0], store.records[0].life(), "unbuffered line is yielded verbatim");
         assert_eq!(lives[1], LineLife { fill_seq: 2, last_hit_seq: 9, hits: 8 });
-        // The columns themselves stay untouched: merge, not flush.
-        assert_eq!(cols.lives[1].hits, 5);
+        // The records themselves stay untouched: merge, not flush.
+        assert_eq!(store.records[1].hits, 5);
+    }
+
+    /// Stamps share words in pairs; writing one way's stamp must leave
+    /// its neighbour, the tags and the validity mask alone, for odd and
+    /// even associativities.
+    #[test]
+    fn stamps_pack_two_per_word_without_clobbering() {
+        for ways in [1usize, 3, 4, 12, 16, 64] {
+            let mut store: SetBlocks<u32> = SetBlocks::new(3, ways);
+            let block = store.block(1);
+            for way in 0..ways {
+                assert_eq!(store.stamp(block, way), 0, "{ways}-way initial stamp");
+                store.set_tag(block, way, 1000 + way as u64);
+            }
+            *store.valid_mut(block) = 0b1;
+            for way in 0..ways {
+                store.set_stamp(block, way, u32::MAX - way as u32);
+            }
+            for way in 0..ways {
+                assert_eq!(store.stamp(block, way), u32::MAX - way as u32, "{ways}-way stamp");
+                assert_eq!(store.tag(block, way), 1000 + way as u64, "{ways}-way tag");
+            }
+            assert_eq!(store.valid(block), 0b1);
+            // The neighbouring sets' blocks are untouched.
+            for set in [0, 2] {
+                let other = store.block(set);
+                assert_eq!(store.valid(other), 0);
+                assert!((0..ways).all(|w| store.stamp(other, w) == 0 && store.tag(other, w) == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_start_on_a_host_line() {
+        for (sets, ways) in [(1, 1), (4, 16), (3, 12), (2, 64)] {
+            let store: SetBlocks<u32> = SetBlocks::new(sets, ways);
+            let first = store.blocks.as_slice().as_ptr();
+            assert_eq!(first.addr() % 64, 0, "{sets}x{ways}: block array is line-aligned");
+            assert_eq!(store.blocks.as_slice().len(), sets * store.stride);
+        }
     }
 
     #[test]
     #[should_panic(expected = "bitmask limit")]
     fn over_wide_sets_rejected() {
-        let _: SoaColumns<u32> = SoaColumns::new(1, 65, 0);
+        let _: SetBlocks<u32> = SetBlocks::new(1, 65);
     }
 }

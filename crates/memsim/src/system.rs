@@ -96,7 +96,11 @@ struct LltProbe {
 ///
 /// Feed the machine a [`Workload`] via [`System::run`] /
 /// [`System::run_until`], or replay a captured stream in decoded chunks
-/// via [`System::run_stream`], then read the [`SimStats`].
+/// via [`System::run_stream`], then read the [`SimStats`]. One machine
+/// simulates at most [`MAX_RUN_MEM_OPS`](crate::MAX_RUN_MEM_OPS) memory
+/// operations over its life, warm-up included: its structures keep `u32`
+/// clocks (DESIGN.md §10), and the experiment runner refuses longer runs
+/// before building one.
 #[derive(Debug)]
 pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy> {
     config: SystemConfig,
@@ -711,6 +715,79 @@ mod tests {
 
     fn system() -> System {
         System::new(SystemConfig::paper_baseline()).expect("baseline config is valid")
+    }
+
+    /// `(seq, tick)` of every set-associative array in the machine: both
+    /// L1 TLB groups' members, the LLT, the PWC levels and the caches.
+    fn array_clocks(sys: &System) -> Vec<(u64, u64)> {
+        let mut clocks: Vec<(u64, u64)> = Vec::new();
+        for group in [&sys.l1i_tlb, &sys.l1d_tlb] {
+            clocks.extend(group.arrays().map(|a| (a.seq(), a.tick())));
+        }
+        let llt = sys.llt.array();
+        clocks.push((llt.seq(), llt.tick()));
+        clocks.extend(sys.walker.pwc().levels().iter().map(|a| (a.seq(), a.tick())));
+        for cache in [&sys.hier.l1d, &sys.hier.l2, &sys.hier.llc] {
+            clocks.push((cache.array().seq(), cache.array().tick()));
+        }
+        clocks
+    }
+
+    /// The premise of [`crate::set_assoc::MAX_RUN_MEM_OPS`]: no array's
+    /// lookup or recency clock advances more than
+    /// `MAX_CLOCK_STEPS_PER_MEM_OP` times in one memory operation. The
+    /// stream scatters code and data over the whole 48-bit space, so
+    /// nearly every operation translates both sides and walks from the
+    /// root; at 4 KB the worst case (two four-load walks plus the data
+    /// access) is reached, not just bounded.
+    #[test]
+    #[cfg_attr(miri, ignore = "simulates 24k mem ops; too slow under Miri")]
+    fn array_clocks_advance_at_most_the_bound_per_mem_op() {
+        use crate::set_assoc::MAX_CLOCK_STEPS_PER_MEM_OP;
+        use dpc_types::AllocPolicy;
+        let policies = [
+            AllocPolicy::Base4K,
+            AllocPolicy::uniform(PageSize::Size2M),
+            AllocPolicy::Promote2M { threshold: 2 },
+        ];
+        for policy in policies {
+            for fill in [TlbFillPolicy::Both, TlbFillPolicy::L1ThenVictim] {
+                let config =
+                    SystemConfig::paper_baseline().with_page_policy(policy).with_tlb_fill(fill);
+                let mut sys = System::new(config).expect("valid config");
+                let mut state = 0x9E37_79B9_7F4A_7C15u64;
+                let mut next = move || {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    state >> 16
+                };
+                let mut worst = 0;
+                let mut before = array_clocks(&sys);
+                for i in 0..4_000u64 {
+                    // Every fourth operation revisits a small hot region so
+                    // TLB and cache hits, LLT refills and evictions mix in.
+                    let (pc, va) = if i.is_multiple_of(4) {
+                        (0x40_0000 + (next() % 8) * 4096, 0x1000_0000 + (next() % 64) * 4096)
+                    } else {
+                        (next() & 0xFFFF_FFFF_F000, next() & 0xFFFF_FFFF_FFC0)
+                    };
+                    sys.step(Event::load(Pc::new(pc), VirtAddr::new(va)));
+                    let after = array_clocks(&sys);
+                    for (b, a) in before.iter().zip(&after) {
+                        worst = worst.max(a.0 - b.0).max(a.1 - b.1);
+                    }
+                    before = after;
+                }
+                assert!(
+                    worst <= MAX_CLOCK_STEPS_PER_MEM_OP,
+                    "{policy:?}/{fill:?}: a clock advanced {worst} times in one mem-op"
+                );
+                if policy == AllocPolicy::Base4K {
+                    assert_eq!(worst, MAX_CLOCK_STEPS_PER_MEM_OP, "{fill:?}: worst case reached");
+                }
+            }
+        }
     }
 
     // Most tests below simulate tens of thousands of memory operations;

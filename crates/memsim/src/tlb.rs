@@ -274,6 +274,12 @@ impl TlbGroup {
             .inspect(|_| self.stats.evictions += 1)
     }
 
+    /// Every member's array, in probe order.
+    #[cfg(test)]
+    pub(crate) fn arrays(&self) -> impl Iterator<Item = &SetAssoc<TlbEntry>> {
+        self.members.iter().map(|m| &m.array)
+    }
+
     /// Read-only access to the primary member's array (tests, sampling).
     pub fn primary_array(&self) -> &SetAssoc<TlbEntry> {
         &self.members[0].array

@@ -48,6 +48,12 @@ impl Walker {
         Walker { pwc: PwcSet::new(config), walks: 0, pte_loads: 0, walk_cycles: 0 }
     }
 
+    /// The page-walk caches.
+    #[cfg(test)]
+    pub(crate) fn pwc(&self) -> &PwcSet {
+        &self.pwc
+    }
+
     /// PWC hit counters per level.
     pub fn pwc_hits(&self) -> [u64; 3] {
         self.pwc.hits()

@@ -1,0 +1,211 @@
+//! The eager array-of-structs reference model both storage suites pit
+//! [`SetAssoc`](dpc_memsim::set_assoc::SetAssoc) against:
+//! `soa_equivalence.rs` (storage layout, bitmask match, fused
+//! bookkeeping) and `lazy_metadata.rs` (the deferred hit-promotion
+//! buffer). It transliterates the replacement-policy definitions line by
+//! line: nested `Vec`s, linear scans, `u64` clocks, every hit stored at
+//! hit time. Written for obviousness, not speed.
+
+// Each suite uses a different subset of the model.
+#![allow(dead_code)]
+
+use dpc_memsim::set_assoc::{Evicted, InsertPriority, LineLife, RRPV_LONG, RRPV_MAX};
+use dpc_types::ReplacementKind;
+
+pub const KINDS: [ReplacementKind; 3] =
+    [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo];
+
+/// One line: every replacement-state field inline.
+#[derive(Clone, Copy, Default)]
+pub struct RefLine {
+    pub valid: bool,
+    pub tag: u64,
+    pub stamp: u64,
+    pub rrpv: u8,
+    pub life: LineLife,
+    pub payload: u32,
+}
+
+/// The specification a `SetAssoc<u32>` must be indistinguishable from.
+pub struct RefModel {
+    pub sets: usize,
+    pub ways: usize,
+    pub kind: ReplacementKind,
+    pub lines: Vec<Vec<RefLine>>,
+    pub tick: u64,
+    pub seq: u64,
+}
+
+impl RefModel {
+    pub fn new(sets: usize, ways: usize, kind: ReplacementKind) -> Self {
+        RefModel {
+            sets,
+            ways,
+            kind,
+            lines: vec![vec![RefLine::default(); ways]; sets],
+            tick: 0,
+            seq: 0,
+        }
+    }
+
+    pub fn set_of(&self, addr: u64) -> usize {
+        (addr % self.sets as u64) as usize
+    }
+
+    pub fn peek(&self, addr: u64, tag: u64) -> Option<usize> {
+        let set = self.set_of(addr);
+        (0..self.ways).find(|&w| {
+            let line = &self.lines[set][w];
+            line.valid && line.tag == tag
+        })
+    }
+
+    /// The hit bookkeeping `lookup` and `commit_hit` share.
+    fn apply_hit(&mut self, set: usize, way: usize) {
+        self.tick += 1;
+        let tick = self.tick;
+        let seq = self.seq;
+        let line = &mut self.lines[set][way];
+        line.life.hits += 1;
+        line.life.last_hit_seq = seq;
+        match self.kind {
+            ReplacementKind::Lru => line.stamp = tick,
+            ReplacementKind::Srrip => line.rrpv = 0,
+            ReplacementKind::Fifo => {}
+        }
+    }
+
+    pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
+        self.seq += 1;
+        let way = self.peek(addr, tag)?;
+        self.apply_hit(self.set_of(addr), way);
+        Some(way)
+    }
+
+    pub fn commit_hit(&mut self, addr: u64, way: usize) {
+        self.seq += 1;
+        self.apply_hit(self.set_of(addr), way);
+    }
+
+    pub fn commit_miss(&mut self) {
+        self.seq += 1;
+    }
+
+    pub fn victim_way(&mut self, addr: u64) -> usize {
+        let set = self.set_of(addr);
+        if let Some(way) = (0..self.ways).find(|&w| !self.lines[set][w].valid) {
+            return way;
+        }
+        match self.kind {
+            ReplacementKind::Lru | ReplacementKind::Fifo => {
+                // First-encountered minimum stamp.
+                let mut best = 0;
+                for way in 1..self.ways {
+                    if self.lines[set][way].stamp < self.lines[set][best].stamp {
+                        best = way;
+                    }
+                }
+                best
+            }
+            ReplacementKind::Srrip => loop {
+                if let Some(way) = (0..self.ways).find(|&w| self.lines[set][w].rrpv >= RRPV_MAX) {
+                    return way;
+                }
+                for line in &mut self.lines[set] {
+                    line.rrpv += 1;
+                }
+            },
+        }
+    }
+
+    pub fn fill_way(
+        &mut self,
+        addr: u64,
+        way: usize,
+        tag: u64,
+        payload: u32,
+        priority: InsertPriority,
+    ) -> Option<Evicted<u32>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let seq = self.seq;
+        let set = self.set_of(addr);
+        let line = &mut self.lines[set][way];
+        let evicted =
+            line.valid.then_some(Evicted { tag: line.tag, life: line.life, payload: line.payload });
+        line.valid = true;
+        line.tag = tag;
+        line.payload = payload;
+        line.life = LineLife { fill_seq: seq, last_hit_seq: seq, hits: 0 };
+        match self.kind {
+            ReplacementKind::Lru => {
+                line.stamp = match priority {
+                    InsertPriority::Normal | InsertPriority::High => tick,
+                    InsertPriority::Distant => 0,
+                };
+            }
+            ReplacementKind::Fifo => line.stamp = tick,
+            ReplacementKind::Srrip => {
+                line.rrpv = match priority {
+                    InsertPriority::Normal => RRPV_LONG,
+                    InsertPriority::Distant => RRPV_MAX,
+                    InsertPriority::High => 0,
+                };
+            }
+        }
+        evicted
+    }
+
+    pub fn fill(
+        &mut self,
+        addr: u64,
+        tag: u64,
+        payload: u32,
+        priority: InsertPriority,
+    ) -> Option<Evicted<u32>> {
+        let way = self.victim_way(addr);
+        self.fill_way(addr, way, tag, payload, priority)
+    }
+
+    pub fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<u32>> {
+        let way = self.peek(addr, tag)?;
+        let set = self.set_of(addr);
+        let line = &mut self.lines[set][way];
+        line.valid = false;
+        Some(Evicted { tag: line.tag, life: line.life, payload: line.payload })
+    }
+
+    pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
+        self.lines[self.set_of(addr)][way].life
+    }
+
+    /// All valid lines in storage order: (tag, life, payload).
+    pub fn snapshot(&self) -> Vec<(u64, LineLife, u32)> {
+        self.lines
+            .iter()
+            .flatten()
+            .filter(|line| line.valid)
+            .map(|line| (line.tag, line.life, line.payload))
+            .collect()
+    }
+}
+
+pub fn evicted_parts(e: &Option<Evicted<u32>>) -> Option<(u64, LineLife, u32)> {
+    e.as_ref().map(|e| (e.tag, e.life, e.payload))
+}
+
+/// Numerical Recipes LCG: deterministic, dependency-free.
+pub fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    }
+}
+
+/// Associativities whose set blocks differ in shape: 1 (a lone stamp in
+/// a half-used word), 3 (the last stamp word half empty; the AVX2 tag
+/// compare is all tail), 12 (no fixed-width scalar compare; three whole
+/// AVX2 vectors) and 64 (the validity-mask ceiling).
+pub const BLOCK_SHAPE_WAYS: [usize; 4] = [1, 3, 12, 64];

@@ -3,9 +3,9 @@
 //! stats, LRU stamp, SRRIP promotion) into a one-entry coalescing buffer
 //! and applies them only when a victim search, fill, invalidation, or
 //! set-view pass actually reads the metadata. This suite pits the lazy
-//! implementation against an *eager* reference model that performs every
-//! store at hit time — the pre-lazy semantics, transliterated — and
-//! asserts every observable after every operation:
+//! implementation against the *eager* reference model in `common/`,
+//! which performs every store at hit time — the pre-lazy semantics,
+//! transliterated — and asserts every observable after every operation:
 //!
 //! * the op's own result (hit way, evicted tag/payload/[`LineLife`]);
 //! * `life_of` of **every valid line** (forces the `&self` merge path);
@@ -24,189 +24,14 @@
 //!   a maximally stale buffer;
 //! * **randomized**: LCG sequences biased toward repeating the previous
 //!   tag (so the buffer stays populated across many ops) on pow2,
-//!   non-pow2 and paper-LLC geometries.
+//!   non-pow2 and paper-LLC geometries, and on associativities whose set
+//!   blocks differ in shape (1, 3, 12 and 64 ways).
 
-use dpc_memsim::set_assoc::{Evicted, InsertPriority, LineLife, SetAssoc, RRPV_LONG, RRPV_MAX};
+mod common;
+
+use common::{evicted_parts, lcg, RefModel, BLOCK_SHAPE_WAYS, KINDS};
+use dpc_memsim::set_assoc::{InsertPriority, LineLife, SetAssoc};
 use dpc_types::ReplacementKind;
-
-const KINDS: [ReplacementKind; 3] =
-    [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo];
-
-/// One line of the eager reference: every replacement-state field inline,
-/// updated at hit time exactly as the pre-lazy implementation did.
-#[derive(Clone, Copy, Default)]
-struct EagerLine {
-    valid: bool,
-    tag: u64,
-    stamp: u64,
-    rrpv: u8,
-    life: LineLife,
-    payload: u32,
-}
-
-/// The eager specification the lazy [`SetAssoc`] must be indistinguishable
-/// from: naive nested `Vec`s, every hit stores its promotion immediately.
-struct EagerModel {
-    sets: usize,
-    ways: usize,
-    kind: ReplacementKind,
-    lines: Vec<Vec<EagerLine>>,
-    tick: u64,
-    seq: u64,
-}
-
-impl EagerModel {
-    fn new(sets: usize, ways: usize, kind: ReplacementKind) -> Self {
-        EagerModel {
-            sets,
-            ways,
-            kind,
-            lines: vec![vec![EagerLine::default(); ways]; sets],
-            tick: 0,
-            seq: 0,
-        }
-    }
-
-    fn set_of(&self, addr: u64) -> usize {
-        (addr % self.sets as u64) as usize
-    }
-
-    fn peek(&self, addr: u64, tag: u64) -> Option<usize> {
-        let set = self.set_of(addr);
-        (0..self.ways).find(|&w| {
-            let line = &self.lines[set][w];
-            line.valid && line.tag == tag
-        })
-    }
-
-    /// The eager hit bookkeeping both `lookup` and `commit_hit` share.
-    fn apply_hit(&mut self, set: usize, way: usize) {
-        self.tick += 1;
-        let tick = self.tick;
-        let seq = self.seq;
-        let line = &mut self.lines[set][way];
-        line.life.hits += 1;
-        line.life.last_hit_seq = seq;
-        match self.kind {
-            ReplacementKind::Lru => line.stamp = tick,
-            ReplacementKind::Srrip => line.rrpv = 0,
-            ReplacementKind::Fifo => {}
-        }
-    }
-
-    fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
-        self.seq += 1;
-        let way = self.peek(addr, tag)?;
-        self.apply_hit(self.set_of(addr), way);
-        Some(way)
-    }
-
-    fn commit_hit(&mut self, addr: u64, way: usize) {
-        self.seq += 1;
-        self.apply_hit(self.set_of(addr), way);
-    }
-
-    fn commit_miss(&mut self) {
-        self.seq += 1;
-    }
-
-    fn victim_way(&mut self, addr: u64) -> usize {
-        let set = self.set_of(addr);
-        if let Some(way) = (0..self.ways).find(|&w| !self.lines[set][w].valid) {
-            return way;
-        }
-        match self.kind {
-            ReplacementKind::Lru | ReplacementKind::Fifo => {
-                let mut best = 0;
-                for way in 1..self.ways {
-                    if self.lines[set][way].stamp < self.lines[set][best].stamp {
-                        best = way;
-                    }
-                }
-                best
-            }
-            ReplacementKind::Srrip => loop {
-                if let Some(way) = (0..self.ways).find(|&w| self.lines[set][w].rrpv >= RRPV_MAX) {
-                    return way;
-                }
-                for line in &mut self.lines[set] {
-                    line.rrpv += 1;
-                }
-            },
-        }
-    }
-
-    fn fill_way(
-        &mut self,
-        addr: u64,
-        way: usize,
-        tag: u64,
-        payload: u32,
-        priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let seq = self.seq;
-        let set = self.set_of(addr);
-        let line = &mut self.lines[set][way];
-        let evicted =
-            line.valid.then_some(Evicted { tag: line.tag, life: line.life, payload: line.payload });
-        line.valid = true;
-        line.tag = tag;
-        line.payload = payload;
-        line.life = LineLife { fill_seq: seq, last_hit_seq: seq, hits: 0 };
-        match self.kind {
-            ReplacementKind::Lru => {
-                line.stamp = match priority {
-                    InsertPriority::Normal | InsertPriority::High => tick,
-                    InsertPriority::Distant => 0,
-                };
-            }
-            ReplacementKind::Fifo => line.stamp = tick,
-            ReplacementKind::Srrip => {
-                line.rrpv = match priority {
-                    InsertPriority::Normal => RRPV_LONG,
-                    InsertPriority::Distant => RRPV_MAX,
-                    InsertPriority::High => 0,
-                };
-            }
-        }
-        evicted
-    }
-
-    fn fill(
-        &mut self,
-        addr: u64,
-        tag: u64,
-        payload: u32,
-        priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
-        let way = self.victim_way(addr);
-        self.fill_way(addr, way, tag, payload, priority)
-    }
-
-    fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<u32>> {
-        let way = self.peek(addr, tag)?;
-        let set = self.set_of(addr);
-        let line = &mut self.lines[set][way];
-        line.valid = false;
-        Some(Evicted { tag: line.tag, life: line.life, payload: line.payload })
-    }
-
-    fn life_of(&self, addr: u64, way: usize) -> LineLife {
-        self.lines[self.set_of(addr)][way].life
-    }
-
-    /// All valid lines in storage order: (tag, life, payload).
-    fn snapshot(&self) -> Vec<(u64, LineLife, u32)> {
-        self.lines
-            .iter()
-            .flatten()
-            .filter(|line| line.valid)
-            .map(|line| (line.tag, line.life, line.payload))
-            .collect()
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -222,14 +47,10 @@ enum Op {
     Victim(u64),
 }
 
-fn evicted_parts(e: &Option<Evicted<u32>>) -> Option<(u64, LineLife, u32)> {
-    e.as_ref().map(|e| (e.tag, e.life, e.payload))
-}
-
 /// Applies `op` to the lazy array and the eager model and asserts every
 /// observable matches, including `life_of` of each valid line (the merge
 /// path a buffered promotion must survive).
-fn step(sa: &mut SetAssoc<u32>, model: &mut EagerModel, op: Op, trace: &[Op]) {
+fn step(sa: &mut SetAssoc<u32>, model: &mut RefModel, op: Op, trace: &[Op]) {
     match op {
         Op::Lookup(tag) => {
             assert_eq!(sa.lookup(tag, tag), model.lookup(tag, tag), "lookup {tag} after {trace:?}");
@@ -313,7 +134,7 @@ fn exhaustive(sets: usize, ways: usize, kind: ReplacementKind, depth: u32) {
     let mut trace = Vec::with_capacity(depth as usize);
     for mut code in 0..total {
         let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
-        let mut model = EagerModel::new(sets, ways, kind);
+        let mut model = RefModel::new(sets, ways, kind);
         trace.clear();
         for _ in 0..depth {
             let op = alphabet[code % n];
@@ -365,7 +186,7 @@ fn hit_runs_cut_by_every_reader() {
                     (1, Cut::Nothing),
                 ] {
                     let mut sa: SetAssoc<u32> = SetAssoc::new(2, ways, kind);
-                    let mut model = EagerModel::new(2, ways, kind);
+                    let mut model = RefModel::new(2, ways, kind);
                     let mut trace = Vec::new();
                     // Fill both sets to capacity so victim searches and
                     // fills read real metadata, not the invalid-way
@@ -408,20 +229,14 @@ fn hit_runs_cut_by_every_reader() {
 /// coalesces across many consecutive ops before each flush.
 fn randomized(sets: usize, ways: usize, kind: ReplacementKind, ops: usize, seed: u64) {
     let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
-    let mut model = EagerModel::new(sets, ways, kind);
-    let mut state = seed | 1;
-    let mut next = || {
-        // Numerical Recipes LCG: deterministic, dependency-free.
-        state =
-            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        state >> 33
-    };
+    let mut model = RefModel::new(sets, ways, kind);
+    let mut next = lcg(seed);
     let tags = (3 * sets * ways) as u64;
     let mut prev_tag = 0u64;
     for _ in 0..ops {
         // Half the time, stay on the previous tag: long same-line hit
         // runs are exactly what the lazy buffer coalesces.
-        let tag = if next() % 2 == 0 { prev_tag } else { next() % tags };
+        let tag = if next().is_multiple_of(2) { prev_tag } else { next() % tags };
         prev_tag = tag;
         let op = match next() % 10 {
             0..=3 => Op::Lookup(tag),
@@ -456,5 +271,14 @@ fn randomized_paper_llc_geometry() {
     // per-op snapshot cheap.
     for kind in KINDS {
         randomized(8, 16, kind, 10_000, 31_337);
+    }
+}
+
+#[test]
+fn randomized_block_shapes() {
+    for ways in BLOCK_SHAPE_WAYS {
+        for kind in KINDS {
+            randomized(3, ways, kind, 4_000, 0x5EED_0000 + ways as u64);
+        }
     }
 }

@@ -1,7 +1,8 @@
-//! Equivalence proof for the SoA hot path: [`SetAssoc`] (struct-of-arrays
-//! storage, bitmask match, fused bookkeeping) must behave observably
-//! identically to a naive array-of-structs reference model that
-//! transliterates the replacement-policy definitions line by line.
+//! Equivalence proof for the storage hot path: [`SetAssoc`] (set-blocked
+//! storage with `u32` stamps and lifetimes, bitmask match, fused
+//! bookkeeping) must behave observably identically to the naive
+//! array-of-structs reference model in `common/`, which transliterates
+//! the replacement-policy definitions line by line.
 //!
 //! Two drivers cross-check every observable after every operation —
 //! returned way / evicted line (tag, payload, *and* [`LineLife`] stats),
@@ -12,176 +13,15 @@
 //!   tag) on the 2×2 and 4×4 geometries;
 //! * **randomized**: long LCG-driven sequences that additionally exercise
 //!   `InsertPriority::High`, bare `victim_way` probes (SRRIP aging is a
-//!   side effect of the search, so probing must match too), and a
-//!   non-power-of-two set count (modulo indexing).
+//!   side effect of the search, so probing must match too), a
+//!   non-power-of-two set count (modulo indexing), and associativities
+//!   whose set blocks differ in shape (1, 3, 12 and 64 ways).
 
-use dpc_memsim::set_assoc::{Evicted, InsertPriority, LineLife, SetAssoc, RRPV_LONG, RRPV_MAX};
+mod common;
+
+use common::{evicted_parts, lcg, RefModel, BLOCK_SHAPE_WAYS, KINDS};
+use dpc_memsim::set_assoc::{InsertPriority, LineLife, SetAssoc};
 use dpc_types::ReplacementKind;
-
-const KINDS: [ReplacementKind; 3] =
-    [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo];
-
-/// One line of the reference model: the array-of-structs layout the SoA
-/// refactor replaced, with every replacement-state field inline.
-#[derive(Clone, Copy, Default)]
-struct RefLine {
-    valid: bool,
-    tag: u64,
-    stamp: u64,
-    rrpv: u8,
-    life: LineLife,
-    payload: u32,
-}
-
-/// Naive set-associative array: nested `Vec`s, linear scans, no bitmasks,
-/// no fused index arithmetic. Intentionally written for obviousness, not
-/// speed — this is the specification the SoA implementation must match.
-struct RefModel {
-    sets: usize,
-    ways: usize,
-    kind: ReplacementKind,
-    lines: Vec<Vec<RefLine>>,
-    tick: u64,
-    seq: u64,
-}
-
-impl RefModel {
-    fn new(sets: usize, ways: usize, kind: ReplacementKind) -> Self {
-        RefModel {
-            sets,
-            ways,
-            kind,
-            lines: vec![vec![RefLine::default(); ways]; sets],
-            tick: 0,
-            seq: 0,
-        }
-    }
-
-    fn set_of(&self, addr: u64) -> usize {
-        (addr % self.sets as u64) as usize
-    }
-
-    fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
-        self.seq += 1;
-        let set = self.set_of(addr);
-        let way = (0..self.ways).find(|&w| {
-            let line = &self.lines[set][w];
-            line.valid && line.tag == tag
-        })?;
-        self.tick += 1;
-        let line = &mut self.lines[set][way];
-        line.life.hits += 1;
-        line.life.last_hit_seq = self.seq;
-        match self.kind {
-            ReplacementKind::Lru => line.stamp = self.tick,
-            ReplacementKind::Srrip => line.rrpv = 0,
-            ReplacementKind::Fifo => {}
-        }
-        Some(way)
-    }
-
-    fn peek(&self, addr: u64, tag: u64) -> Option<usize> {
-        let set = self.set_of(addr);
-        (0..self.ways).find(|&w| {
-            let line = &self.lines[set][w];
-            line.valid && line.tag == tag
-        })
-    }
-
-    fn victim_way(&mut self, addr: u64) -> usize {
-        let set = self.set_of(addr);
-        if let Some(way) = (0..self.ways).find(|&w| !self.lines[set][w].valid) {
-            return way;
-        }
-        match self.kind {
-            ReplacementKind::Lru | ReplacementKind::Fifo => {
-                // First-encountered minimum stamp.
-                let mut best = 0;
-                for way in 1..self.ways {
-                    if self.lines[set][way].stamp < self.lines[set][best].stamp {
-                        best = way;
-                    }
-                }
-                best
-            }
-            ReplacementKind::Srrip => loop {
-                if let Some(way) = (0..self.ways).find(|&w| self.lines[set][w].rrpv >= RRPV_MAX) {
-                    return way;
-                }
-                for line in &mut self.lines[set] {
-                    line.rrpv += 1;
-                }
-            },
-        }
-    }
-
-    fn fill_way(
-        &mut self,
-        addr: u64,
-        way: usize,
-        tag: u64,
-        payload: u32,
-        priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let seq = self.seq;
-        let set = self.set_of(addr);
-        let line = &mut self.lines[set][way];
-        let evicted =
-            line.valid.then_some(Evicted { tag: line.tag, life: line.life, payload: line.payload });
-        line.valid = true;
-        line.tag = tag;
-        line.payload = payload;
-        line.life = LineLife { fill_seq: seq, last_hit_seq: seq, hits: 0 };
-        match self.kind {
-            ReplacementKind::Lru => {
-                line.stamp = match priority {
-                    InsertPriority::Normal | InsertPriority::High => tick,
-                    InsertPriority::Distant => 0,
-                };
-            }
-            ReplacementKind::Fifo => line.stamp = tick,
-            ReplacementKind::Srrip => {
-                line.rrpv = match priority {
-                    InsertPriority::Normal => RRPV_LONG,
-                    InsertPriority::Distant => RRPV_MAX,
-                    InsertPriority::High => 0,
-                };
-            }
-        }
-        evicted
-    }
-
-    fn fill(
-        &mut self,
-        addr: u64,
-        tag: u64,
-        payload: u32,
-        priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
-        let way = self.victim_way(addr);
-        self.fill_way(addr, way, tag, payload, priority)
-    }
-
-    fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<u32>> {
-        let way = self.peek(addr, tag)?;
-        let set = self.set_of(addr);
-        let line = &mut self.lines[set][way];
-        line.valid = false;
-        Some(Evicted { tag: line.tag, life: line.life, payload: line.payload })
-    }
-
-    /// All valid lines in storage order: (tag, life, payload).
-    fn snapshot(&self) -> Vec<(u64, LineLife, u32)> {
-        self.lines
-            .iter()
-            .flatten()
-            .filter(|line| line.valid)
-            .map(|line| (line.tag, line.life, line.payload))
-            .collect()
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -189,10 +29,6 @@ enum Op {
     Fill(u64, InsertPriority),
     Invalidate(u64),
     Victim(u64),
-}
-
-fn evicted_parts(e: &Option<Evicted<u32>>) -> Option<(u64, LineLife, u32)> {
-    e.as_ref().map(|e| (e.tag, e.life, e.payload))
 }
 
 /// Applies `op` to both implementations and asserts every observable
@@ -287,13 +123,7 @@ fn exhaustive_4x4_all_kinds() {
 fn randomized(sets: usize, ways: usize, kind: ReplacementKind, ops: usize, seed: u64) {
     let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
     let mut model = RefModel::new(sets, ways, kind);
-    let mut state = seed | 1;
-    let mut next = || {
-        // Numerical Recipes LCG: deterministic, dependency-free.
-        state =
-            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        state >> 33
-    };
+    let mut next = lcg(seed);
     let tags = (3 * sets * ways) as u64;
     for _ in 0..ops {
         let tag = next() % tags;
@@ -330,5 +160,14 @@ fn randomized_paper_llc_geometry() {
     // match_mask specialization; 8 sets keeps the state snapshot cheap.
     for kind in KINDS {
         randomized(8, 16, kind, 10_000, 7);
+    }
+}
+
+#[test]
+fn randomized_block_shapes() {
+    for ways in BLOCK_SHAPE_WAYS {
+        for kind in KINDS {
+            randomized(3, ways, kind, 4_000, 0xB10C_0000 + ways as u64);
+        }
     }
 }
