@@ -55,6 +55,7 @@ pub mod mshr;
 pub mod page_table;
 pub mod policy;
 pub mod pwc;
+mod reverse_map;
 pub mod set_assoc;
 pub mod simd;
 pub mod soa;

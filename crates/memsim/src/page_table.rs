@@ -27,10 +27,14 @@
 //!   frames were carved from the reservation, the promoted mapping
 //!   translates every address exactly as before — stale 4 KB TLB entries
 //!   stay coherent and promotion simply shortens future walks.
+//!
+//! Host storage is dense. Radix nodes live in one arena, in creation
+//! order, and an interior slot names its child both ways: by the child's
+//! simulated frame (the address the walker loads through the caches) and
+//! by its arena index (how the host follows the pointer). A walk is then
+//! four array reads, with no hashing, whatever the footprint.
 
-use dpc_types::hash::FastBuildHasher;
-use dpc_types::{AllocPolicy, PageSize, Pfn, PhysAddr, Vpn};
-use std::collections::HashMap;
+use dpc_types::{invariant, AllocPolicy, PageSize, Pfn, PhysAddr, Vpn};
 
 /// Entries per page-table node (512 × 8 B = one 4 KiB page).
 pub const NODE_ENTRIES: usize = 512;
@@ -40,15 +44,38 @@ const SLOT_PRESENT: u64 = 1;
 /// Slot bit 1: the entry is a huge leaf (PDE/PDPTE mapping), not a
 /// pointer to a child node.
 const SLOT_HUGE: u64 = 2;
+/// Slot bits 36–63: an interior slot's child node, as an index into the
+/// arena. Bits 0–35 keep `(pfn << 2) | huge | present`, and a simulated
+/// PFN has at most 34 bits (the frame space), so the two never overlap.
+const SLOT_CHILD_SHIFT: u32 = 36;
+/// Slot bits 0–35: the simulated PFN and the flags.
+const SLOT_PFN_MASK: u64 = (1 << SLOT_CHILD_SHIFT) - 1;
+/// Nodes the 28 child-index bits can name (2^28 nodes, 1 TiB of table).
+const MAX_NODES: usize = 1 << (64 - SLOT_CHILD_SHIFT);
+/// Arena index of the root (PML4) node.
+const ROOT: usize = 0;
 
+/// A leaf slot mapping the frame (or huge frame region) at `pfn`.
 #[inline]
-const fn encode_slot(pfn: Pfn, huge: bool) -> u64 {
+const fn leaf_slot(pfn: Pfn, huge: bool) -> u64 {
     (pfn.raw() << 2) | SLOT_PRESENT | if huge { SLOT_HUGE } else { 0 }
+}
+
+/// An interior slot pointing at the node simulated at `pfn` and stored at
+/// arena index `child`.
+#[inline]
+const fn interior_slot(pfn: Pfn, child: usize) -> u64 {
+    ((child as u64) << SLOT_CHILD_SHIFT) | leaf_slot(pfn, false)
 }
 
 #[inline]
 const fn slot_pfn(slot: u64) -> Pfn {
-    Pfn::new(slot >> 2)
+    Pfn::new((slot & SLOT_PFN_MASK) >> 2)
+}
+
+#[inline]
+const fn slot_child(slot: u64) -> usize {
+    (slot >> SLOT_CHILD_SHIFT) as usize
 }
 
 #[inline]
@@ -64,6 +91,10 @@ const fn slot_is_huge(slot: u64) -> bool {
 /// split by high bits: singleton 4 KB frames keep bit 33 clear, while
 /// aligned, physically contiguous 2 MB / 1 GB regions live above it, so
 /// regions can be handed out without colliding with scattered singletons.
+///
+/// The map is invertible: [`FrameAllocator::ordinal`] recovers from any
+/// frame the allocation that produced it, which lets per-frame tables be
+/// dense vectors indexed in allocation order.
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     next: u64,
@@ -76,6 +107,9 @@ pub struct FrameAllocator {
 /// the multiplier is odd, hence invertible modulo every power of two.
 const FRAME_SPACE_BITS: u32 = 34;
 const FRAME_MULT: u64 = 0x9E37_79B9_7F4A_7C15 | 1;
+/// The inverse of [`FRAME_MULT`] modulo 2^64, hence modulo every smaller
+/// power of two: `scattered * FRAME_MULT_INV` undoes the scatter.
+const FRAME_MULT_INV: u64 = inverse_mod_2_64(FRAME_MULT);
 /// Partitioned mode: singletons scatter below bit 33.
 const SINGLETON_BITS: u32 = 33;
 /// Partitioned mode: 2 MB regions (512 frames, 9 offset bits) scatter
@@ -84,6 +118,44 @@ const REGION_2M_BITS: u32 = 23;
 /// Partitioned mode: 1 GB regions (2^18 frames) scatter their base over
 /// 14 bits at `(1 << 33) | (1 << 32)`.
 const REGION_1G_BITS: u32 = 14;
+
+/// The inverse of the odd `m` modulo 2^64, by Newton's iteration: each
+/// step doubles the number of correct low bits, from the 3 that `m`
+/// itself gets right (`m * m ≡ 1 mod 8` for odd `m`).
+const fn inverse_mod_2_64(m: u64) -> u64 {
+    let mut inv = m;
+    let mut step = 0;
+    while step < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+        step += 1;
+    }
+    inv
+}
+
+/// The allocation space a frame was handed out from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameSpace {
+    /// Scattered single frames from [`FrameAllocator::alloc`] (every
+    /// frame of a legacy-mode allocator).
+    Singleton,
+    /// Frames inside the aligned regions
+    /// [`FrameAllocator::alloc_region`] hands out for this size.
+    Region(PageSize),
+}
+
+/// A frame's place in allocation order, recovered by
+/// [`FrameAllocator::ordinal`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameOrdinal {
+    /// Which allocator call produced the frame.
+    pub space: FrameSpace,
+    /// For a singleton, the 1-based number of the `alloc` call that
+    /// returned it. For a region frame, `(n << unit_shift) | offset`: `n`
+    /// is the 1-based number of the `alloc_region` call for that size,
+    /// `offset` the frame's 4 KB offset inside the region. Either way the
+    /// indices of one space are dense in allocation order.
+    pub index: u64,
+}
 
 impl FrameAllocator {
     /// Creates an allocator in the legacy single-grain mode: the exact
@@ -145,6 +217,42 @@ impl FrameAllocator {
     pub fn allocated(&self) -> u64 {
         self.next - 1
     }
+
+    /// Where `pfn` sits in allocation order, or `None` if no call so far
+    /// returned it (or a region containing it). Undoes the scatter by
+    /// multiplying with the multiplier's modular inverse; a few ALU
+    /// operations, no table.
+    pub fn ordinal(&self, pfn: Pfn) -> Option<FrameOrdinal> {
+        let raw = pfn.raw();
+        if raw >> FRAME_SPACE_BITS != 0 {
+            return None;
+        }
+        // (space, scattered bits, their width, calls made, offset bits)
+        let (space, scattered, bits, issued, offset_shift) = if !self.partitioned {
+            (FrameSpace::Singleton, raw, FRAME_SPACE_BITS, self.next, 0)
+        } else {
+            match raw >> 32 {
+                0 | 1 => (FrameSpace::Singleton, raw, SINGLETON_BITS, self.next, 0),
+                2 => {
+                    let shift = PageSize::Size2M.unit_shift();
+                    let region = FrameSpace::Region(PageSize::Size2M);
+                    (region, raw >> shift, REGION_2M_BITS, self.next_2m, shift)
+                }
+                _ => {
+                    let shift = PageSize::Size1G.unit_shift();
+                    let region = FrameSpace::Region(PageSize::Size1G);
+                    (region, raw >> shift, REGION_1G_BITS, self.next_1g, shift)
+                }
+            }
+        };
+        let mask = (1u64 << bits) - 1;
+        let number = (scattered & mask).wrapping_mul(FRAME_MULT_INV) & mask;
+        if number == 0 || number >= issued {
+            return None;
+        }
+        let offset = raw & ((1 << offset_shift) - 1);
+        Some(FrameOrdinal { space, index: (number << offset_shift) | offset })
+    }
 }
 
 impl Default for FrameAllocator {
@@ -176,9 +284,9 @@ pub struct WalkPath {
     pub newly_mapped: bool,
 }
 
-/// One radix node: 512 slots of `(pfn << 2) | present | huge` (0 = not
-/// present).
-type Node = Box<[u64; NODE_ENTRIES]>;
+/// One radix node: 512 slots, each 0 (not present), a leaf
+/// ([`leaf_slot`]) or a pointer to a child ([`interior_slot`]).
+type Node = [u64; NODE_ENTRIES];
 
 /// A reserved 2 MB frame region under [`AllocPolicy::Promote2M`].
 #[derive(Clone, Copy, Debug)]
@@ -187,22 +295,21 @@ struct ReservedRegion {
     base: Pfn,
     /// Distinct 4 KB pages of the region touched so far.
     touched: u32,
-    /// Whether the PDE has been flipped to a huge mapping.
-    promoted: bool,
 }
 
 /// The four-level radix page table.
 #[derive(Debug)]
 pub struct PageTable {
     root: Pfn,
-    // Keyed by scattered frame numbers and probed up to four times per
-    // walk; the fast hasher keeps those probes off the SipHash tax.
-    nodes: HashMap<Pfn, Node, FastBuildHasher>,
+    /// Every node, in creation order; [`ROOT`] first.
+    nodes: Vec<Node>,
+    /// `Promote2M` reservations, parallel to `nodes`: a leaf (PT) node
+    /// maps exactly one 2 MB virtual region, so it carries that region's
+    /// reservation from its first mapped page on.
+    reservations: Vec<Option<ReservedRegion>>,
     frames: FrameAllocator,
     mapped_pages: u64,
     policy: AllocPolicy,
-    /// 2 MB reservations keyed by `vpn >> 9` (Promote2M only).
-    reservations: HashMap<u64, ReservedRegion, FastBuildHasher>,
 }
 
 impl PageTable {
@@ -217,9 +324,16 @@ impl PageTable {
         let mut frames =
             if policy.is_default() { FrameAllocator::new() } else { FrameAllocator::partitioned() };
         let root = frames.alloc();
-        let mut nodes = HashMap::default();
-        nodes.insert(root, new_node());
-        PageTable { root, nodes, frames, mapped_pages: 0, policy, reservations: HashMap::default() }
+        let mut table = PageTable {
+            root,
+            nodes: Vec::new(),
+            reservations: Vec::new(),
+            frames,
+            mapped_pages: 0,
+            policy,
+        };
+        table.push_node();
+        table
     }
 
     /// Physical frame of the root (PML4) node.
@@ -230,6 +344,23 @@ impl PageTable {
     /// The allocation policy mappings follow.
     pub fn policy(&self) -> AllocPolicy {
         self.policy
+    }
+
+    /// The allocator the table's nodes and mapped pages come from.
+    pub fn frames(&self) -> &FrameAllocator {
+        &self.frames
+    }
+
+    /// The allocation space of the frames that pages mapped at `size`
+    /// occupy: singletons for 4 KB pages, except under `Promote2M`, which
+    /// carves its 4 KB pages out of 2 MB regions; the region space of
+    /// `size` for huge pages. Page-table nodes are always singletons.
+    pub fn frame_space(&self, size: PageSize) -> FrameSpace {
+        match (self.policy, size) {
+            (AllocPolicy::Promote2M { .. }, _) => FrameSpace::Region(PageSize::Size2M),
+            (_, PageSize::Size4K) => FrameSpace::Singleton,
+            (_, size) => FrameSpace::Region(size),
+        }
     }
 
     /// Number of mappings created so far, each counted at its own grain
@@ -253,21 +384,19 @@ impl PageTable {
             AllocPolicy::Base4K | AllocPolicy::Uniform(PageSize::Size4K) => PageSize::Size4K,
             AllocPolicy::Uniform(size) => size,
             AllocPolicy::Promote2M { .. } => {
-                let mut node_pfn = self.root;
+                let mut node = ROOT;
                 for level in [3u32, 2u32] {
-                    let Some(node) = self.nodes.get(&node_pfn) else {
-                        return PageSize::Size4K;
-                    };
-                    let slot = node[vpn.radix_index(level)];
+                    let slot = self.slots(node)[vpn.radix_index(level)];
                     if slot == 0 {
                         return PageSize::Size4K;
                     }
-                    node_pfn = slot_pfn(slot);
+                    node = slot_child(slot);
                 }
                 let pd_index = vpn.radix_index(1);
-                match self.nodes.get(&node_pfn) {
-                    Some(node) if slot_is_huge(node[pd_index]) => PageSize::Size2M,
-                    _ => PageSize::Size4K,
+                if slot_is_huge(self.slots(node)[pd_index]) {
+                    PageSize::Size2M
+                } else {
+                    PageSize::Size4K
                 }
             }
         }
@@ -277,87 +406,37 @@ impl PageTable {
     /// and reports the full walk path.
     pub fn translate(&mut self, vpn: Vpn) -> WalkPath {
         match self.policy {
-            AllocPolicy::Base4K | AllocPolicy::Uniform(PageSize::Size4K) => {
-                self.translate_base(vpn)
-            }
+            AllocPolicy::Base4K => self.translate_uniform(vpn, PageSize::Size4K),
             AllocPolicy::Uniform(size) => self.translate_uniform(vpn, size),
             AllocPolicy::Promote2M { threshold } => self.translate_promote(vpn, threshold),
         }
     }
 
-    /// The paper's 4 KB walk, kept as its own loop so the default policy
-    /// performs the exact allocator-call and node-access sequence of the
-    /// pre-page-size code (the golden outputs pin this).
-    fn translate_base(&mut self, vpn: Vpn) -> WalkPath {
-        let mut node_pfns = [Pfn::new(0); 4];
-        let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut newly_mapped = false;
-        let mut node_pfn = self.root;
-        // Levels 3 (root) down to 1 point at child nodes.
-        for level in (1..=3).rev() {
-            let index = vpn.radix_index(level as u32);
-            node_pfns[level] = node_pfn;
-            pte_addrs[level] = pte_addr(node_pfn, index);
-            // dpc-lint: allow(hot-path::unwrap) -- node_pfn is the root (inserted in new) or a child inserted the moment it was allocated below
-            let node = self.nodes.get_mut(&node_pfn).expect("interior node must exist");
-            let slot = node[index];
-            let child = if slot == 0 {
-                let child = self.frames.alloc();
-                // Re-borrow after alloc (frames and nodes are disjoint
-                // fields, but the node borrow must be re-established).
-                // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched two lines up; alloc cannot remove map entries
-                self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index] =
-                    encode_slot(child, false);
-                self.nodes.insert(child, new_node());
-                child
-            } else {
-                slot_pfn(slot)
-            };
-            node_pfn = child;
-        }
-        // Level 0: leaf PT maps the data page.
-        let index = vpn.radix_index(0);
-        node_pfns[0] = node_pfn;
-        pte_addrs[0] = pte_addr(node_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- the level-1 iteration above inserted this node before naming it as the child
-        let node = self.nodes.get_mut(&node_pfn).expect("leaf node must exist");
-        let pfn = if node[index] == 0 {
-            let frame = self.frames.alloc();
-            node[index] = encode_slot(frame, false);
-            self.mapped_pages += 1;
-            newly_mapped = true;
-            frame
-        } else {
-            slot_pfn(node[index])
-        };
-        WalkPath { node_pfns, pte_addrs, pfn, size: PageSize::Size4K, newly_mapped }
-    }
-
-    /// Uniform huge mapping: the walk terminates at `size`'s PDE/PDPTE,
-    /// which maps a whole aligned frame region on first touch.
+    /// One mapping size for every page: the walk terminates at `size`'s
+    /// PTE, PDE or PDPTE, which maps a frame (4 KB) or a whole aligned
+    /// frame region (2 MB, 1 GB) on first touch. Interior nodes are
+    /// allocated top-down before the data frame, the allocator-call order
+    /// the goldens pin.
     fn translate_uniform(&mut self, vpn: Vpn, size: PageSize) -> WalkPath {
         let terminal = size.terminal_level();
         let mut node_pfns = [Pfn::new(0); 4];
         let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut node_pfn = self.root;
-        dpc_types::invariant!(terminal < 4, "terminal level indexes the 4-level walk arrays");
+        let (mut node, mut node_pfn) = (ROOT, self.root);
+        invariant!(terminal < 4, "terminal level indexes the 4-level walk arrays");
         for level in (terminal + 1..=3).rev() {
             let index = vpn.radix_index(level as u32);
             node_pfns[level] = node_pfn;
             pte_addrs[level] = pte_addr(node_pfn, index);
-            node_pfn = self.child_or_alloc(node_pfn, index);
+            (node, node_pfn) = self.child_or_alloc(node, index);
         }
         let index = vpn.radix_index(terminal as u32);
         node_pfns[terminal] = node_pfn;
         pte_addrs[terminal] = pte_addr(node_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- the loop above inserted this node before naming it as the child
-        let node = self.nodes.get_mut(&node_pfn).expect("terminal node must exist");
-        let slot = node[index];
+        let slot = self.slots(node)[index];
         let (base, newly_mapped) = if slot == 0 {
-            let base = self.frames.alloc_region(size);
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched above; alloc_region cannot remove map entries
-            self.nodes.get_mut(&node_pfn).expect("terminal node must exist")[index] =
-                encode_slot(base, true);
+            let huge = size != PageSize::Size4K;
+            let base = if huge { self.frames.alloc_region(size) } else { self.frames.alloc() };
+            self.slots_mut(node)[index] = leaf_slot(base, huge);
             self.mapped_pages += 1;
             (base, true)
         } else {
@@ -373,23 +452,21 @@ impl PageTable {
     fn translate_promote(&mut self, vpn: Vpn, threshold: u32) -> WalkPath {
         let mut node_pfns = [Pfn::new(0); 4];
         let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut node_pfn = self.root;
+        let (mut node, mut node_pfn) = (ROOT, self.root);
         for level in (2..=3).rev() {
             let index = vpn.radix_index(level as u32);
             node_pfns[level] = node_pfn;
             pte_addrs[level] = pte_addr(node_pfn, index);
-            node_pfn = self.child_or_alloc(node_pfn, index);
+            (node, node_pfn) = self.child_or_alloc(node, index);
         }
         // Level 1 (PD): either a huge leaf or a pointer to the PT.
-        let pd_pfn = node_pfn;
+        let pd = node;
         let pd_index = vpn.radix_index(1);
-        node_pfns[1] = pd_pfn;
-        pte_addrs[1] = pte_addr(pd_pfn, pd_index);
-        // dpc-lint: allow(hot-path::unwrap) -- the loop above inserted this node before naming it as the child
-        let pd_slot = self.nodes.get_mut(&pd_pfn).expect("PD node must exist")[pd_index];
+        node_pfns[1] = node_pfn;
+        pte_addrs[1] = pte_addr(node_pfn, pd_index);
+        let pd_slot = self.slots(pd)[pd_index];
         if slot_is_huge(pd_slot) {
-            let base = slot_pfn(pd_slot);
-            let pfn = Pfn::new(base.raw() + PageSize::Size2M.frame_offset(vpn));
+            let pfn = Pfn::new(slot_pfn(pd_slot).raw() + PageSize::Size2M.frame_offset(vpn));
             return WalkPath {
                 node_pfns,
                 pte_addrs,
@@ -398,39 +475,30 @@ impl PageTable {
                 newly_mapped: false,
             };
         }
-        let pt_pfn =
-            if pd_slot == 0 { self.child_or_alloc(pd_pfn, pd_index) } else { slot_pfn(pd_slot) };
+        let (pt, pt_pfn) = self.child_or_alloc(pd, pd_index);
         // Level 0: 4 KB leaf, frames carved from the region reservation.
         let index = vpn.radix_index(0);
         node_pfns[0] = pt_pfn;
         pte_addrs[0] = pte_addr(pt_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- child_or_alloc inserted this node before returning it
-        let slot = self.nodes.get_mut(&pt_pfn).expect("leaf node must exist")[index];
+        let slot = self.slots(pt)[index];
         let (pfn, newly_mapped) = if slot == 0 {
-            let region = vpn.raw() >> PageSize::Size2M.unit_shift();
-            let (frames, reservations) = (&mut self.frames, &mut self.reservations);
-            let resv = reservations.entry(region).or_insert_with(|| ReservedRegion {
-                base: frames.alloc_region(PageSize::Size2M),
-                touched: 0,
-                promoted: false,
-            });
-            let frame = Pfn::new(resv.base.raw() + PageSize::Size2M.frame_offset(vpn));
+            invariant!(pt < self.reservations.len(), "one reservation slot per node");
+            let mut resv = match self.reservations[pt] {
+                Some(resv) => resv,
+                None => {
+                    ReservedRegion { base: self.frames.alloc_region(PageSize::Size2M), touched: 0 }
+                }
+            };
             resv.touched += 1;
-            let promote = resv.touched >= threshold && !resv.promoted;
-            if promote {
-                resv.promoted = true;
-            }
-            let base = resv.base;
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the leaf node fetched above; reservation bookkeeping cannot remove map entries
-            self.nodes.get_mut(&pt_pfn).expect("leaf node must exist")[index] =
-                encode_slot(frame, false);
-            if promote {
+            self.reservations[pt] = Some(resv);
+            let frame = Pfn::new(resv.base.raw() + PageSize::Size2M.frame_offset(vpn));
+            self.slots_mut(pt)[index] = leaf_slot(frame, false);
+            if resv.touched >= threshold {
                 // Flip the PDE to a huge leaf over the same frames; the
                 // abandoned PT node stays allocated (as on real systems
-                // until the OS reclaims it). Visible from the next walk.
-                // dpc-lint: allow(hot-path::unwrap) -- pd_pfn was fetched from the map a few lines up
-                self.nodes.get_mut(&pd_pfn).expect("PD node must exist")[pd_index] =
-                    encode_slot(base, true);
+                // until the OS reclaims it), and no walk reaches it again.
+                // Visible from the next walk.
+                self.slots_mut(pd)[pd_index] = leaf_slot(resv.base, true);
             }
             self.mapped_pages += 1;
             (frame, true)
@@ -440,29 +508,41 @@ impl PageTable {
         WalkPath { node_pfns, pte_addrs, pfn, size: PageSize::Size4K, newly_mapped }
     }
 
-    /// Follows (or demand-allocates) the child node under `index` of the
-    /// interior node at `node_pfn`.
-    fn child_or_alloc(&mut self, node_pfn: Pfn, index: usize) -> Pfn {
-        dpc_types::invariant!(index < NODE_ENTRIES, "radix indices are 9-bit");
-        // dpc-lint: allow(hot-path::unwrap) -- callers only pass node frames already inserted into the map
-        let slot = self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index];
-        if slot == 0 {
-            let child = self.frames.alloc();
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched two lines up; alloc cannot remove map entries
-            self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index] =
-                encode_slot(child, false);
-            self.nodes.insert(child, new_node());
-            child
-        } else {
-            slot_pfn(slot)
+    /// Follows (or demand-allocates) the child under `index` of the
+    /// interior node `node`, returning the child's arena index and frame.
+    fn child_or_alloc(&mut self, node: usize, index: usize) -> (usize, Pfn) {
+        invariant!(index < NODE_ENTRIES, "radix indices are 9-bit");
+        let slot = self.slots(node)[index];
+        if slot != 0 {
+            return (slot_child(slot), slot_pfn(slot));
         }
+        let pfn = self.frames.alloc();
+        let child = self.push_node();
+        self.slots_mut(node)[index] = interior_slot(pfn, child);
+        (child, pfn)
     }
 
-    /// Returns the node frame a walk starting at `level` for `vpn` would
-    /// visit, if mapped — used to verify page-walk-cache correctness.
-    pub fn node_at(&mut self, vpn: Vpn, level: u32) -> Pfn {
-        dpc_types::invariant!(level < 4, "radix walks have 4 levels, got {level}");
-        self.translate(vpn).node_pfns[(level as usize).min(3)]
+    /// Appends an empty node to the arena (first touch only) and returns
+    /// its index.
+    fn push_node(&mut self) -> usize {
+        let child = self.nodes.len();
+        assert!(child < MAX_NODES, "page-table node arena exhausted");
+        self.nodes.push([0; NODE_ENTRIES]);
+        self.reservations.push(None);
+        child
+    }
+
+    /// The slots of arena node `node`.
+    #[inline]
+    fn slots(&self, node: usize) -> &Node {
+        invariant!(node < self.nodes.len(), "slots name only nodes already in the arena");
+        &self.nodes[node]
+    }
+
+    #[inline]
+    fn slots_mut(&mut self, node: usize) -> &mut Node {
+        invariant!(node < self.nodes.len(), "slots name only nodes already in the arena");
+        &mut self.nodes[node]
     }
 }
 
@@ -470,11 +550,6 @@ impl Default for PageTable {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn new_node() -> Node {
-    // dpc-lint: allow(hot-path::alloc) -- demand-mapping allocates one PT node per first touch; steady-state replay stays allocation-free (proved by the counting-allocator test)
-    Box::new([0u64; NODE_ENTRIES])
 }
 
 /// Physical address of slot `index` in the node at `node_pfn` (8-byte
@@ -526,6 +601,51 @@ mod tests {
     #[should_panic(expected = "partitioned")]
     fn legacy_allocator_rejects_regions() {
         FrameAllocator::new().alloc_region(PageSize::Size2M);
+    }
+
+    /// `ordinal` inverts every allocation: singletons in legacy and
+    /// partitioned mode, and every frame of 2 MB and 1 GB regions (base,
+    /// next-to-base and last). Frames not yet handed out have none.
+    #[test]
+    fn ordinals_round_trip_in_every_space() {
+        let mut legacy = FrameAllocator::new();
+        for n in 1..=5_000 {
+            let frame = legacy.alloc();
+            let want = FrameOrdinal { space: FrameSpace::Singleton, index: n };
+            assert_eq!(legacy.ordinal(frame), Some(want), "legacy frame {n}");
+        }
+        let mut partitioned = FrameAllocator::partitioned();
+        for n in 1..=300 {
+            let frame = partitioned.alloc();
+            let want = FrameOrdinal { space: FrameSpace::Singleton, index: n };
+            assert_eq!(partitioned.ordinal(frame), Some(want), "singleton {n}");
+            for size in [PageSize::Size2M, PageSize::Size1G] {
+                let base = partitioned.alloc_region(size);
+                let shift = size.unit_shift();
+                for offset in [0, 1, size.frames() - 1] {
+                    let want = FrameOrdinal {
+                        space: FrameSpace::Region(size),
+                        index: (n << shift) | offset,
+                    };
+                    let frame = Pfn::new(base.raw() + offset);
+                    assert_eq!(partitioned.ordinal(frame), Some(want), "{size:?} region {n}");
+                }
+            }
+        }
+        // The next frame or region each allocator would hand out has no
+        // ordinal yet, and neither has a frame outside the frame space.
+        for mut alloc in [legacy, partitioned] {
+            let probe = alloc.clone();
+            assert_eq!(probe.ordinal(alloc.alloc()), None);
+            assert_eq!(probe.ordinal(Pfn::new(1 << FRAME_SPACE_BITS)), None);
+            assert_eq!(probe.ordinal(Pfn::new(0)), None, "frame 0 is never returned");
+        }
+        let mut regions = FrameAllocator::partitioned();
+        let probe = regions.clone();
+        for size in [PageSize::Size2M, PageSize::Size1G] {
+            let base = regions.alloc_region(size);
+            assert_eq!(probe.ordinal(Pfn::new(base.raw() + 3)), None, "{size:?}");
+        }
     }
 
     #[test]

@@ -8,17 +8,16 @@ use crate::page_table::PageTable;
 use crate::policy::{
     EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
 };
+use crate::reverse_map::ReverseMaps;
 use crate::set_assoc::InsertPriority;
 use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
 use crate::tlb::{Tlb, TlbGroup};
 use crate::walker::Walker;
-use dpc_types::hash::FastBuildHasher;
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};
 use dpc_types::{
     AccessKind, ConfigError, Event, PageSize, Pc, Pfn, PhysAddr, SystemConfig, TlbFillPolicy,
     VirtAddr, Vpn, Workload,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -128,10 +127,9 @@ pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy>
 
     llt_evictions: EvictionClasses,
     llt_sampler: DeadnessSampler,
-    /// DOA-ness of each page's most recent completed LLT stay (Table III).
-    page_stay_doa: HashMap<Vpn, bool, FastBuildHasher>,
-    /// Reverse translation map for classifying evicted LLC blocks.
-    pfn_to_vpn: HashMap<Pfn, Vpn, FastBuildHasher>,
+    /// Frame→page reverse maps with each page's most recent LLT stay
+    /// (Table III).
+    reverse: ReverseMaps,
     doa_blocks_on_doa_pages: u64,
     doa_blocks_classified: u64,
 
@@ -178,6 +176,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     ) -> Result<Self, SystemError> {
         config.validate()?;
         let page_policy = config.page_policy;
+        let page_table = PageTable::with_policy(page_policy);
+        let reverse = ReverseMaps::new(&page_table);
         Ok(System {
             core: CoreModel::new(config.core.width, config.core.rob_size, config.core.mem_slots),
             l1i_tlb: TlbGroup::for_policy(&config.l1_itlb, page_policy, true),
@@ -188,13 +188,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             size_tagged: page_policy.page_sizes().len() > 1,
             pfq_unit_shift: page_policy.prediction_unit_shift(),
             hier: Hierarchy::with_typed_policy(&config, llc_policy),
-            page_table: PageTable::with_policy(page_policy),
+            page_table,
             walker: Walker::new(&config.pwc),
             mshr: Mshr::new(MSHR_CAPACITY),
             llt_evictions: EvictionClasses::default(),
             llt_sampler: DeadnessSampler::new(),
-            page_stay_doa: HashMap::default(),
-            pfn_to_vpn: HashMap::default(),
+            reverse,
             doa_blocks_on_doa_pages: 0,
             doa_blocks_classified: 0,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
@@ -306,8 +305,10 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         self.stats()
     }
 
-    /// Zeroes all architectural statistics while keeping the machine state
-    /// (cache/TLB/predictor contents) warm. Use after a warm-up phase.
+    /// Zeroes all architectural statistics, for use after a warm-up phase.
+    /// Cache, TLB, page-table and predictor contents stay warm; the page
+    /// walker is rebuilt, so its page-walk caches restart cold (both
+    /// goldens pin this).
     pub fn reset_stats(&mut self) {
         self.core = CoreModel::new(
             self.config.core.width,
@@ -383,16 +384,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             Vpn::new((unit.raw() << 2) | size.index())
         } else {
             unit
-        }
-    }
-
-    /// Key into the reverse translation map for a unit frame of `size`.
-    #[inline]
-    fn pfn_map_key(&self, size: PageSize, unit_pfn: Pfn) -> Pfn {
-        if self.size_tagged {
-            Pfn::new((unit_pfn.raw() << 2) | size.index())
-        } else {
-            unit_pfn
         }
     }
 
@@ -501,7 +492,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         let size = outcome.size;
         let key = self.llt_key(size, vpn);
         let unit_pfn = size.pfn_unit(outcome.pfn);
-        self.pfn_to_vpn.insert(self.pfn_map_key(size, unit_pfn), key);
+        self.reverse.note_walk(self.page_table.frames(), key, unit_pfn);
         let fill_pc = self.mshr.complete(vpn);
         if self.config.tlb_fill == TlbFillPolicy::Both {
             self.llt_insert(size, key, unit_pfn, fill_pc);
@@ -525,7 +516,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
                 self.llt_policy.on_bypass(key, unit_pfn);
                 // A bypassed page had no LLT stay; for the block↔page
                 // correlation it counts as a (predicted) dead page.
-                self.page_stay_doa.insert(key, true);
+                self.reverse.note_stay(self.page_table.frames(), key, unit_pfn, true);
                 // dpPred → PFQ message (paper Fig. 7), renamed to the
                 // prediction unit (the policy's largest page size).
                 let pfq_pfn = Pfn::new(unit_pfn.raw() >> (self.pfq_unit_shift - size.unit_shift()));
@@ -583,7 +574,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             let end_seq = self.llt.array().seq();
             self.llt_evictions.record(life, end_seq);
             self.llt_sampler.record_stay(life, end_seq);
-            self.page_stay_doa.insert(evicted_key, life.hits == 0);
+            let doa = life.hits == 0;
+            self.reverse.note_stay(self.page_table.frames(), evicted_key, Pfn::new(entry.pfn), doa);
             self.llt_policy.on_evict(EvictedPage {
                 vpn: evicted_key,
                 pfn: Pfn::new(entry.pfn),
@@ -599,24 +591,17 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             return;
         }
         let mut pending = std::mem::take(&mut self.hier.pending_doa_evictions);
+        let frames = self.page_table.frames();
         for pfn in pending.drain(..) {
             // The block's 4 KB-grain frame may be mapped at any enabled
-            // size; the reverse map resolves to the page's LLT key.
-            let mut mapped = None;
-            for &size in self.llt_sizes {
-                let map_key = self.pfn_map_key(size, size.pfn_unit(pfn));
-                if let Some(&key) = self.pfn_to_vpn.get(&map_key) {
-                    mapped = Some(key);
-                    break;
-                }
-            }
-            let Some(key) = mapped else {
+            // size; the reverse maps resolve it to the page's LLT key.
+            let Some((key, stay_doa)) = self.reverse.page_of(frames, pfn) else {
                 continue; // page-table frame or unmapped: unclassifiable
             };
             let page_doa = match self.llt.resident_hits(key) {
                 Some(hits) => hits == 0,
-                None => match self.page_stay_doa.get(&key) {
-                    Some(&doa) => doa,
+                None => match stay_doa {
+                    Some(doa) => doa,
                     None => continue,
                 },
             };

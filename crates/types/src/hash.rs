@@ -55,63 +55,6 @@ pub fn hash_block(block: BlockAddr, bits: u32) -> u32 {
     fold_xor(block.raw(), bits)
 }
 
-/// A fast multiply-rotate hasher for the simulator's *internal* hash
-/// maps (page-table nodes, PFN↔VPN classification maps), whose keys are
-/// small address-derived integers.
-///
-/// `std`'s default SipHash costs tens of cycles per lookup, which the
-/// page walker pays four times per walk; this hasher is a couple of ALU
-/// ops. It is deterministic (no per-process seed), so map *iteration*
-/// order is stable across runs — but callers must still not depend on
-/// that order, because the maps it serves are queried point-wise only.
-/// Not DoS-resistant; never use it for attacker-controlled keys.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastHasher(u64);
-
-/// Odd multiplier with well-mixed bits (the 64-bit golden-ratio
-/// constant), shared with the frame allocator's scatter map.
-const FAST_HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl std::hash::Hasher for FastHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
-
-impl FastHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FAST_HASH_MULT);
-    }
-}
-
-/// `BuildHasher` plugging [`FastHasher`] into `std` collections:
-/// `HashMap<K, V, FastBuildHasher>`.
-pub type FastBuildHasher = std::hash::BuildHasherDefault<FastHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
