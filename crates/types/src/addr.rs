@@ -7,7 +7,7 @@
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use crate::{PageSize, BLOCK_SHIFT, PAGE_SHIFT};
+use crate::{PageSize, BLOCK_SHIFT, PAGE_SHIFT, VA_BITS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -114,6 +114,15 @@ addr_newtype! {
 }
 
 impl VirtAddr {
+    /// Whether the address lies below 2^[`VA_BITS`], the space the
+    /// four-level page table translates. [`Vpn::radix_index`] reads only
+    /// VPN bits 0–35, so a higher address would alias the page 2^48 below
+    /// it; trace readers and writers refuse one.
+    #[inline]
+    pub const fn is_canonical(self) -> bool {
+        self.0 >> VA_BITS == 0
+    }
+
     /// Extracts the virtual page number.
     ///
     /// ```
@@ -149,6 +158,15 @@ impl VirtAddr {
     #[inline]
     pub const fn page_offset_at(self, size: PageSize) -> u64 {
         self.0 & (size.bytes() - 1)
+    }
+}
+
+impl Pc {
+    /// Whether the PC lies below 2^[`VA_BITS`], like every
+    /// [`VirtAddr::is_canonical`] address.
+    #[inline]
+    pub const fn is_canonical(self) -> bool {
+        self.0 >> VA_BITS == 0
     }
 }
 
@@ -327,6 +345,14 @@ mod tests {
             let pa = PhysAddr::new(raw);
             assert_eq!(pa.block().pfn(), pa.pfn());
         }
+    }
+
+    #[test]
+    fn canonical_means_below_2_pow_48() {
+        let top = (1u64 << VA_BITS) - 1;
+        assert!(VirtAddr::new(0).is_canonical() && VirtAddr::new(top).is_canonical());
+        assert!(!VirtAddr::new(top + 1).is_canonical() && !VirtAddr::new(u64::MAX).is_canonical());
+        assert!(Pc::new(top).is_canonical() && !Pc::new(top + 1).is_canonical());
     }
 
     #[test]

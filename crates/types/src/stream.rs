@@ -299,10 +299,11 @@ impl EventStream {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::UnexpectedEof`] for truncated input and
-    /// [`io::ErrorKind::InvalidData`] for inconsistent counts or unknown
-    /// tags. Array storage is grown incrementally as bytes actually
-    /// arrive, so a corrupt header claiming absurd counts fails with an
-    /// error instead of attempting a giant allocation.
+    /// [`io::ErrorKind::InvalidData`] for inconsistent counts, unknown
+    /// tags, or a memory event that is not canonical ([`check_canonical`]).
+    /// Array storage is grown incrementally as bytes actually arrive, so a
+    /// corrupt header claiming absurd counts fails with an error instead of
+    /// attempting a giant allocation.
     pub fn read_from<R: Read>(source: &mut R) -> io::Result<Self> {
         let n_events = read_u64(source)?;
         let n_mem = read_u64(source)?;
@@ -326,7 +327,24 @@ impl EventStream {
         let pcs = read_u64_array(source, n_mem)?;
         let vaddrs = read_u64_array(source, n_mem)?;
         let ops = read_u32_array(source, n_compute)?;
-        Ok(EventStream { tags, pcs, vaddrs, ops })
+        let stream = EventStream { tags, pcs, vaddrs, ops };
+        stream.check_addresses()?;
+        Ok(stream)
+    }
+
+    /// Refuses the stream if a memory event's PC or address is not
+    /// canonical ([`check_canonical`]), naming the first such event.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`], as [`check_canonical`].
+    pub fn check_addresses(&self) -> io::Result<()> {
+        let mem_indices = self.tags.iter().enumerate().filter(|&(_, &tag)| tag != TAG_COMPUTE);
+        let mem_events = mem_indices.zip(self.pcs.iter().zip(&self.vaddrs));
+        for ((index, _), (&pc, &vaddr)) in mem_events {
+            check_canonical(index, Pc::new(pc), VirtAddr::new(vaddr))?;
+        }
+        Ok(())
     }
 }
 
@@ -442,6 +460,24 @@ impl Iterator for StreamIter<'_> {
 }
 
 impl ExactSizeIterator for StreamIter<'_> {}
+
+/// Refuses memory event `index` if its PC or virtual address lies at or
+/// above 2^48 ([`VirtAddr::is_canonical`]): the simulated page table
+/// would alias it onto the page 2^48 below.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] naming the event index and the field.
+pub fn check_canonical(index: usize, pc: Pc, vaddr: VirtAddr) -> io::Result<()> {
+    let (field, raw) = if !vaddr.is_canonical() {
+        ("vaddr", vaddr.raw())
+    } else if !pc.is_canonical() {
+        ("pc", pc.raw())
+    } else {
+        return Ok(());
+    };
+    Err(invalid(&format!("event {index}: {field} {raw:#x} is not below 2^48")))
+}
 
 fn invalid(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("dpc event stream: {message}"))

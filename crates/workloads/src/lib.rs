@@ -115,9 +115,10 @@ pub enum Scale {
 
 impl Scale {
     /// Graph vertex count at this scale. Property arrays (4 B/vertex) must
-    /// exceed the LLT reach (4 MB = 1M pages-worth of 4 B entries) for the
-    /// paper's dead-page regime to appear, so Small already uses 2^21
-    /// vertices.
+    /// exceed the LLT reach for the paper's dead-page regime to appear:
+    /// 1024 entries × 4 KB pages = 4 MB, which a 4 B/vertex array fills at
+    /// 2^20 vertices. Small uses 2^22 vertices, so each such array spans
+    /// 16 MB, four times the reach.
     pub fn graph_vertices(self) -> u32 {
         match self {
             Scale::Tiny => 1 << 13,

@@ -33,6 +33,12 @@
 //! counts — is an [`io::Error`] from [`TraceWorkload::open`], never a
 //! panic and never a silently shortened replay.
 //!
+//! Both formats carry full `u64` PCs and addresses, but the simulated
+//! address space is 48 bits wide: a PC or address at or above 2^48 is
+//! [`io::ErrorKind::InvalidData`] naming the event index, in either
+//! reader and in [`TraceWriter`], rather than a page aliased onto the
+//! one 2^48 below it.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -49,7 +55,7 @@
 //! # }
 //! ```
 
-use dpc_types::stream::{EventStream, StreamCursor};
+use dpc_types::stream::{check_canonical, EventStream, StreamCursor};
 use dpc_types::{Event, Pc, VirtAddr, Workload};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -129,9 +135,12 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Infallible today (events buffer in memory); kept `io::Result` for
-    /// signature stability.
+    /// [`io::ErrorKind::InvalidData`], and the event is not appended, if
+    /// its PC or address lies at or above 2^48 ([`check_canonical`]).
     pub fn write_event(&mut self, event: &Event) -> io::Result<()> {
+        if let Event::Mem { pc, vaddr, .. } = *event {
+            check_canonical(self.stream.len(), pc, vaddr)?;
+        }
         self.stream.push(*event);
         Ok(())
     }
@@ -146,8 +155,11 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Propagates I/O errors. A [`TraceWriter::from_stream`] stream holding
+    /// an event whose PC or address lies at or above 2^48 is
+    /// [`io::ErrorKind::InvalidData`], and nothing is written.
     pub fn finish(mut self) -> io::Result<W> {
+        self.stream.check_addresses()?;
         self.sink.write_all(MAGIC_V2)?;
         self.stream.write_to(&mut self.sink)?;
         self.sink.flush()?;
@@ -172,8 +184,8 @@ impl TraceWorkload {
     /// # Errors
     ///
     /// Returns an error if the file cannot be opened or is malformed in
-    /// any way: bad magic, truncated record, unknown tag, or (v2)
-    /// inconsistent counts.
+    /// any way: bad magic, truncated record, unknown tag, a PC or address
+    /// at or above 2^48, or (v2) inconsistent counts.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let name = path
             .as_ref()
@@ -187,7 +199,8 @@ impl TraceWorkload {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] for bad magic, unknown record tags,
-    /// or inconsistent v2 counts; [`io::ErrorKind::UnexpectedEof`] for
+    /// a PC or address at or above 2^48 (naming the event index), or
+    /// inconsistent v2 counts; [`io::ErrorKind::UnexpectedEof`] for
     /// input truncated mid-record or mid-array.
     pub fn with_name<R: Read>(mut source: R, name: impl Into<String>) -> io::Result<Self> {
         let mut magic = [0u8; 8];
@@ -253,6 +266,9 @@ fn decode_v1<R: Read>(source: &mut R) -> io::Result<EventStream> {
                 ))
             }
         };
+        if let Event::Mem { pc, vaddr, .. } = event {
+            check_canonical(stream.len(), pc, vaddr)?;
+        }
         stream.push(event);
     }
     Ok(stream)
@@ -442,6 +458,51 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // The untouched buffer still decodes.
         assert!(TraceWorkload::with_name(buf.as_slice(), "ok").is_ok());
+    }
+
+    #[test]
+    fn addresses_at_or_above_2_pow_48_are_refused_by_both_formats() {
+        let top = (1u64 << 48) - 1;
+        let ok = Event::load(Pc::new(top), VirtAddr::new(top));
+        let bad_vaddr = Event::store(Pc::new(0x400), VirtAddr::new(top + 1));
+        let bad_pc = Event::load_dependent(Pc::new(u64::MAX), VirtAddr::new(0x1000));
+        let compute = Event::Compute { ops: 2 };
+        for (bad, field) in [(bad_vaddr, "vaddr"), (bad_pc, "pc")] {
+            let events = [ok, compute, bad];
+            let expect_event_2 = |err: io::Error| {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let message = err.to_string();
+                assert!(message.contains("event 2") && message.contains(field), "{message}");
+            };
+            expect_event_2(
+                TraceWorkload::with_name(v1_bytes(&events).as_slice(), "v1").unwrap_err(),
+            );
+
+            let mut writer = TraceWriter::new(Vec::new()).unwrap();
+            writer.write_event(&ok).unwrap();
+            writer.write_event(&compute).unwrap();
+            expect_event_2(writer.write_event(&bad).unwrap_err());
+            assert_eq!(writer.events(), 2, "a refused event is not buffered");
+            let (stream, mut sink) = (events.iter().copied().collect(), Vec::new());
+            expect_event_2(TraceWriter::from_stream(&mut sink, stream).finish().unwrap_err());
+            assert!(sink.is_empty(), "a refused stream writes nothing");
+
+            // A v2 file holding the event, encoded by hand.
+            let mut v2 = MAGIC_V2.to_vec();
+            let encoded: EventStream = [ok, compute, ok].into_iter().collect();
+            encoded.write_to(&mut v2).unwrap();
+            let (pc, vaddr) = match bad {
+                Event::Mem { pc, vaddr, .. } => (pc.raw(), vaddr.raw()),
+                Event::Compute { .. } => unreachable!(),
+            };
+            // Header, three tags and the first memory event's pc, then the
+            // second pc; the vaddr array follows the two pcs.
+            let pcs = MAGIC_V2.len() + 24 + 3;
+            v2[pcs + 8..pcs + 16].copy_from_slice(&pc.to_le_bytes());
+            v2[pcs + 24..pcs + 32].copy_from_slice(&vaddr.to_le_bytes());
+            expect_event_2(TraceWorkload::with_name(v2.as_slice(), "v2").unwrap_err());
+        }
+        assert_eq!(roundtrip(&[ok, compute]), [ok, compute], "2^48 - 1 is still canonical");
     }
 
     #[test]

@@ -86,10 +86,12 @@ fn decode_mutant(bytes: &[u8]) -> Option<Vec<Event>> {
 }
 
 /// Up to 200 events of the first `kinds` kinds: load, store, dependent
-/// load, compute, and the dependent store that v1 cannot represent.
+/// load, compute, and the dependent store that v1 cannot represent. PCs
+/// and addresses lie below 2^48, the only ones a trace may hold.
 fn any_events(kinds: u8) -> impl Strategy<Value = Vec<Event>> {
-    let event =
-        (0..kinds, any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(kind, pc, vaddr, ops)| {
+    let canonical = 0..1u64 << 48;
+    let event = (0..kinds, canonical.clone(), canonical, any::<u32>()).prop_map(
+        |(kind, pc, vaddr, ops)| {
             let (pc, vaddr) = (Pc::new(pc), VirtAddr::new(vaddr));
             match kind {
                 0 => Event::load(pc, vaddr),
@@ -98,7 +100,8 @@ fn any_events(kinds: u8) -> impl Strategy<Value = Vec<Event>> {
                 3 => Event::Compute { ops },
                 _ => Event::Mem { pc, vaddr, kind: AccessKind::Write, dependent: true },
             }
-        });
+        },
+    );
     proptest::collection::vec(event, 0..200)
 }
 
