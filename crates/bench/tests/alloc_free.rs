@@ -14,8 +14,9 @@
 //! set-up allocations to the other's measured pass.
 
 // The counting allocator has to implement `GlobalAlloc`, which is an
-// unsafe trait; this is the one sanctioned exception to the workspace-wide
-// `unsafe_code = "deny"` policy, confined to this test harness.
+// unsafe trait; this test crate is exempt from the workspace-wide
+// `unsafe_code = "deny"` policy, which the library crates tighten to
+// `forbid`.
 #![allow(unsafe_code)]
 
 use dpc_memsim::system::System;
@@ -142,10 +143,9 @@ fn warm_event_loop_never_allocates() {
 
 /// The chunked replay front-end (`run_stream`) must uphold the same
 /// contract: its decode batch is owned by the `System` and reused across
-/// calls, so a warm campaign replay — SIMD prescan, per-chunk batch
+/// calls, so a warm campaign replay — tag prescan, per-chunk batch
 /// refills and all — performs zero heap allocations.
-/// This is the path `paper all` drives for every simulation, with or
-/// without AVX2 (the batch reuse is mode-independent).
+/// This is the path `paper all` drives for every simulation.
 #[test]
 fn warm_run_stream_never_allocates() {
     let factory = WorkloadFactory::new(Scale::Tiny, 42);

@@ -51,6 +51,7 @@
 //! cargo run --release -p dpc-bench --bin paper -- fig9 table4
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

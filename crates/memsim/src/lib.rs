@@ -45,6 +45,7 @@
 //! assert!(stats.ipc() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -57,7 +58,6 @@ pub mod policy;
 pub mod pwc;
 mod reverse_map;
 pub mod set_assoc;
-pub mod simd;
 pub mod soa;
 pub mod stats;
 pub mod system;

@@ -88,8 +88,8 @@ impl<P> LineRecord<P> {
 
 /// A `u64` array whose usable part, `words[start..]`, begins on a
 /// 64-byte boundary: the allocation is over-sized by up to seven words
-/// and `start` skips to the first aligned one, so no `unsafe` allocator
-/// call is needed. A clone keeps the offset, so its blocks may start off
+/// and `start` skips to the first aligned one, so no raw allocator call
+/// is needed. A clone keeps the offset, so its blocks may start off
 /// a host-line boundary; only speed, never contents, depends on it.
 #[derive(Clone, Debug)]
 pub(crate) struct AlignedWords {
@@ -211,20 +211,15 @@ impl<P> SetBlocks<P> {
         *slot = (*slot & !(u64::from(u32::MAX) << shift)) | (u64::from(stamp) << shift);
     }
 
-    /// Branchless tag compare over the set's contiguous tags, intersected
-    /// with the validity mask. Bit `w` of the result is set iff way `w`
-    /// is valid and holds `tag`; `trailing_zeros` recovers the first
-    /// match.
-    ///
-    /// The compare itself is [`crate::simd::match_mask`]: 256-bit AVX2
-    /// tag compares (four ways per vector) where the host has AVX2,
-    /// fixed-width unrolled scalar comparisons otherwise — both producing
-    /// the identical way bitmask.
+    /// Branchless tag compare over the set's contiguous tags
+    /// ([`match_tags`]), intersected with the validity mask. Bit `w` of
+    /// the result is set iff way `w` is valid and holds `tag`;
+    /// `trailing_zeros` recovers the first match.
     #[inline]
     pub(crate) fn match_mask(&self, block: usize, tag: u64) -> u64 {
         let words = &self.blocks.words;
         invariant!(block + TAGS + self.ways <= words.len(), "block() stays inside the blocks");
-        crate::simd::match_mask(&words[block + TAGS..block + TAGS + self.ways], tag) & words[block]
+        match_tags(&words[block + TAGS..block + TAGS + self.ways], tag) & words[block]
     }
 
     /// Iterates over all valid lines in storage order, with the owning
@@ -294,6 +289,53 @@ impl<P> LineRef<'_, P> {
     }
 }
 
+/// Way-match bitmask over a set's contiguous tag column: bit `w` of the
+/// result is set iff `tags[w] == needle`. First-match-wins order is the
+/// bit order, so `trailing_zeros` on the result recovers the same way a
+/// linear scan finds.
+///
+/// The paper-baseline associativities (4-way L1 TLB, 8-way L1D/L2/LLT,
+/// 16-way LLC) are dispatched to fixed-width comparisons so the compiler
+/// sees a compile-time trip count and can fully unroll; any other
+/// geometry takes the generic loop.
+#[inline]
+fn match_tags(tags: &[u64], needle: u64) -> u64 {
+    match tags.len() {
+        4 => fixed_match::<4>(tags, needle),
+        8 => fixed_match::<8>(tags, needle),
+        16 => fixed_match::<16>(tags, needle),
+        _ => generic_match(tags, needle),
+    }
+}
+
+/// Tag compare with a compile-time way count: converting the slice to a
+/// fixed-size array reference lets the compiler unroll the loop with no
+/// per-iteration bounds checks. Falls back to [`generic_match`] if the
+/// slice length does not match `N` (cannot happen for callers that
+/// dispatch on `tags.len()`, but keeps the function total without
+/// panicking).
+#[inline]
+fn fixed_match<const N: usize>(tags: &[u64], needle: u64) -> u64 {
+    let Ok(tags) = <&[u64; N]>::try_from(tags) else {
+        return generic_match(tags, needle);
+    };
+    let mut mask = 0u64;
+    for (way, &t) in tags.iter().enumerate() {
+        mask |= u64::from(t == needle) << way;
+    }
+    mask
+}
+
+/// Tag compare for arbitrary associativity.
+#[inline]
+fn generic_match(tags: &[u64], needle: u64) -> u64 {
+    let mut mask = 0u64;
+    for (way, &t) in tags.iter().enumerate() {
+        mask |= u64::from(t == needle) << way;
+    }
+    mask
+}
+
 /// Iterator over the set bit positions of a `u64` mask, ascending.
 struct BitIter(u64);
 
@@ -331,6 +373,38 @@ mod tests {
         assert_eq!(mask.trailing_zeros(), 0);
         // An invalid set contributes nothing.
         assert_eq!(store.match_mask(store.block(0), 0), 0);
+    }
+
+    #[test]
+    fn match_tags_is_positional() {
+        let tags = [7u64, 9, 7, 1];
+        assert_eq!(match_tags(&tags, 7), 0b0101);
+        assert_eq!(match_tags(&tags, 1), 0b1000);
+        assert_eq!(match_tags(&tags, 2), 0);
+        assert_eq!(match_tags(&[], 2), 0);
+    }
+
+    #[test]
+    fn match_tags_matches_a_fold_at_every_width() {
+        let mut state = 0xFEED_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        // Every width up to the 64-way bitmask ceiling: the fixed-width
+        // arms and the generic loop alike.
+        for ways in 0..=MAX_WAYS {
+            for round in 0..50 {
+                // Narrow tag range so collisions (multi-way matches) occur.
+                let tags: Vec<u64> = (0..ways).map(|_| next() % 8).collect();
+                let needle = next() % 8;
+                let want =
+                    tags.iter().enumerate().fold(0, |m, (w, &t)| m | u64::from(t == needle) << w);
+                assert_eq!(match_tags(&tags, needle), want, "ways {ways}, round {round}");
+            }
+        }
     }
 
     #[test]

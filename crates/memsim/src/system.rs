@@ -726,7 +726,6 @@ mod tests {
     /// root; at 4 KB the worst case (two four-load walks plus the data
     /// access) is reached, not just bounded.
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 24k mem ops; too slow under Miri")]
     fn array_clocks_advance_at_most_the_bound_per_mem_op() {
         use crate::set_assoc::MAX_CLOCK_STEPS_PER_MEM_OP;
         use dpc_types::AllocPolicy;
@@ -775,13 +774,7 @@ mod tests {
         }
     }
 
-    // Most tests below simulate tens of thousands of memory operations;
-    // under Miri's interpreter that is minutes per test, so only the
-    // small ones run there (the CI Miri job covers `memsim` for the
-    // pointer/aliasing behavior of the SoA arrays and the batched replay
-    // path, not for throughput).
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 20k mem ops; too slow under Miri")]
     fn conservation_laws() {
         let mut sys = system();
         let stats = sys.run(&mut SyntheticLoads::strided(64, 20_000));
@@ -794,7 +787,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 6.4k mem ops; too slow under Miri")]
     fn page_locality_hits_l1_tlb() {
         let mut sys = system();
         // 64 accesses per 4 KiB page at stride 64: one TLB miss per page.
@@ -804,7 +796,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 20k mem ops; too slow under Miri")]
     fn streaming_pages_are_doa_in_llt() {
         let mut sys = system();
         sys.set_sample_interval(1000);
@@ -821,7 +812,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 10k mem ops; too slow under Miri")]
     fn repeated_small_working_set_is_live() {
         let mut sys = system();
         let stats = sys.run(&mut SyntheticLoads::looping(16, 10_000));
@@ -834,7 +824,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 5k mem ops; too slow under Miri")]
     fn stats_are_idempotent() {
         let mut sys = system();
         sys.run(&mut SyntheticLoads::strided(4096, 5000));
@@ -852,7 +841,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 12.8k mem ops; too slow under Miri")]
     fn reset_stats_keeps_state_warm() {
         let mut sys = system();
         sys.run(&mut SyntheticLoads::strided(64, 6400));
@@ -866,7 +854,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 6.4k mem ops; too slow under Miri")]
     fn victim_fill_policy_populates_llt_on_l1_eviction() {
         let config = SystemConfig::paper_baseline().with_tlb_fill(TlbFillPolicy::L1ThenVictim);
         let mut sys = System::new(config).unwrap();
@@ -879,7 +866,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 60k mem ops; too slow under Miri")]
     fn fill_policies_perform_similarly() {
         // Paper Section III: "we did not find any significant performance
         // difference between these two alternative designs."
@@ -893,7 +879,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 11k mem ops; too slow under Miri")]
     fn run_events_replays_borrowed_streams_identically() {
         use dpc_types::stream::EventStream;
         // Capture exactly the prefix a 3000-mem-op run consumes, then
@@ -919,10 +904,8 @@ mod tests {
 
     #[test]
     fn run_stream_matches_event_at_a_time_replay() {
-        // Small enough to run under Miri (which is how CI exercises the
-        // chunk-decode path for aliasing bugs) yet longer than two
-        // EVENT_CHUNKs so chunk boundaries are crossed, with a warm-up/
-        // measure split landing mid-chunk.
+        // Longer than two EVENT_CHUNKs so chunk boundaries are crossed,
+        // with a warm-up/measure split landing mid-chunk.
         let stream = EventStream::capture_mem_ops(&mut SyntheticLoads::strided(4096, 1000), 600);
         let mut item_sys = system();
         let mut item_cursor = stream.iter();
@@ -963,7 +946,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 19.2k mem ops; too slow under Miri")]
     fn huge_pages_shorten_walks_and_cut_tlb_misses() {
         use dpc_types::AllocPolicy;
         let run = |policy| {
@@ -997,7 +979,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 12.8k mem ops; too slow under Miri")]
     fn promotion_policy_converges_and_stays_consistent() {
         use dpc_types::AllocPolicy;
         let config = SystemConfig::paper_baseline()
@@ -1021,7 +1002,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "simulates 9.6k mem ops; too slow under Miri")]
     fn huge_page_runs_are_deterministic() {
         use dpc_types::AllocPolicy;
         for policy in [

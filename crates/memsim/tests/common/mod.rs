@@ -205,7 +205,7 @@ pub fn lcg(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// Associativities whose set blocks differ in shape: 1 (a lone stamp in
-/// a half-used word), 3 (the last stamp word half empty; the AVX2 tag
-/// compare is all tail), 12 (no fixed-width scalar compare; three whole
-/// AVX2 vectors) and 64 (the validity-mask ceiling).
+/// a half-used word), 3 (the last stamp word half empty), 12 (no
+/// fixed-width tag compare; the generic loop) and 64 (the validity-mask
+/// ceiling).
 pub const BLOCK_SHAPE_WAYS: [usize; 4] = [1, 3, 12, 64];

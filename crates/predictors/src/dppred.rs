@@ -15,8 +15,7 @@
 //!   bypassed pages. It serves as a victim buffer (a shadow hit returns the
 //!   translation without a page walk) and as negative feedback: a shadow
 //!   hit means the bypass was wrong, so every pHIST entry for that VPN
-//!   hash is flushed (one contiguous row under the VPN-major layout,
-//!   batch-cleared by the `simd` kernels).
+//!   hash is flushed (one contiguous row under the VPN-major layout).
 //!
 //! Accuracy/coverage (paper Table VI) is measured with a
 //! [`GhostTracker`] — since bypassed pages have
@@ -171,7 +170,7 @@ impl DpPred {
     /// negative-feedback action on a shadow hit (paper Fig. 6a). With
     /// PC-only indexing the single entry for the stored PC hash is cleared
     /// instead. Under the VPN-major layout of [`Self::index`] the flush is
-    /// one contiguous row, batch-cleared by [`crate::simd::clear_counters`].
+    /// one contiguous row.
     #[inline]
     fn negative_feedback(&mut self, vpn_hash: u32, pc_hash: u32) {
         self.negative_feedback_events += 1;
@@ -190,7 +189,9 @@ impl DpPred {
             start + row <= self.phist.len(),
             "pHIST row for vpn_hash {vpn_hash} exceeds the table"
         );
-        crate::simd::clear_counters(&mut self.phist[start..start + row]);
+        for counter in &mut self.phist[start..start + row] {
+            counter.clear();
+        }
     }
 }
 
@@ -384,6 +385,64 @@ mod tests {
         assert!(matches!(pred.on_fill(vpn_a, Pfn::new(7), pc), PageFillDecision::Allocate { .. }));
         // ...while B's fully-trained row keeps predicting.
         assert_eq!(pred.on_fill(vpn_b, Pfn::new(8), pc), PageFillDecision::Bypass);
+    }
+
+    #[test]
+    fn negative_feedback_clears_the_row_at_every_counter_width() {
+        for counter_bits in 1..=8u32 {
+            let config = DpPredConfig { counter_bits, ..DpPredConfig::default() };
+            let mut pred = DpPred::new(config);
+            let vpn_hash = hash_vpn(Vpn::new(0x99), config.vpn_bits);
+            let start = pred.index(0, vpn_hash);
+            let row = start..start + (1 << config.pc_bits);
+            // Saturate every counter of the row, then flush it.
+            for counter in &mut pred.phist[row.clone()] {
+                (0..=counter.max()).for_each(|_| counter.increment());
+            }
+            pred.negative_feedback(vpn_hash, 0);
+            let max = u8::MAX >> (8 - counter_bits);
+            assert!(
+                pred.phist[row.clone()].iter().all(|c| c.value() == 0 && c.max() == max),
+                "{counter_bits}-bit row not cleared to zero with its width kept"
+            );
+            // Cleared counters still train and saturate normally.
+            (0..=max).for_each(|_| pred.phist[start].increment());
+            assert_eq!(pred.phist[start].value(), max);
+        }
+    }
+
+    #[test]
+    fn negative_feedback_zeroes_staggered_values_and_keeps_width() {
+        let mut pred = DpPred::paper_default();
+        let vpn_hash = hash_vpn(Vpn::new(0x99), pred.config.vpn_bits);
+        let start = pred.index(0, vpn_hash);
+        let row = start..start + (1 << pred.config.pc_bits);
+        // Train the row to staggered values, both saturation bounds included.
+        for (i, counter) in pred.phist[row.clone()].iter_mut().enumerate() {
+            (0..i % (usize::from(counter.max()) + 2)).for_each(|_| counter.increment());
+        }
+        assert!(pred.phist[row.clone()].iter().any(|c| c.value() == c.max()));
+        pred.negative_feedback(vpn_hash, 0);
+        for c in &pred.phist[row] {
+            assert_eq!(c.value(), 0);
+            assert_eq!(c.max(), 7);
+        }
+    }
+
+    #[test]
+    fn negative_feedback_cleared_row_retrains_to_saturation() {
+        let mut pred = DpPred::paper_default();
+        let vpn_hash = hash_vpn(Vpn::new(0x99), pred.config.vpn_bits);
+        let start = pred.index(0, vpn_hash);
+        let row = start..start + 64;
+        for counter in &mut pred.phist[row.clone()] {
+            (0..10).for_each(|_| counter.increment());
+        }
+        pred.negative_feedback(vpn_hash, 0);
+        assert!(pred.phist[row].iter().all(|c| c.value() == 0 && c.max() == 7));
+        // Cleared counters must still increment and saturate normally.
+        (0..10).for_each(|_| pred.phist[start].increment());
+        assert_eq!(pred.phist[start].value(), 7);
     }
 
     #[test]

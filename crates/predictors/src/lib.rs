@@ -20,8 +20,6 @@
 //!   observe, so its fate is tracked in a shadow structure).
 //! * [`storage`] — the storage-overhead model reproducing the byte budgets
 //!   of paper Sections V-D and VI-D.
-//! * [`simd`] — runtime-dispatched vector kernels (with scalar twins) for
-//!   the history tables, e.g. dpPred's negative-feedback row flush.
 //!
 //! All predictors implement the [`LltPolicy`](dpc_memsim::LltPolicy) /
 //! [`LlcPolicy`](dpc_memsim::LlcPolicy) hook traits and plug into
@@ -45,6 +43,7 @@
 //! # Ok::<(), dpc_memsim::SystemError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -55,7 +54,6 @@ pub mod dueling;
 pub mod ghost;
 pub mod oracle;
 pub mod ship;
-pub mod simd;
 pub mod storage;
 
 pub use aip::{AipLlc, AipTlb};

@@ -19,12 +19,7 @@ use std::fmt;
 /// c.clear();
 /// assert_eq!(c.value(), 0);
 /// ```
-/// Layout contract: `repr(C)` pins `value` at byte offset 0 and `max` at
-/// byte offset 1, which the batched clear kernel in `dpc-predictors`
-/// (`simd::clear_counters`) relies on to zero the value bytes of a
-/// counter row while preserving the width bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(C)]
 pub struct SatCounter {
     value: u8,
     max: u8,

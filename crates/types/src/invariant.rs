@@ -1,26 +1,19 @@
-//! The `invariant!` macro: structural checks compiled in by the
-//! `check-invariants` cargo feature.
+//! The `invariant!` macro: structural checks compiled in with
+//! `debug_assertions`.
 //!
 //! The simulator's hot paths bank on structural invariants (a saturating
 //! counter never exceeds its ceiling, the shadow buffer never holds more
 //! than two entries, a folded-XOR index is always in table range). In
 //! release builds those checks would cost real time per simulated memory
-//! operation, so they compile to nothing unless the `check-invariants`
-//! feature is on — CI runs the test suite once with it enabled.
+//! operation, so they compile to nothing there; debug and test builds
+//! (`cargo test`) arm every one.
 //!
 //! `invariant!` sites also serve as the visible bounds reasoning that the
 //! `hot-path::index` rule of `cargo xtask lint` looks for: an index that
 //! is asserted in range is an index a reviewer can trust.
 
-/// Asserts a structural invariant when the `check-invariants` feature is
-/// enabled; compiles to nothing otherwise.
-///
-/// Because `cfg!` is evaluated in the crate that *invokes* the macro,
-/// every crate using `invariant!` must declare its own
-/// `check-invariants` feature (forwarding to `dpc-types/check-invariants`
-/// so `--features <crate>/check-invariants` switches the whole stack on).
-/// A crate that forgets the feature declaration fails the build under
-/// `unexpected_cfgs`, so the mistake cannot ship silently.
+/// Asserts a structural invariant when `debug_assertions` is on (debug
+/// and test builds); compiles to nothing in release builds.
 ///
 /// # Examples
 ///
@@ -34,7 +27,7 @@
 #[macro_export]
 macro_rules! invariant {
     ($cond:expr $(, $($arg:tt)+)?) => {
-        if cfg!(feature = "check-invariants") {
+        if cfg!(debug_assertions) {
             assert!($cond $(, $($arg)+)?);
         }
     };
@@ -49,16 +42,17 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "check-invariants"), ignore = "needs --features check-invariants")]
+    #[cfg_attr(not(debug_assertions), ignore = "needs debug assertions")]
     #[should_panic(expected = "shadow occupancy")]
     fn invariant_fires_when_enabled() {
         invariant!(false, "shadow occupancy exceeded");
     }
 
-    #[cfg(not(feature = "check-invariants"))]
     #[test]
-    fn invariant_is_free_when_disabled() {
-        // Must not panic: the check compiles to a constant-false branch.
-        invariant!(false, "never evaluated");
+    fn invariant_is_armed_exactly_under_debug_assertions() {
+        // Without debug assertions the check compiles to a constant-false
+        // branch and must not panic.
+        let fired = std::panic::catch_unwind(|| invariant!(false, "armed")).is_err();
+        assert_eq!(fired, cfg!(debug_assertions));
     }
 }

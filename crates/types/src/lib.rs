@@ -10,8 +10,6 @@
 //! * [`hash`] — the folded-XOR hash family the paper uses to index its
 //!   history tables;
 //! * [`counter`] — saturating confidence counters ([`SatCounter`]);
-//! * [`simd`] — runtime-dispatched vector kernels (with scalar twins)
-//!   shared by the event-replay hot path;
 //! * [`config`] — the full simulated-machine configuration with builders
 //!   mirroring Table I of the paper.
 //!
@@ -27,6 +25,7 @@
 //! assert_eq!(config.l2_tlb.entries, 1024);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -36,7 +35,6 @@ pub mod counter;
 pub mod hash;
 mod invariant;
 pub mod page;
-pub mod simd;
 pub mod stream;
 pub mod workload;
 

@@ -168,9 +168,9 @@ impl EventStream {
     /// a warm-up/measure split is bit-identical to event-at-a-time
     /// replay.
     ///
-    /// A tag prescan ([`crate::simd::classify_tags`], AVX2 or scalar by
-    /// platform) finds the chunk boundary (window end or memory budget)
-    /// column-wise, then the payload columns are decoded through
+    /// A tag prescan ([`classify_tags`]) finds the chunk boundary (window
+    /// end or memory budget) column-wise, then the payload columns are
+    /// decoded through
     /// pre-sliced windows with no per-event end-of-array checks. The
     /// differential tests below hold it to the per-event
     /// [`next_from`](Self::next_from) decoder.
@@ -184,7 +184,7 @@ impl EventStream {
         batch.events.clear();
         let Some(tags) = self.tags.get(cursor.index..) else { return 0 };
         let window = tags.len().min(max_events);
-        let (take, mem_take) = crate::simd::classify_tags(&tags[..window], TAG_COMPUTE, max_mem);
+        let (take, mem_take) = classify_tags(&tags[..window], TAG_COMPUTE, max_mem);
         debug_assert!(take <= window);
         let compute_take = take - mem_take as usize;
         // The struct invariant (mem tags ⇔ pcs/vaddrs entries, compute
@@ -346,6 +346,32 @@ impl EventStream {
         }
         Ok(())
     }
+}
+
+/// Scans a tag window and returns `(take, mem_take)`: how many leading
+/// tags a replay chunk may consume without exceeding a budget of
+/// `max_mem` tags that differ from `compute_tag` (i.e. memory events),
+/// and how many such tags the prefix contains.
+///
+/// The cut lands directly *after* the budget-th memory tag, so trailing
+/// compute tags beyond the last in-budget memory event are **not** taken
+/// — exactly the gate-before-every-event semantics of a
+/// `while mem_ops < budget` replay loop.
+#[inline]
+fn classify_tags(tags: &[u8], compute_tag: u8, max_mem: u64) -> (usize, u64) {
+    if max_mem == 0 {
+        return (0, 0);
+    }
+    let mut mem = 0u64;
+    for (i, &tag) in tags.iter().enumerate() {
+        if tag != compute_tag {
+            mem += 1;
+            if mem == max_mem {
+                return (i + 1, mem);
+            }
+        }
+    }
+    (tags.len(), mem)
 }
 
 impl fmt::Debug for EventStream {
@@ -824,6 +850,67 @@ mod tests {
         let mut cursor = StreamCursor::default();
         assert_eq!(stream.decode_chunk(&mut cursor, &mut batch, 256, 0), 0);
         assert_eq!((batch.len(), cursor.position()), (0, 0));
+    }
+
+    #[test]
+    fn classify_tags_cuts_after_budget_mem_tag() {
+        // mem compute mem compute mem compute
+        let tags = [0u8, TAG_COMPUTE, 1, TAG_COMPUTE, 2, TAG_COMPUTE];
+        assert_eq!(classify_tags(&tags, TAG_COMPUTE, 2), (3, 2));
+        assert_eq!(classify_tags(&tags, TAG_COMPUTE, 3), (5, 3));
+        assert_eq!(classify_tags(&tags, TAG_COMPUTE, 4), (6, 3));
+        assert_eq!(classify_tags(&tags, TAG_COMPUTE, 0), (0, 0));
+    }
+
+    #[test]
+    fn classify_tags_takes_everything_under_budget() {
+        let tags = [TAG_COMPUTE; 100];
+        assert_eq!(classify_tags(&tags, TAG_COMPUTE, 5), (100, 0));
+        assert_eq!(classify_tags(&[], TAG_COMPUTE, 5), (0, 0));
+    }
+
+    /// The naive reference for [`classify_tags`]: a budget gate before
+    /// every tag.
+    fn classify_naive(tags: &[u8], max_mem: u64) -> (usize, u64) {
+        let (mut take, mut mem) = (0, 0);
+        while mem < max_mem && take < tags.len() {
+            mem += u64::from(tags[take] != TAG_COMPUTE);
+            take += 1;
+        }
+        (take, mem)
+    }
+
+    #[test]
+    fn classify_tags_cuts_at_every_budget_position() {
+        // All-memory window: the budget can expire at every position,
+        // including past the end.
+        let tags = [TAG_LOAD; 40];
+        for budget in 0..=41u64 {
+            let want = (budget.min(40) as usize, budget.min(40));
+            assert_eq!(classify_tags(&tags, TAG_COMPUTE, budget), want, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn classify_tags_matches_naive_loop_on_random_windows() {
+        let mut state = 0x0D15_EA5E_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        for round in 0..500 {
+            let len = (next() % 300) as usize;
+            let tags: Vec<u8> = (0..len)
+                .map(|_| if next().is_multiple_of(3) { TAG_COMPUTE } else { (next() % 5) as u8 })
+                .collect();
+            for max_mem in [0u64, 1, 2, 31, 32, 33, 64, 100, u64::MAX] {
+                let want = classify_naive(&tags, max_mem);
+                let got = classify_tags(&tags, TAG_COMPUTE, max_mem);
+                assert_eq!(got, want, "round {round}, len {len}, budget {max_mem}");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! assert!(bfs.next_event().is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -218,9 +218,17 @@ impl TraceWorkload {
         Ok(TraceWorkload { name: name.into(), events, cursor: StreamCursor::default() })
     }
 
-    /// Wraps an already-decoded stream.
-    pub fn from_stream(name: impl Into<String>, events: EventStream) -> Self {
-        TraceWorkload { name: name.into(), events, cursor: StreamCursor::default() }
+    /// Wraps an already-decoded stream, refusing it if a memory event's
+    /// PC or address lies at or above 2^48 (the page table would alias
+    /// such a page onto the one 2^48 below).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the first such event, as
+    /// [`EventStream::check_addresses`].
+    pub fn from_stream(name: impl Into<String>, events: EventStream) -> io::Result<Self> {
+        events.check_addresses()?;
+        Ok(TraceWorkload { name: name.into(), events, cursor: StreamCursor::default() })
     }
 
     /// The decoded stream.
@@ -528,7 +536,19 @@ mod tests {
         TraceWriter::from_stream(&mut sink, stream.clone()).finish().unwrap();
         let decoded = TraceWorkload::with_name(sink.as_slice(), "x").unwrap();
         assert_eq!(decoded.stream(), &stream);
-        let direct = TraceWorkload::from_stream("x", stream.clone());
+        let direct = TraceWorkload::from_stream("x", stream.clone()).unwrap();
         assert_eq!(direct.into_stream(), stream);
+    }
+
+    #[test]
+    fn from_stream_refuses_addresses_at_or_above_2_48() {
+        let at = |vaddr| -> EventStream {
+            [Event::load(Pc::new(1), VirtAddr::new(vaddr))].into_iter().collect()
+        };
+        let err = TraceWorkload::from_stream("x", at(0x1_0000_1000_0000)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("event 0"), "{err}");
+        let lower = TraceWorkload::from_stream("x", at(0x1000_0000)).unwrap();
+        assert_eq!(lower.stream().len(), 1);
     }
 }

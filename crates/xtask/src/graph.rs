@@ -241,7 +241,7 @@ impl Resolver {
                             );
                         }
                     } else {
-                        // Module-qualified path (`simd::enabled`) or a
+                        // Module-qualified path (`hash::hash_pc`) or a
                         // foreign type (`Vec::new`): only free fns match —
                         // falling back to every method of that name would
                         // drag foreign-constructor names like `new` in.

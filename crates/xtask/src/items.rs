@@ -49,7 +49,7 @@ pub enum CallKind {
     /// `receiver.name(..)` — resolves to methods of that name anywhere.
     Method,
     /// `Seg::name(..)` — the last path segment before the name is kept
-    /// (`Pfn` in `Pfn::new`, `simd` in `dpc_types::simd::enabled`).
+    /// (`Pfn` in `Pfn::new`, `hash` in `dpc_types::hash::hash_pc`).
     Qualified(String),
     /// `name(..)` with no path — resolves to free functions.
     Bare,
@@ -549,14 +549,14 @@ mod tests {
     fn call_kinds_classified() {
         let idx = index(
             "fn f() {\n    helper();\n    obj.method_call(1);\n    Pfn::new(0);\n    \
-             dpc_types::simd::enabled();\n    items.collect::<Vec<_>>();\n    Self::assoc();\n}\n",
+             dpc_types::hash::hash_pc();\n    items.collect::<Vec<_>>();\n    Self::assoc();\n}\n",
         );
         let calls = &idx.calls[idx.fns.iter().position(|f| f.name == "f").expect("f")];
         let get = |n: &str| calls.iter().find(|c| c.name == n).expect("call");
         assert_eq!(get("helper").kind, CallKind::Bare);
         assert_eq!(get("method_call").kind, CallKind::Method);
         assert_eq!(get("new").kind, CallKind::Qualified("Pfn".into()));
-        assert_eq!(get("enabled").kind, CallKind::Qualified("simd".into()));
+        assert_eq!(get("hash_pc").kind, CallKind::Qualified("hash".into()));
         assert_eq!(get("collect").kind, CallKind::Method);
         assert_eq!(get("assoc").kind, CallKind::Qualified("Self".into()));
     }

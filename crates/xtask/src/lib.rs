@@ -1,7 +1,7 @@
 //! `dpc-lint`: the workspace static-analysis pass behind `cargo xtask
 //! lint`.
 //!
-//! Five deny-by-default rule families protect the invariants the paper
+//! Four deny-by-default rule families protect the invariants the paper
 //! reproduction depends on:
 //!
 //! * **determinism** — no wall clocks outside the campaign engine's
@@ -21,10 +21,7 @@
 //!   reachable set;
 //! * **dispatch** — no `dyn LltPolicy`/`dyn LlcPolicy` trait objects in
 //!   non-test code under `crates/memsim`/`crates/core`, with no
-//!   exempt module;
-//! * **simd** — `unsafe` and `core::arch` confined to the dedicated
-//!   `simd.rs` modules of the hot-path crates, every `unsafe` block
-//!   there carrying a `// SAFETY:` justification.
+//!   exempt module.
 //!
 //! The only escape hatch is an inline comment on the offending line or
 //! the line above it:

@@ -1,4 +1,4 @@
-//! The five `dpc-lint` rule families.
+//! The four `dpc-lint` rule families.
 //!
 //! | family        | rules                                                      |
 //! |---------------|------------------------------------------------------------|
@@ -6,7 +6,6 @@
 //! | `budget`      | `structure-size`, `counter-width`                          |
 //! | `hot-path`    | `unwrap`, `panic`, `index`, `alloc`                        |
 //! | `dispatch`    | `boxed-policy`                                             |
-//! | `simd`        | `confined-unsafe`                                          |
 //!
 //! Every rule is deny-by-default; the only escape hatch is an inline
 //! `// dpc-lint: allow(<rule>) -- <reason>` comment on the offending line
@@ -19,7 +18,6 @@ pub mod budget;
 pub mod determinism;
 pub mod dispatch;
 pub mod hot_path;
-pub mod simd;
 
 use crate::graph::HotSpan;
 use crate::source::SourceFile;
@@ -56,7 +54,6 @@ pub const ALL_RULES: &[&str] = &[
     hot_path::INDEX,
     hot_path::ALLOC,
     dispatch::BOXED_POLICY,
-    simd::CONFINED_UNSAFE,
 ];
 
 /// One-line description per rule, same order as [`ALL_RULES`] (used by
@@ -72,11 +69,10 @@ pub const DESCRIPTIONS: &[(&str, &str)] = &[
     (hot_path::INDEX, "slice indexing needs visible bounds reasoning in the function"),
     (hot_path::ALLOC, "no heap construction (Vec/Box/format!/to_vec/...) in hot-reachable code"),
     (dispatch::BOXED_POLICY, "no dyn LltPolicy/LlcPolicy in non-test memsim/core code"),
-    (simd::CONFINED_UNSAFE, "unsafe/core::arch only in simd.rs modules, with // SAFETY: comments"),
 ];
 
 /// Rule-family prefixes accepted in allow markers.
-pub const FAMILIES: &[&str] = &["determinism", "budget", "hot-path", "dispatch", "simd"];
+pub const FAMILIES: &[&str] = &["determinism", "budget", "hot-path", "dispatch"];
 
 /// Runs every rule over one file. `hot` carries the call-graph-reachable
 /// function bodies of this file (empty when reachability was not run).
@@ -86,7 +82,6 @@ pub fn check_file(file: &SourceFile, hot: &[HotSpan]) -> Vec<Violation> {
     budget::check(file, &mut violations);
     hot_path::check(file, hot, &mut violations);
     dispatch::check(file, &mut violations);
-    simd::check(file, &mut violations);
     violations
 }
 

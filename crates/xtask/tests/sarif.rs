@@ -48,7 +48,7 @@ fn sarif_log_satisfies_the_2_1_0_required_shape() {
     let driver = run.get("tool").and_then(|t| t.get("driver")).expect("tool.driver");
     assert_eq!(str_of(driver, "name"), "dpc-lint");
     let rules = driver.get("rules").and_then(Value::as_arr).expect("driver.rules");
-    assert!(rules.len() >= 12, "11 lint rules + 1 synthetic id, got {}", rules.len());
+    assert!(rules.len() >= 11, "10 lint rules + 1 synthetic id, got {}", rules.len());
     let rule_ids: Vec<&str> = rules.iter().map(|r| str_of(r, "id")).collect();
     for rule in rules {
         assert!(
