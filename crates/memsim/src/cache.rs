@@ -1,6 +1,6 @@
 //! A single set-associative cache level.
 
-use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife, SetAssoc};
+use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, SetAssoc};
 use crate::stats::StructStats;
 use dpc_types::{BlockAddr, CacheConfig};
 
@@ -95,19 +95,19 @@ impl Cache {
     }
 
     /// Allocates `block`, evicting via the base replacement policy.
-    /// Returns the displaced block, if any.
+    /// Returns the displaced line as the array holds it (its tag is the
+    /// block's raw address), if any.
     #[inline]
     pub fn fill(
         &mut self,
         block: BlockAddr,
         priority: InsertPriority,
         state: u32,
-    ) -> Option<(BlockAddr, u32, LineLife)> {
+    ) -> Option<Evicted<BlockInfo>> {
         self.stats.fills += 1;
-        self.array
-            .fill(block.raw(), block.raw(), BlockInfo { state }, priority)
-            .map(evicted_parts)
-            .inspect(|_| self.stats.evictions += 1)
+        let evicted = self.array.fill(block.raw(), block.raw(), BlockInfo { state }, priority);
+        self.stats.evictions += u64::from(evicted.is_some());
+        evicted
     }
 
     /// Allocates `block` into a specific way (used when a policy overrides
@@ -119,22 +119,21 @@ impl Cache {
         way: usize,
         priority: InsertPriority,
         state: u32,
-    ) -> Option<(BlockAddr, u32, LineLife)> {
+    ) -> Option<Evicted<BlockInfo>> {
         self.stats.fills += 1;
-        self.array
-            .fill_way(block.raw(), way, block.raw(), BlockInfo { state }, priority)
-            .map(evicted_parts)
-            .inspect(|_| self.stats.evictions += 1)
+        let evicted =
+            self.array.fill_way(block.raw(), way, block.raw(), BlockInfo { state }, priority);
+        self.stats.evictions += u64::from(evicted.is_some());
+        evicted
     }
 
     /// Removes `block` if present (back-invalidation), returning its
-    /// metadata.
+    /// line.
     #[inline]
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<(BlockAddr, u32, LineLife)> {
-        self.array.invalidate(block.raw(), block.raw()).map(|e| {
-            self.stats.invalidations += 1;
-            evicted_parts(e)
-        })
+    pub fn invalidate(&mut self, block: BlockAddr) -> Option<Evicted<BlockInfo>> {
+        let evicted = self.array.invalidate(block.raw(), block.raw());
+        self.stats.invalidations += u64::from(evicted.is_some());
+        evicted
     }
 
     /// Direct access to the underlying array (policy views, sampling).
@@ -146,10 +145,6 @@ impl Cache {
     pub fn array(&self) -> &SetAssoc<BlockInfo> {
         &self.array
     }
-}
-
-fn evicted_parts(e: Evicted<BlockInfo>) -> (BlockAddr, u32, LineLife) {
-    (BlockAddr::new(e.tag), e.payload.state, e.life)
 }
 
 #[cfg(test)]
@@ -210,9 +205,9 @@ mod tests {
         // Block 0 is now MRU in both: the next fill must evict block 2.
         let a = via_lookup.fill(BlockAddr::new(4), InsertPriority::Normal, 0).expect("full set");
         let b = via_commit.fill(BlockAddr::new(4), InsertPriority::Normal, 0).expect("full set");
-        assert_eq!(a.0, BlockAddr::new(2));
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.2, b.2, "evicted lifetime stats must agree");
+        assert_eq!(a.tag, BlockAddr::new(2).raw());
+        assert_eq!(a.tag, b.tag);
+        assert_eq!(a.life, b.life, "evicted lifetime stats must agree");
     }
 
     #[test]
@@ -220,9 +215,9 @@ mod tests {
         let mut c = small();
         c.fill(BlockAddr::new(0), InsertPriority::Normal, 11);
         c.fill(BlockAddr::new(2), InsertPriority::Normal, 22);
-        let (addr, state, _) = c.fill(BlockAddr::new(4), InsertPriority::Normal, 33).unwrap();
-        assert_eq!(addr, BlockAddr::new(0));
-        assert_eq!(state, 11);
+        let evicted = c.fill(BlockAddr::new(4), InsertPriority::Normal, 33).unwrap();
+        assert_eq!(evicted.tag, BlockAddr::new(0).raw());
+        assert_eq!(evicted.payload.state, 11);
         assert_eq!(c.stats.evictions, 1);
     }
 

@@ -417,31 +417,29 @@ impl<P> SetAssoc<P> {
     }
 
     /// The way the base replacement policy would evict from the set `addr`
-    /// maps to. Invalid ways are preferred. SRRIP ages lines as a side
-    /// effect (that *is* the SRRIP victim-search algorithm).
+    /// maps to: the same choice [`fill`](Self::fill) makes. Invalid ways
+    /// are preferred. SRRIP ages lines as a side effect (that *is* the
+    /// SRRIP victim-search algorithm).
     #[inline]
     pub fn victim_way(&mut self, addr: u64) -> usize {
         self.flush_pending();
         let block = self.store.block(self.set_of(addr));
-        // Prefer the first invalid way.
+        self.victim_in(block)
+    }
+
+    /// The base policy's victim in the set block at `block`; pending hits
+    /// must already be flushed. The first invalid way wins; otherwise
+    /// LRU/FIFO take the least stamp, the lowest way among equal stamps
+    /// (a `Distant` insertion stamps 0, so ties occur), and SRRIP ages the
+    /// set until some way reaches [`RRPV_MAX`].
+    #[inline]
+    fn victim_in(&mut self, block: usize) -> usize {
         let invalid = !self.store.valid(block) & self.way_mask;
         if invalid != 0 {
             return invalid.trailing_zeros() as usize;
         }
         match self.replacement {
-            ReplacementKind::Lru | ReplacementKind::Fifo => {
-                // First-encountered minimum stamp.
-                let mut best = 0;
-                let mut best_stamp = self.store.stamp(block, 0);
-                for way in 1..self.ways {
-                    let stamp = self.store.stamp(block, way);
-                    if stamp < best_stamp {
-                        best_stamp = stamp;
-                        best = way;
-                    }
-                }
-                best
-            }
+            ReplacementKind::Lru | ReplacementKind::Fifo => self.store.min_stamp_way(block),
             ReplacementKind::Srrip => loop {
                 let max = u32::from(RRPV_MAX);
                 if let Some(way) = (0..self.ways).find(|&w| self.store.stamp(block, w) >= max) {
@@ -457,6 +455,8 @@ impl<P> SetAssoc<P> {
 
     /// Inserts `payload` under `tag` into the given `way` of the set `addr`
     /// maps to, returning the previous contents if the way was valid.
+    /// Only a policy that picks its own victim needs this; everything
+    /// else calls [`fill`](Self::fill).
     #[inline]
     pub fn fill_way(
         &mut self,
@@ -468,10 +468,46 @@ impl<P> SetAssoc<P> {
     ) -> Option<Evicted<P>> {
         assert!(way < self.ways, "way {way} out of range (ways = {})", self.ways);
         self.flush_pending();
+        let (block, idx) = self.locate(addr, way);
+        self.install(block, way, idx, tag, payload, priority)
+    }
+
+    /// Inserts via the base replacement policy's victim choice, in one
+    /// pass over the set: one flush of the pending hit, one set lookup,
+    /// the victim search of [`victim_way`](Self::victim_way), then the
+    /// install [`fill_way`](Self::fill_way) shares.
+    #[inline]
+    pub fn fill(
+        &mut self,
+        addr: u64,
+        tag: u64,
+        payload: P,
+        priority: InsertPriority,
+    ) -> Option<Evicted<P>> {
+        self.flush_pending();
+        let set = self.set_of(addr);
+        let block = self.store.block(set);
+        let way = self.victim_in(block);
+        self.install(block, way, set * self.ways + way, tag, payload, priority)
+    }
+
+    /// Writes a fresh line into `way` (record index `idx`) of the set
+    /// block at `block` and stamps it for `priority`, returning the
+    /// previous contents if the way was valid.
+    #[inline(always)]
+    fn install(
+        &mut self,
+        block: usize,
+        way: usize,
+        idx: usize,
+        tag: u64,
+        payload: P,
+        priority: InsertPriority,
+    ) -> Option<Evicted<P>> {
+        invariant!(idx < self.store.records.len(), "the victim's record lies inside its set");
         advance(&mut self.tick);
         let tick = self.tick;
         let seq = self.seq;
-        let (block, idx) = self.locate(addr, way);
         let way_bit = 1u64 << way;
         let old_tag = self.store.tag(block, way);
         let was_valid = self.store.valid(block) & way_bit != 0;
@@ -495,19 +531,6 @@ impl<P> SetAssoc<P> {
         };
         self.store.set_stamp(block, way, stamp);
         evicted
-    }
-
-    /// Inserts via the base replacement policy's victim choice.
-    #[inline]
-    pub fn fill(
-        &mut self,
-        addr: u64,
-        tag: u64,
-        payload: P,
-        priority: InsertPriority,
-    ) -> Option<Evicted<P>> {
-        let way = self.victim_way(addr);
-        self.fill_way(addr, way, tag, payload, priority)
     }
 
     /// Invalidates `tag` if present, returning the evicted contents
@@ -848,6 +871,46 @@ mod tests {
             );
             assert_eq!(s.seq(), top + 8);
             assert!(s.tick() > top, "{kind:?} recency clock kept its range");
+        }
+    }
+
+    /// LRU victim order through the one-pass fill, at the fixed-width
+    /// victim searches (4, 8, 16 ways) and the generic loop (3, 12), with
+    /// every stamp near `u32::MAX`: lines leave in the order they were
+    /// last touched, and lines tied at a `Distant` stamp of 0 leave lowest
+    /// way first.
+    #[test]
+    fn lru_victims_near_the_top_of_the_clock_range() {
+        for ways in [3usize, 4, 8, 12, 16] {
+            let mut s = sa(2, ways, ReplacementKind::Lru);
+            s.start_clocks_at(u32::MAX - 500);
+            for way in 0..ways {
+                assert!(s.fill(1, 100 + way as u64, 0, InsertPriority::Normal).is_none());
+            }
+            // Touch every line once in a scrambled order (7 is coprime to
+            // every width here): that order is the eviction order.
+            let order: Vec<u64> = (0..ways).map(|i| 100 + ((i * 7 + 3) % ways) as u64).collect();
+            for &tag in &order {
+                s.lookup(1, tag).expect("resident");
+            }
+            for (i, &tag) in order.iter().enumerate() {
+                let way = s.peek(1, tag).expect("resident");
+                assert_eq!(s.victim_way(1), way, "{ways}-way victim {i}");
+                let evicted = s.fill(1, 200 + i as u64, 0, InsertPriority::Normal);
+                assert_eq!(evicted.expect("set full").tag, tag, "{ways}-way eviction {i}");
+            }
+            assert!(s.tick() > u64::from(u32::MAX - 500), "clocks stayed near the top");
+
+            let mut s = sa(1, ways, ReplacementKind::Lru);
+            s.start_clocks_at(u32::MAX - 500);
+            for way in 0..ways {
+                s.fill(0, 300 + way as u64, 0, InsertPriority::Distant);
+            }
+            for way in 0..ways {
+                assert_eq!(s.victim_way(0), way, "{ways}-way tie: lowest way first");
+                let evicted = s.fill(0, 400 + way as u64, 0, InsertPriority::Normal);
+                assert_eq!(evicted.expect("set full").tag, 300 + way as u64);
+            }
         }
     }
 

@@ -24,8 +24,8 @@
 //!   a maximally stale buffer;
 //! * **randomized**: LCG sequences biased toward repeating the previous
 //!   tag (so the buffer stays populated across many ops) on pow2,
-//!   non-pow2 and paper-LLC geometries, and on associativities whose set
-//!   blocks differ in shape (1, 3, 12 and 64 ways).
+//!   non-pow2, 8-way and paper-LLC geometries, and on associativities
+//!   whose set blocks differ in shape (1, 3, 12 and 64 ways).
 
 mod common;
 
@@ -262,6 +262,14 @@ fn randomized_small_geometries() {
 fn randomized_non_pow2_sets() {
     for kind in KINDS {
         randomized(3, 2, kind, 20_000, 271_828);
+    }
+}
+
+#[test]
+fn randomized_eight_way_geometry() {
+    // The L1D, L2 and LLT associativity.
+    for kind in KINDS {
+        randomized(8, 8, kind, 10_000, 0x8_8888);
     }
 }
 

@@ -14,8 +14,12 @@
 //! * **randomized**: long LCG-driven sequences that additionally exercise
 //!   `InsertPriority::High`, bare `victim_way` probes (SRRIP aging is a
 //!   side effect of the search, so probing must match too), a
-//!   non-power-of-two set count (modulo indexing), and associativities
-//!   whose set blocks differ in shape (1, 3, 12 and 64 ways).
+//!   non-power-of-two set count (modulo indexing), the fixed-width
+//!   victim searches (4, 8 and 16 ways) and associativities whose set
+//!   blocks differ in shape (1, 3, 12 and 64 ways);
+//! * **distant-heavy**: LCG sequences that fill mostly at
+//!   `InsertPriority::Distant`, which under LRU stamps 0, so full sets
+//!   hold tied least stamps and the victim must be the lowest such way.
 
 mod common;
 
@@ -169,5 +173,63 @@ fn randomized_block_shapes() {
         for kind in KINDS {
             randomized(3, ways, kind, 4_000, 0xB10C_0000 + ways as u64);
         }
+    }
+}
+
+#[test]
+fn randomized_eight_way_geometry() {
+    // 8 ways is the L1D, L2 and LLT associativity: the middle
+    // fixed-width tag match and victim search.
+    for kind in KINDS {
+        randomized(8, 8, kind, 10_000, 0x8_0000);
+        randomized(3, 8, kind, 10_000, 0x8_0003);
+    }
+}
+
+/// Whether filling `tag` would pick its victim among tied least stamps:
+/// its set is full and at least two lines share the least stamp.
+fn fill_meets_a_tie(model: &RefModel, tag: u64) -> bool {
+    let lines = &model.lines[model.set_of(tag)];
+    if lines.iter().any(|line| !line.valid) {
+        return false;
+    }
+    let least = lines.iter().map(|line| line.stamp).min();
+    lines.iter().filter(|line| Some(line.stamp) == least).count() > 1
+}
+
+/// Mostly `Distant` fills plus enough invalidations to reopen ways: under
+/// LRU every distant line stamps 0, so sets fill with tied stamps.
+/// Returns how many fills met a tie.
+fn distant_heavy(sets: usize, ways: usize, kind: ReplacementKind, ops: usize, seed: u64) -> usize {
+    let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
+    let mut model = RefModel::new(sets, ways, kind);
+    let mut next = lcg(seed);
+    let tags = (3 * sets * ways) as u64;
+    let mut ties = 0;
+    for _ in 0..ops {
+        let tag = next() % tags;
+        let op = match next() % 10 {
+            0..=1 => Op::Lookup(tag),
+            2..=6 => Op::Fill(tag, InsertPriority::Distant),
+            7 => Op::Fill(tag, InsertPriority::Normal),
+            8 => Op::Invalidate(tag),
+            _ => Op::Victim(tag),
+        };
+        if matches!(op, Op::Fill(..)) && fill_meets_a_tie(&model, tag) {
+            ties += 1;
+        }
+        step(&mut sa, &mut model, op, &[]);
+    }
+    ties
+}
+
+#[test]
+fn distant_heavy_streams_break_ties_by_way() {
+    for ways in [3usize, 4, 8, 16] {
+        let ties = distant_heavy(4, ways, ReplacementKind::Lru, 10_000, 0xD157 + ways as u64);
+        assert!(ties > 100, "{ways}-way LRU: only {ties} fills met tied stamps");
+        // FIFO stamps every insertion with the clock, so it never ties;
+        // the same stream checks its victim order all the same.
+        distant_heavy(4, ways, ReplacementKind::Fifo, 10_000, 0xF1F0 + ways as u64);
     }
 }
