@@ -34,7 +34,8 @@
 //! // Run a workload for 50K memory operations.
 //! let factory = WorkloadFactory::new(Scale::Tiny, 42);
 //! let mut workload = factory.build("bfs").expect("bfs is a known workload");
-//! let stats = system.run_until(workload.as_mut(), 50_000);
+//! system.run_until(workload.as_mut(), 50_000);
+//! let stats = system.stats();
 //!
 //! println!("IPC {:.3}, LLT MPKI {:.2}, LLC MPKI {:.2}",
 //!          stats.ipc(), stats.llt_mpki(), stats.llc_mpki());

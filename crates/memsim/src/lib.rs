@@ -38,7 +38,8 @@
 //! }
 //!
 //! let mut system = System::new(SystemConfig::paper_baseline()).unwrap();
-//! let stats = system.run(&mut Stream(10_000));
+//! system.run(&mut Stream(10_000));
+//! let stats = system.stats();
 //! assert_eq!(stats.mem_ops, 10_000);
 //! // L1D also serves the page walker's PTE loads.
 //! assert!(stats.l1d.lookups >= 10_000);

@@ -87,14 +87,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mem_ops = 600_000;
 
     let mut baseline_system = System::new(config)?;
-    let baseline = baseline_system.run_until(&mut HashJoinProbe::new(), mem_ops);
+    baseline_system.run_until(&mut HashJoinProbe::new(), mem_ops);
+    let baseline = baseline_system.stats();
 
     let mut predicted_system = System::with_typed_policies(
         config,
         DpPred::paper_default(),
         CbPred::paper_default(&config.llc),
     )?;
-    let predicted = predicted_system.run_until(&mut HashJoinProbe::new(), mem_ops);
+    predicted_system.run_until(&mut HashJoinProbe::new(), mem_ops);
+    let predicted = predicted_system.stats();
 
     println!("hash-join probe, {} memory operations\n", mem_ops);
     println!("{:<16}{:>12}{:>16}", "", "baseline", "dpPred+cbPred");

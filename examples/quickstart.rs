@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Baseline: plain LRU everywhere. ---
     let mut baseline_system = System::new(config)?;
     let mut workload = factory.build(workload_name)?;
-    let baseline = baseline_system.run_until(workload.as_mut(), mem_ops);
+    baseline_system.run_until(workload.as_mut(), mem_ops);
+    let baseline = baseline_system.stats();
 
     // --- The paper's configuration: dpPred on the L2 TLB, cbPred on the
     //     LLC, coupled through the PFN filter queue. ---
@@ -28,7 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CbPred::paper_default(&config.llc),
     )?;
     let mut workload = factory.build(workload_name)?;
-    let predicted = predicted_system.run_until(workload.as_mut(), mem_ops);
+    predicted_system.run_until(workload.as_mut(), mem_ops);
+    let predicted = predicted_system.stats();
 
     println!("workload: {workload_name} ({mem_ops} memory operations)\n");
     println!("{:<22}{:>12}{:>14}", "", "baseline", "dpPred+cbPred");

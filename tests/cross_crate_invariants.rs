@@ -55,7 +55,8 @@ proptest! {
     fn arbitrary_streams_respect_invariants_baseline(spec in spec_strategy()) {
         let n = spec.accesses.len();
         let mut system = System::new(SystemConfig::paper_baseline()).unwrap();
-        let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        let stats = system.stats();
         check_invariants(&stats, n);
     }
 
@@ -69,7 +70,8 @@ proptest! {
             CbPred::paper_default(&config.llc),
         )
         .unwrap();
-        let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        let stats = system.stats();
         check_invariants(&stats, n);
     }
 
@@ -83,7 +85,8 @@ proptest! {
             AipLlc::paper_default(),
         )
         .unwrap();
-        let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
+        let stats = system.stats();
         check_invariants(&stats, n);
     }
 
@@ -94,7 +97,8 @@ proptest! {
         let accesses: Vec<(u8, u16, u16)> =
             pages.iter().chain(pages.iter()).map(|&p| (1, p, 0)).collect();
         let mut system = System::new(SystemConfig::paper_baseline()).unwrap();
-        let stats = system.run(&mut SpecWorkload { accesses, pos: 0 });
+        system.run(&mut SpecWorkload { accesses, pos: 0 });
+        let stats = system.stats();
         // Second touch of every page cannot demand-map again: the number
         // of walks is bounded by distinct pages (+ code page).
         let distinct: std::collections::HashSet<_> = pages.iter().collect();

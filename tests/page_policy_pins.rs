@@ -77,7 +77,8 @@ impl PolicyApply for Run {
         let mut stream = HotAndScattered::new();
         system.run_until(&mut stream, 2_000);
         system.reset_stats();
-        system.run_until(&mut stream, 40_000)
+        system.run_until(&mut stream, 40_000);
+        system.stats()
     }
 }
 
