@@ -15,12 +15,12 @@
 //! (e.g. a 3 MB LLC with 3072 sets).
 //!
 //! Lifetime statistics needed by the paper's deadness characterization
-//! (fill time, last-hit time, hit count) are tracked per line and read
-//! as [`LineLife`]. The array's two clocks and everything stamped from
-//! them are `u32`: [`MAX_CLOCK_STEPS_PER_MEM_OP`] bounds how fast any
-//! array's clocks advance per simulated memory operation, and
-//! [`MAX_RUN_MEM_OPS`] is the longest run that bound keeps below
-//! `u32::MAX` (DESIGN.md §10). The `u64` fields of [`LineLife`] are
+//! (fill time, last-hit time, hit count) are stored in each line's record
+//! at its fill and at every hit, and read as [`LineLife`]. The array's two
+//! clocks and everything stamped from them are `u32`:
+//! [`MAX_CLOCK_STEPS_PER_MEM_OP`] bounds how fast any array's clocks
+//! advance per simulated memory operation, and [`MAX_RUN_MEM_OPS`] is the
+//! longest run that bound keeps below `u32::MAX` (DESIGN.md §10). The `u64` fields of [`LineLife`] are
 //! widened copies.
 //!
 //! The victim-selection hooks ([`SetAssoc::with_set_views`]) reuse a
@@ -97,40 +97,6 @@ pub struct LineLife {
     pub hits: u64,
 }
 
-/// Sentinel for [`PendingHit::idx`]: no hit-promotion is buffered.
-const NO_PENDING: usize = usize::MAX;
-
-/// A buffered hit-promotion not yet applied to the line metadata.
-///
-/// The hit paths advance the scalar clocks eagerly but defer the metadata
-/// stores (lifetime stats, LRU stamp / SRRIP promotion) into this
-/// one-entry buffer; consecutive hits to the same line coalesce into a
-/// single eventual store. The buffer is applied ([`SetAssoc`]'s
-/// `flush_pending`) before any code path reads or writes stamps or
-/// records, and merged on the fly by the `&self` readers — so the
-/// deferral is unobservable (DESIGN.md §16).
-#[derive(Clone, Copy, Debug)]
-struct PendingHit {
-    /// Record index of the hit line, or [`NO_PENDING`].
-    idx: usize,
-    /// Word index of the hit line's set block.
-    block: usize,
-    /// Way of the hit line.
-    way: usize,
-    /// Coalesced hit count.
-    hits: u32,
-    /// Lookup-clock value of the most recent coalesced hit.
-    last_seq: u32,
-    /// Recency-clock value of the most recent coalesced hit.
-    last_tick: u32,
-}
-
-impl PendingHit {
-    const fn empty() -> Self {
-        PendingHit { idx: NO_PENDING, block: 0, way: 0, hits: 0, last_seq: 0, last_tick: 0 }
-    }
-}
-
 /// Contents evicted by an insertion.
 #[derive(Clone, Debug)]
 pub struct Evicted<P> {
@@ -164,8 +130,6 @@ pub struct SetAssoc<P> {
     /// Monotonic lookup sequence (advanced on every lookup), used for
     /// lifetime statistics.
     seq: u32,
-    /// Lazily-applied hit-promotion buffer (see [`PendingHit`]).
-    pending: PendingHit,
 }
 
 impl<P: Default> SetAssoc<P> {
@@ -190,7 +154,6 @@ impl<P: Default> SetAssoc<P> {
             scratch: Vec::with_capacity(ways),
             tick: 0,
             seq: 0,
-            pending: PendingHit::empty(),
         }
     }
 }
@@ -260,56 +223,27 @@ impl<P> SetAssoc<P> {
         (self.store.block(set), set * self.ways + way)
     }
 
-    /// Records a hit on `way` (record index `idx`, set block `block`) in
-    /// the lazy promotion buffer. Consecutive hits to the same line
-    /// coalesce; a hit elsewhere first applies whatever was buffered.
-    /// Must run *after* the hit advanced `seq` and `tick` (the buffer
-    /// captures their current values).
+    /// Records a hit on `way` (record index `idx`, set block `block`):
+    /// one more hit and the current lookup clock in the line's record,
+    /// and the replacement promotion in its stamp (the recency clock under
+    /// LRU, RRPV 0 under SRRIP, nothing under FIFO). Must run *after* the
+    /// hit advanced `seq` and `tick`.
     #[inline]
     fn note_hit(&mut self, block: usize, way: usize, idx: usize) {
-        if self.pending.idx == idx {
-            self.pending.hits += 1;
-            self.pending.last_seq = self.seq;
-            self.pending.last_tick = self.tick;
-        } else {
-            self.flush_pending();
-            self.pending =
-                PendingHit { idx, block, way, hits: 1, last_seq: self.seq, last_tick: self.tick };
-        }
-    }
-
-    /// Applies the buffered hit-promotion to the line's record and stamp.
-    ///
-    /// Equivalent to having performed the eager per-hit stores: the
-    /// intermediate values of a coalesced run are overwritten by its
-    /// last hit (`last_hit_seq`, LRU stamp) or idempotent (SRRIP
-    /// promotion to 0), and `hits` accumulates — so applying once at the
-    /// first metadata read gives the exact eager state. Called before
-    /// every path that reads or writes stamps or records.
-    #[inline]
-    fn flush_pending(&mut self) {
-        let idx = self.pending.idx;
-        if idx == NO_PENDING {
-            return;
-        }
-        invariant!(idx < self.store.records.len(), "pending index came from an in-bounds hit");
+        invariant!(idx < self.store.records.len(), "set * ways + way stays inside the records");
         let record = &mut self.store.records[idx];
-        record.hits += self.pending.hits;
-        record.last_hit_seq = self.pending.last_seq;
+        record.hits += 1;
+        record.last_hit_seq = self.seq;
         match self.replacement {
-            ReplacementKind::Lru => {
-                self.store.set_stamp(self.pending.block, self.pending.way, self.pending.last_tick);
-            }
-            ReplacementKind::Srrip => self.store.set_stamp(self.pending.block, self.pending.way, 0),
+            ReplacementKind::Lru => self.store.set_stamp(block, way, self.tick),
+            ReplacementKind::Srrip => self.store.set_stamp(block, way, 0),
             ReplacementKind::Fifo => {}
         }
-        self.pending.idx = NO_PENDING;
     }
 
     /// Looks up `tag` in its set. On a hit, advances the lookup clock,
-    /// updates recency and lifetime stats (buffered lazily, see
-    /// [`PendingHit`]), and returns the way index. On a miss, only the
-    /// lookup clock advances.
+    /// updates recency and lifetime stats, and returns the way index. On
+    /// a miss, only the lookup clock advances.
     #[inline]
     pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
         advance(&mut self.seq);
@@ -343,7 +277,6 @@ impl<P> SetAssoc<P> {
         let idx = set * self.ways + way;
         advance(&mut self.tick);
         self.note_hit(block, way, idx);
-        invariant!(idx < self.store.records.len(), "set * ways + way stays inside the records");
         Some((way, &self.store.records[idx].payload))
     }
 
@@ -401,19 +334,12 @@ impl<P> SetAssoc<P> {
         &mut self.store.records[idx].payload
     }
 
-    /// Lifetime statistics of a way in the set that `addr` maps to,
-    /// with any buffered hit-promotion merged in (`&self` readers merge
-    /// instead of flushing).
+    /// Lifetime statistics of a way in the set that `addr` maps to.
     #[inline]
     pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
         let (_, idx) = self.locate(addr, way);
         invariant!(idx < self.store.records.len(), "locate() stays inside the records");
-        let mut life = self.store.records[idx].life();
-        if self.pending.idx == idx {
-            life.hits += u64::from(self.pending.hits);
-            life.last_hit_seq = u64::from(self.pending.last_seq);
-        }
-        life
+        self.store.records[idx].life()
     }
 
     /// The way the base replacement policy would evict from the set `addr`
@@ -422,13 +348,12 @@ impl<P> SetAssoc<P> {
     /// SRRIP victim-search algorithm).
     #[inline]
     pub fn victim_way(&mut self, addr: u64) -> usize {
-        self.flush_pending();
         let block = self.store.block(self.set_of(addr));
         self.victim_in(block)
     }
 
-    /// The base policy's victim in the set block at `block`; pending hits
-    /// must already be flushed. The first invalid way wins; otherwise
+    /// The base policy's victim in the set block at `block`. The first
+    /// invalid way wins; otherwise
     /// LRU/FIFO take the least stamp, the lowest way among equal stamps
     /// (a `Distant` insertion stamps 0, so ties occur), and SRRIP ages the
     /// set until some way reaches [`RRPV_MAX`].
@@ -467,15 +392,14 @@ impl<P> SetAssoc<P> {
         priority: InsertPriority,
     ) -> Option<Evicted<P>> {
         assert!(way < self.ways, "way {way} out of range (ways = {})", self.ways);
-        self.flush_pending();
         let (block, idx) = self.locate(addr, way);
         self.install(block, way, idx, tag, payload, priority)
     }
 
     /// Inserts via the base replacement policy's victim choice, in one
-    /// pass over the set: one flush of the pending hit, one set lookup,
-    /// the victim search of [`victim_way`](Self::victim_way), then the
-    /// install [`fill_way`](Self::fill_way) shares.
+    /// pass over the set: one set lookup, the victim search of
+    /// [`victim_way`](Self::victim_way), then the install
+    /// [`fill_way`](Self::fill_way) shares.
     #[inline]
     pub fn fill(
         &mut self,
@@ -484,7 +408,6 @@ impl<P> SetAssoc<P> {
         payload: P,
         priority: InsertPriority,
     ) -> Option<Evicted<P>> {
-        self.flush_pending();
         let set = self.set_of(addr);
         let block = self.store.block(set);
         let way = self.victim_in(block);
@@ -540,7 +463,6 @@ impl<P> SetAssoc<P> {
         P: Default,
     {
         let way = self.peek(addr, tag)?;
-        self.flush_pending();
         let (block, idx) = self.locate(addr, way);
         *self.store.valid_mut(block) &= !(1u64 << way);
         let tag = self.store.tag(block, way);
@@ -572,7 +494,6 @@ impl<P> SetAssoc<P> {
     where
         P: HasPolicyState,
     {
-        self.flush_pending();
         let set = self.set_of(addr);
         let block = self.store.block(set);
         let base = set * self.ways;
@@ -604,10 +525,9 @@ impl<P> SetAssoc<P> {
     }
 
     /// Iterates over all valid lines (used by the deadness sampler's final
-    /// flush and by tests), with any buffered hit-promotion merged into
-    /// the yielded lifetime stats.
+    /// flush and by tests).
     pub fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
-        self.store.iter_valid_pending(self.pending.idx, self.pending.hits, self.pending.last_seq)
+        self.store.iter_valid()
     }
 
     /// Number of currently valid lines.
@@ -812,9 +732,9 @@ mod tests {
     }
 
     /// The `u32` storage must hand back exactly the `u64` clock values a
-    /// run near the top of the clock range produced: through a coalesced
-    /// hit run, an eviction, `life_of`, `iter_valid` and `with_set_views`,
-    /// for every replacement kind.
+    /// run near the top of the clock range produced: through a run of
+    /// hits to one line, an eviction, `life_of`, `iter_valid` and
+    /// `with_set_views`, for every replacement kind.
     #[test]
     fn lifetimes_round_trip_near_the_top_of_the_clock_range() {
         #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -838,11 +758,11 @@ mod tests {
             }
             let way = s.peek(0, 10).expect("resident");
             let want = LineLife { fill_seq: top + 1, last_hit_seq: top + 5, hits: 3 };
-            assert_eq!(s.life_of(0, way), want, "{kind:?} life_of merges the pending run");
+            assert_eq!(s.life_of(0, way), want, "{kind:?} life_of sees the hit run");
             let lives: Vec<LineLife> = s.iter_valid().map(|l| l.life()).collect();
             assert!(lives.contains(&want), "{kind:?} iter_valid: {lives:?}");
             let hits = s.with_set_views(0, Some(way), |views| views[way].hits);
-            assert_eq!(hits, 3, "{kind:?} set views see the flushed hits");
+            assert_eq!(hits, 3, "{kind:?} set views see the hits");
             s.commit_hit(0, way); // seq top+6
             s.commit_miss(); // seq top+7
             let evicted = s.invalidate(0, 10).expect("resident");

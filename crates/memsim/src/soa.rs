@@ -233,30 +233,15 @@ impl<P> SetBlocks<P> {
         min_key_way(&words[start..end], self.ways)
     }
 
-    /// Iterates over all valid lines in storage order, with the owning
-    /// array's lazily buffered hit-promotion merged in: the line at
-    /// record index `pending_idx` is yielded with `pending_hits` extra
-    /// hits and `pending_seq` as its last-hit time, exactly the state
-    /// eager updates would have left in the records. Pass `usize::MAX`
-    /// (never a valid index) when nothing is buffered.
-    pub(crate) fn iter_valid_pending(
-        &self,
-        pending_idx: usize,
-        pending_hits: u32,
-        pending_seq: u32,
-    ) -> impl Iterator<Item = LineRef<'_, P>> {
+    /// Iterates over all valid lines in storage order.
+    pub(crate) fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
         let sets = self.records.len() / self.ways;
         (0..sets).flat_map(move |set| {
             let block = self.block(set);
             BitIter(self.valid(block)).map(move |way| {
                 let idx = set * self.ways + way;
                 let record = &self.records[idx];
-                let mut life = record.life();
-                if idx == pending_idx {
-                    life.hits += u64::from(pending_hits);
-                    life.last_hit_seq = u64::from(pending_seq);
-                }
-                LineRef { tag: self.tag(block, way), life, payload: &record.payload }
+                LineRef { tag: self.tag(block, way), life: record.life(), payload: &record.payload }
             })
         })
     }
@@ -532,22 +517,9 @@ mod tests {
         store.set_tag(b1, 0, 22);
         *store.valid_mut(b0) = 0b10;
         *store.valid_mut(b1) = 0b01;
-        let tags: Vec<u64> = store.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
+        let tags: Vec<u64> = store.iter_valid().map(|l| l.tag()).collect();
         assert_eq!(tags, vec![11, 22]);
         assert_eq!(store.valid_count(), 2);
-    }
-
-    #[test]
-    fn iter_valid_pending_merges_the_buffered_promotion() {
-        let mut store: SetBlocks<u32> = SetBlocks::new(1, 2);
-        *store.valid_mut(store.block(0)) = 0b11;
-        store.records[0] = LineRecord { fill_seq: 1, last_hit_seq: 1, hits: 0, payload: 0 };
-        store.records[1] = LineRecord { fill_seq: 2, last_hit_seq: 2, hits: 5, payload: 0 };
-        let lives: Vec<LineLife> = store.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
-        assert_eq!(lives[0], store.records[0].life(), "unbuffered line is yielded verbatim");
-        assert_eq!(lives[1], LineLife { fill_seq: 2, last_hit_seq: 9, hits: 8 });
-        // The records themselves stay untouched: merge, not flush.
-        assert_eq!(store.records[1].hits, 5);
     }
 
     /// Stamps share words in pairs; writing one way's stamp must leave

@@ -76,19 +76,6 @@ impl Tlb {
         }
     }
 
-    /// Looks up `vpn` returning the hit way (for policy hooks).
-    #[inline]
-    pub fn lookup_way(&mut self, vpn: Vpn) -> Option<usize> {
-        self.stats.lookups += 1;
-        let way = self.array.lookup(vpn.raw(), vpn.raw());
-        if way.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        way
-    }
-
     /// Probes without side effects.
     #[inline]
     pub fn contains(&self, vpn: Vpn) -> bool {

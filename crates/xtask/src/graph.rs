@@ -5,7 +5,7 @@
 //! rooted at the replay entry points the warm loop runs through —
 //! `System::run_stream`/`step` (with the LLT helpers
 //! `probe_llt`/`commit_llt_hit`), `Hierarchy::access`,
-//! `SetAssoc::locate`/`fill`/`flush_pending`, `EventStream::decode_chunk`
+//! `SetAssoc::locate`/`fill`, `EventStream::decode_chunk`
 //! — plus every method of a `LltPolicy`/`LlcPolicy` impl (and the trait default bodies), since policy hooks
 //! fire once per simulated memory operation. Everything reachable from a
 //! root is **hot**, and [`crate::rules::hot_path`] holds it to the
@@ -37,7 +37,6 @@ pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("Hierarchy", "access"),
     ("SetAssoc", "locate"),
     ("SetAssoc", "fill"),
-    ("SetAssoc", "flush_pending"),
     ("EventStream", "decode_chunk"),
 ];
 
@@ -73,6 +72,9 @@ pub struct Reachability {
     pub reachable_fns: usize,
     /// Number of function definitions considered.
     pub total_fns: usize,
+    /// [`HOT_ROOTS`] entries, as `Type::name`, that no non-test `fn` in
+    /// scope defines: a deleted or renamed root roots nothing.
+    pub unresolved_roots: Vec<String>,
 }
 
 impl Reachability {
@@ -110,9 +112,15 @@ pub fn analyze(files: &[SourceFile]) -> Reachability {
         }
     }
 
+    let unresolved_roots = HOT_ROOTS
+        .iter()
+        .filter(|&&root| !index.fns.iter().any(|d| scoped[d.file] && !d.is_test && names(d, root)))
+        .map(|(qual, name)| format!("{qual}::{name}"))
+        .collect();
     let mut reach = Reachability {
         total_fns: index.fns.iter().enumerate().filter(|(_, d)| scoped[d.file]).count(),
         reachable_fns: parent.len(),
+        unresolved_roots,
         ..Default::default()
     };
     for &id in parent.keys() {
@@ -131,10 +139,13 @@ pub fn analyze(files: &[SourceFile]) -> Reachability {
     reach
 }
 
+/// Whether `def` is the method `root` names as `(impl type, fn name)`.
+fn names(def: &FnDef, (qual, name): (&str, &str)) -> bool {
+    def.name == name && def.qualifier.as_deref() == Some(qual)
+}
+
 fn is_root(def: &FnDef) -> bool {
-    let named_root = HOT_ROOTS
-        .iter()
-        .any(|&(qual, name)| def.name == name && def.qualifier.as_deref() == Some(qual));
+    let named_root = HOT_ROOTS.iter().any(|&root| names(def, root));
     let hook = def.trait_name.as_deref().is_some_and(|t| HOT_TRAITS.contains(&t));
     named_root || hook
 }
@@ -380,6 +391,25 @@ mod tests {
              fn helper() {} }\n",
         )]));
         assert!(hot_names(&reach).contains(&"SetAssoc::helper".to_owned()));
+    }
+
+    #[test]
+    fn roots_missing_from_scope_are_reported() {
+        let reach = analyze(&files(&[
+            (
+                "crates/memsim/src/system.rs",
+                "impl<L, C> System<L, C> { pub fn step(&mut self) {} }\n\
+                 #[cfg(test)]\nmod tests {\n    impl<L, C> System<L, C> { fn run_stream(&mut \
+                 self) {} }\n}\n",
+            ),
+            ("tests/integration.rs", "impl Hierarchy { pub fn access(&mut self) {} }\n"),
+        ]));
+        let unresolved = &reach.unresolved_roots;
+        assert_eq!(unresolved.len(), HOT_ROOTS.len() - 1, "{unresolved:?}");
+        assert!(!unresolved.contains(&"System::step".to_owned()));
+        // Test code and out-of-scope files do not define a root.
+        assert!(unresolved.contains(&"System::run_stream".to_owned()));
+        assert!(unresolved.contains(&"Hierarchy::access".to_owned()));
     }
 
     #[test]

@@ -73,6 +73,9 @@ pub struct LintReport {
     pub reachable_fns: usize,
     /// Function definitions considered by the call graph.
     pub total_fns: usize,
+    /// Hot-path roots no workspace `fn` defines
+    /// ([`graph::Reachability::unresolved_roots`]).
+    pub unresolved_roots: Vec<String>,
 }
 
 impl LintReport {
@@ -121,6 +124,7 @@ pub fn lint_files(files: &[SourceFile]) -> LintReport {
     let mut report = LintReport {
         reachable_fns: reach.reachable_fns,
         total_fns: reach.total_fns,
+        unresolved_roots: reach.unresolved_roots.clone(),
         ..Default::default()
     };
     for file in files {

@@ -53,6 +53,14 @@ fn call_graph_reaches_the_replay_core() {
     );
 }
 
+/// Every named hot-path root must still be a non-test `fn` of the
+/// workspace: a deleted or renamed root would silently root nothing.
+#[test]
+fn every_hot_root_names_a_workspace_fn() {
+    let report = xtask::lint_workspace(&workspace_root()).expect("workspace scan");
+    assert!(report.unresolved_roots.is_empty(), "stale HOT_ROOTS: {:?}", report.unresolved_roots);
+}
+
 /// The full workspace analysis (I/O + parse + call graph + every rule)
 /// must finish well under the 5 s CI budget; 10 back-to-back runs keep
 /// the bound honest against one lucky measurement.
