@@ -64,36 +64,6 @@ impl Cache {
         self.array.peek(block.raw(), block.raw()).is_some()
     }
 
-    /// Side-effect-free [`lookup`](Self::lookup): returns the way `block`
-    /// would hit without touching clocks, recency, or counters — the
-    /// classification half of the miss path's probe-then-commit split.
-    #[inline]
-    pub fn probe(&self, block: BlockAddr) -> Option<usize> {
-        self.array.peek(block.raw(), block.raw())
-    }
-
-    /// Commits a hit previously found by [`probe`](Self::probe) exactly as
-    /// if [`lookup`](Self::lookup) had run: level counters plus the
-    /// array's recency/lifetime update. `way` must come from a `probe` of
-    /// the same `block` with the cache unmodified in between.
-    #[inline]
-    pub fn commit_hit(&mut self, block: BlockAddr, way: usize) {
-        self.stats.lookups += 1;
-        self.stats.hits += 1;
-        self.array.commit_hit(block.raw(), way);
-    }
-
-    /// Commits a miss previously established by [`probe`](Self::probe)
-    /// exactly as if a missing [`lookup`](Self::lookup) had run: level
-    /// counters plus the array's lookup clock. The miss path uses this to
-    /// descend past a missing level without re-scanning it.
-    #[inline]
-    pub fn commit_miss(&mut self) {
-        self.stats.lookups += 1;
-        self.stats.misses += 1;
-        self.array.commit_miss();
-    }
-
     /// Allocates `block`, evicting via the base replacement policy.
     /// Returns the displaced line as the array holds it (its tag is the
     /// block's raw address), if any.
@@ -186,28 +156,6 @@ mod tests {
         assert_eq!(c.stats.hits, 1);
         assert_eq!(c.stats.misses, 1);
         assert_eq!(c.stats.fills, 1);
-    }
-
-    /// probe + commit_hit must be indistinguishable from a hitting lookup
-    /// (counters, recency, and subsequent victim choice).
-    #[test]
-    fn probe_then_commit_matches_lookup() {
-        let mut via_lookup = small();
-        let mut via_commit = small();
-        for c in [&mut via_lookup, &mut via_commit] {
-            c.fill(BlockAddr::new(0), InsertPriority::Normal, 0);
-            c.fill(BlockAddr::new(2), InsertPriority::Normal, 0);
-        }
-        assert!(via_lookup.lookup(BlockAddr::new(0)).is_some());
-        let way = via_commit.probe(BlockAddr::new(0)).expect("resident block must probe");
-        via_commit.commit_hit(BlockAddr::new(0), way);
-        assert_eq!(via_commit.stats, via_lookup.stats);
-        // Block 0 is now MRU in both: the next fill must evict block 2.
-        let a = via_lookup.fill(BlockAddr::new(4), InsertPriority::Normal, 0).expect("full set");
-        let b = via_commit.fill(BlockAddr::new(4), InsertPriority::Normal, 0).expect("full set");
-        assert_eq!(a.tag, BlockAddr::new(2).raw());
-        assert_eq!(a.tag, b.tag);
-        assert_eq!(a.life, b.life, "evicted lifetime stats must agree");
     }
 
     #[test]

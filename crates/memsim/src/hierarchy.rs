@@ -31,9 +31,9 @@ pub struct Hierarchy<C: LlcPolicy = NullBlockPolicy> {
     /// L3 / last-level cache (inclusive).
     pub llc: Cache,
     /// Precomputed cumulative latency of an access that terminates at
-    /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. The flattened
-    /// miss pipeline indexes this table instead of accumulating per-level
-    /// latencies as it descends.
+    /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. An access
+    /// indexes this table instead of accumulating per-level latencies as
+    /// it descends.
     cum_latency: [u64; 4],
     policy: C,
     /// LLC eviction-time dead/DOA classification (Fig. 4).
@@ -86,47 +86,40 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// `is_demand` distinguishes program accesses from page-walker loads
     /// (both are cached; they are counted separately).
     ///
-    /// The walk is flattened into probe-then-commit form (DESIGN.md §16):
-    /// side-effect-free probes descend the levels until the first hit
-    /// classifies the access, then that outcome's commit helper replays
-    /// exactly the state transitions the nested per-level lookups used to
-    /// perform — counters, clocks, recency, hooks and fills in the
-    /// original order — and returns the precomputed cumulative latency.
+    /// Each level is looked up once, top down, and the first hit ends the
+    /// descent: an L1D hit touches nothing else, an L2 hit refills the
+    /// L1D, and an access that reaches the LLC continues in
+    /// [`llc_access`](Self::llc_access). The latency comes from the
+    /// precomputed cumulative table, indexed by the level that answered.
     pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, is_demand: bool) -> u64 {
         let block = pa.block();
-        if let Some(way) = self.l1d.probe(block) {
-            return self.commit_l1d_hit(block, way);
+        if self.l1d.lookup(block).is_some() {
+            return self.cum_latency[0];
         }
-        if let Some(way) = self.l2.probe(block) {
-            return self.commit_l2_hit(block, way);
+        if self.l2.lookup(block).is_some() {
+            self.l1d.fill(block, InsertPriority::Normal, 0);
+            return self.cum_latency[1];
         }
-        self.l1d.commit_miss();
-        self.l2.commit_miss();
-        let hit_way = self.llc.probe(block);
-        self.commit_llc(block, hit_way, pc, is_demand)
+        let hit_way = self.llc.lookup(block);
+        self.llc_access(block, hit_way, pc, is_demand)
     }
 
-    /// Commits an access that terminated at the LLC: the LLC's own
-    /// hit-or-miss bookkeeping, the policy hooks (which fire on every
-    /// access that reaches the LLC, hit or miss), and the return-path
-    /// fills — batched into one straight-line sequence. The caller has
-    /// already committed the L1D and L2 misses.
+    /// Finishes an access that missed the L1D and L2 and has looked up
+    /// the LLC (`hit_way` is that lookup's result): the policy hooks
+    /// (which fire on every access that reaches the LLC, hit or miss)
+    /// and the return-path fills.
     ///
     /// Kept out of line: inlining it (and the fills under it) into
     /// [`access`](Self::access) bloats the L1/L2-hit prefix that nearly
     /// every access takes (DESIGN.md §16.2).
     #[inline(never)]
-    fn commit_llc(
+    fn llc_access(
         &mut self,
         block: BlockAddr,
         hit_way: Option<usize>,
         pc: Pc,
         is_demand: bool,
     ) -> u64 {
-        match hit_way {
-            Some(way) => self.llc.commit_hit(block, way),
-            None => self.llc.commit_miss(),
-        }
         self.policy.on_lookup(block, hit_way.is_some());
         // Set-access hook (AIP-style interval predictors train on every
         // access to the set). Policies that don't observe set views skip
@@ -162,32 +155,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
         self.l2.fill(block, InsertPriority::Normal, 0);
         self.l1d.fill(block, InsertPriority::Normal, 0);
         self.cum_latency[3]
-    }
-
-    /// Commits an L1D hit found by the L1D probe in
-    /// [`access`](Self::access), returning the access latency. This
-    /// replays exactly the L1-hit prefix of `access`: no other level is
-    /// looked up, no fill happens, and no policy hook fires — `access`
-    /// only invokes the LLC policy for accesses that reach the LLC, so
-    /// the commit is bit-identical for *every* policy, null or not.
-    #[inline]
-    fn commit_l1d_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
-        self.l1d.commit_hit(block, way);
-        self.cum_latency[0]
-    }
-
-    /// Commits an access that missed the L1D and hit the L2 (found by the
-    /// L2 probe in [`access`](Self::access)), returning the access
-    /// latency. This replays exactly the L2-hit path of `access`: the
-    /// L1D's miss bookkeeping, the L2's hit bookkeeping, and the L1D
-    /// return-path fill — the LLC and its policy are never consulted, so
-    /// the commit is bit-identical for every policy, null or not.
-    #[inline]
-    fn commit_l2_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
-        self.l1d.commit_miss();
-        self.l2.commit_hit(block, way);
-        self.l1d.fill(block, InsertPriority::Normal, 0);
-        self.cum_latency[1]
     }
 
     fn fill_llc(&mut self, block: BlockAddr, priority: InsertPriority, state: u32) {
@@ -266,54 +233,12 @@ mod tests {
     fn l1_hit_after_fill() {
         let mut h = hierarchy();
         h.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
+        let (l2, llc) = (h.l2.stats, h.llc.stats);
         let lat = h.access(pa(0x10008), AccessKind::Read, Pc::new(1), true);
         assert_eq!(lat, 5, "same block must hit L1");
-    }
-
-    /// The L1D probe + commit_l1d_hit must be indistinguishable from a full
-    /// `access` that hits the L1D, latency included.
-    #[test]
-    fn l1d_probe_then_commit_matches_access() {
-        let mut via_access = hierarchy();
-        let mut via_commit = hierarchy();
-        for h in [&mut via_access, &mut via_commit] {
-            h.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
-        }
-        let block = pa(0x10008).block();
-        let lat_access = via_access.access(pa(0x10008), AccessKind::Read, Pc::new(1), true);
-        let way = via_commit.l1d.probe(block).expect("resident block must probe");
-        let lat_commit = via_commit.commit_l1d_hit(block, way);
-        assert_eq!(lat_commit, lat_access);
-        assert_eq!(via_commit.l1d.stats, via_access.l1d.stats);
-        assert_eq!(via_commit.l2.stats, via_access.l2.stats, "L2 must stay untouched");
-        assert_eq!(via_commit.llc.stats, via_access.llc.stats, "LLC must stay untouched");
-        assert_eq!(via_commit.l1d.array().seq(), via_access.l1d.array().seq());
-    }
-
-    /// The L1D and L2 probes + commit_l2_hit must be
-    /// indistinguishable from a full `access` that misses the L1D and hits
-    /// the L2 — latency, per-level counters, clocks, and the L1D refill.
-    #[test]
-    fn l2_probe_then_commit_matches_access() {
-        let mut via_access = hierarchy();
-        let mut via_commit = hierarchy();
-        let block = pa(0x10000).block();
-        for h in [&mut via_access, &mut via_commit] {
-            h.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
-            h.l1d.invalidate(block); // leave the block in L2 only
-        }
-        let lat_access = via_access.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
-        assert!(via_commit.l1d.probe(block).is_none(), "block must miss the L1D");
-        let way = via_commit.l2.probe(block).expect("resident block must probe in L2");
-        let lat_commit = via_commit.commit_l2_hit(block, way);
-        assert_eq!(lat_commit, lat_access);
-        assert_eq!(lat_commit, 5 + 11, "L1D latency + L2 latency");
-        assert_eq!(via_commit.l1d.stats, via_access.l1d.stats);
-        assert_eq!(via_commit.l2.stats, via_access.l2.stats);
-        assert_eq!(via_commit.llc.stats, via_access.llc.stats, "LLC must stay untouched");
-        assert_eq!(via_commit.l1d.array().seq(), via_access.l1d.array().seq());
-        assert_eq!(via_commit.l2.array().seq(), via_access.l2.array().seq());
-        assert!(via_commit.l1d.contains(block), "L2 hit must refill the L1D");
+        assert_eq!(h.l1d.stats.hits, 1);
+        assert_eq!(h.l2.stats, l2, "an L1D hit must leave the L2 untouched");
+        assert_eq!(h.llc.stats, llc, "an L1D hit must leave the LLC untouched");
     }
 
     #[test]
@@ -328,6 +253,14 @@ mod tests {
         let lat = h.access(pa(0x20000), AccessKind::Read, Pc::new(1), true);
         assert_eq!(lat, 5 + 11 + 40);
         assert!(h.l1d.contains(block), "LLC hit must refill L1");
+        // With the L1D copy gone again, the refilled L2 answers alone.
+        h.l1d.invalidate(block);
+        let llc = h.llc.stats;
+        let lat = h.access(pa(0x20000), AccessKind::Read, Pc::new(1), true);
+        assert_eq!(lat, 5 + 11, "L1D latency + L2 latency");
+        assert_eq!((h.l1d.stats.misses, h.l2.stats.hits), (3, 1));
+        assert_eq!(h.llc.stats, llc, "an L2 hit must leave the LLC untouched");
+        assert!(h.l1d.contains(block), "L2 hit must refill the L1D");
     }
 
     #[test]

@@ -17,10 +17,7 @@ use dpc_types::{Pfn, PwcConfig, ReplacementKind, Vpn};
 /// Tag shift applied to the VPN for PWC level `i` (0-based).
 const LEVEL_SHIFT: [u32; 3] = [9, 18, 27];
 
-/// Result of probing the PWC hierarchy. Produced side-effect-free by
-/// [`PwcSet::probe`] / [`PwcSet::probe_from`]; pass it back to
-/// [`PwcSet::commit_probe`] to apply the counters and recency updates the
-/// probe classified.
+/// Result of a [`PwcSet::lookup`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PwcProbe {
     /// Which PWC level hit (0 is closest to the leaf), or `None` for a
@@ -32,11 +29,6 @@ pub struct PwcProbe {
     pub latency: u64,
     /// Number of PTE loads the walk still needs (1..=4).
     pub remaining_loads: u32,
-    /// Way of the hit inside its level (meaningful only on a hit).
-    hit_way: usize,
-    /// The level the probe started from, so the commit replays the same
-    /// levels.
-    min_level: usize,
 }
 
 /// The three-level page-walk cache hierarchy.
@@ -63,41 +55,33 @@ impl PwcSet {
         PwcSet { levels, latency: config.latency, hits: [0; 3], probes: 0 }
     }
 
-    /// Probes the PWCs closest-to-leaf first, accumulating probe latency,
-    /// exactly like a hardware walker searching for the longest cached
-    /// prefix. Side-effect-free: counters and recency move only when the
-    /// result is passed to [`commit_probe`](Self::commit_probe).
-    pub fn probe(&self, vpn: Vpn) -> PwcProbe {
-        self.probe_from(vpn, 0)
-    }
-
-    /// Probes only the PWC levels at or above `min_level` — the walker's
-    /// entry point for huge mappings, whose walks terminate at the PDE
-    /// (`min_level == 1`, 2 MB) or PDPTE (`min_level == 2`, 1 GB) and
-    /// therefore never consult the levels below. Skipping those levels
+    /// Looks up the PWC levels at or above `min_level`, closest-to-leaf
+    /// first, accumulating probe latency, exactly like a hardware walker
+    /// searching for the longest cached prefix. Each level visited counts
+    /// as a lookup of its array (a miss advances its lookup clock); the
+    /// level that hits is promoted and counted, and ends the search.
+    ///
+    /// `min_level` is 0 for a 4 KB walk. Huge mappings terminate at the
+    /// PDE (`min_level == 1`, 2 MB) or PDPTE (`min_level == 2`, 1 GB) and
+    /// therefore never consult the levels below; skipping those levels
     /// also sidesteps stale sub-terminal entries left behind when a
     /// region is promoted.
     ///
     /// On a hit at level `L`, `remaining_loads` is `L + 1 - min_level`;
     /// on a full miss it is `4 - min_level` (the walk's total PTE loads).
-    ///
-    /// Side-effect-free: the classification half of the probe-then-commit
-    /// split. [`commit_probe`](Self::commit_probe) applies the state
-    /// transitions.
-    pub fn probe_from(&self, vpn: Vpn, min_level: usize) -> PwcProbe {
+    pub fn lookup(&mut self, vpn: Vpn, min_level: usize) -> PwcProbe {
+        self.probes += 1;
         let mut latency = 0u64;
         for (level, &shift) in LEVEL_SHIFT.iter().enumerate().skip(min_level) {
             latency += u64::from(self.latency[level]);
             let tag = vpn.raw() >> shift;
-            if let Some(way) = self.levels[level].peek(tag, tag) {
-                let node = *self.levels[level].payload(tag, way);
+            if let Some((_, &node)) = self.levels[level].lookup_payload(tag, tag) {
+                self.hits[level] += 1;
                 return PwcProbe {
                     hit_level: Some(level),
                     resume_node: node,
                     latency,
                     remaining_loads: (level + 1 - min_level) as u32,
-                    hit_way: way,
-                    min_level,
                 };
             }
         }
@@ -106,41 +90,15 @@ impl PwcSet {
             resume_node: Pfn::new(0),
             latency,
             remaining_loads: (4 - min_level) as u32,
-            hit_way: 0,
-            min_level,
-        }
-    }
-
-    /// Commits a [`probe_from`](Self::probe_from) result exactly as the
-    /// pre-split mutating probe did: the probe counter, then — for every
-    /// level the probe visited — that level's lookup clock (a miss) or
-    /// recency/lifetime/hit-counter update (the hit that ended the
-    /// search). `probe` must come from this `vpn` with the PWCs
-    /// unmodified in between.
-    pub fn commit_probe(&mut self, vpn: Vpn, probe: &PwcProbe) {
-        self.probes += 1;
-        for (level, &shift) in LEVEL_SHIFT.iter().enumerate().skip(probe.min_level) {
-            if probe.hit_level == Some(level) {
-                let tag = vpn.raw() >> shift;
-                self.levels[level].commit_hit(tag, probe.hit_way);
-                self.hits[level] += 1;
-                return;
-            }
-            self.levels[level].commit_miss();
         }
     }
 
     /// Installs the nodes discovered by a completed walk into every PWC
-    /// level. `node_pfns[level]` is the node visited at radix level
-    /// `level` (0 = leaf PT), as produced by
-    /// [`WalkPath`](crate::page_table::WalkPath).
-    pub fn fill(&mut self, vpn: Vpn, node_pfns: &[Pfn; 4]) {
-        self.fill_from(vpn, node_pfns, 0);
-    }
-
-    /// Installs only the levels at or above `min_level` — a huge walk
-    /// never visited the nodes below its terminal level, so it has
-    /// nothing to install there (`node_pfns` holds `Pfn(0)` fillers).
+    /// level at or above `min_level`. `node_pfns[level]` is the node
+    /// visited at radix level `level` (0 = leaf PT), as produced by
+    /// [`WalkPath`](crate::page_table::WalkPath); a huge walk never
+    /// visited the nodes below its terminal level, so it has nothing to
+    /// install there (`node_pfns` holds `Pfn(0)` fillers).
     pub fn fill_from(&mut self, vpn: Vpn, node_pfns: &[Pfn; 4], min_level: usize) {
         for (level, &shift) in LEVEL_SHIFT.iter().enumerate().skip(min_level) {
             let tag = vpn.raw() >> shift;
@@ -178,70 +136,63 @@ mod tests {
 
     #[test]
     fn cold_probe_misses_everywhere() {
-        let p = pwc();
-        let probe = p.probe(Vpn::new(0x1234));
+        let mut p = pwc();
+        let probe = p.lookup(Vpn::new(0x1234), 0);
         assert_eq!(probe.hit_level, None);
         assert_eq!(probe.remaining_loads, 4);
         // 1 + 1 + 2 cycles of probing.
         assert_eq!(probe.latency, 4);
+        assert_eq!(p.hits(), [0, 0, 0]);
+        assert_eq!(
+            p.levels().each_ref().map(|level| level.seq()),
+            [1, 1, 1],
+            "each level looked up once"
+        );
     }
 
     #[test]
     fn fill_then_leaf_hit() {
         let mut p = pwc();
         let nodes = [Pfn::new(10), Pfn::new(11), Pfn::new(12), Pfn::new(13)];
-        p.fill(Vpn::new(0x1234), &nodes);
-        let probe = p.probe(Vpn::new(0x1234));
+        p.fill_from(Vpn::new(0x1234), &nodes, 0);
+        let probe = p.lookup(Vpn::new(0x1234), 0);
         assert_eq!(probe.hit_level, Some(0));
         assert_eq!(probe.resume_node, Pfn::new(10));
         assert_eq!(probe.remaining_loads, 1);
         assert_eq!(probe.latency, 1);
-        assert_eq!(p.hits(), [0, 0, 0], "a probe alone moves no counters");
-        p.commit_probe(Vpn::new(0x1234), &probe);
         assert_eq!(p.hits(), [1, 0, 0]);
         assert_eq!(p.probes(), 1);
+        assert_eq!(
+            p.levels().each_ref().map(|level| level.seq()),
+            [1, 0, 0],
+            "the hit ends the search"
+        );
     }
 
-    /// Probing is pure: repeating it yields the identical classification
-    /// and leaves every counter untouched.
-    #[test]
-    fn probe_is_side_effect_free() {
-        let mut p = pwc();
-        p.fill(Vpn::new(0x1234), &[Pfn::new(10), Pfn::new(11), Pfn::new(12), Pfn::new(13)]);
-        let first = p.probe(Vpn::new(0x1234));
-        let second = p.probe(Vpn::new(0x1234));
-        assert_eq!(first, second);
-        assert_eq!(p.hits(), [0, 0, 0]);
-        assert_eq!(p.probes(), 0);
-    }
-
-    /// commit_probe must replay the recency update the pre-split mutating
-    /// probe performed: a committed leaf hit becomes MRU and survives the
+    /// A hit is promoted to MRU: the re-referenced leaf entry survives the
     /// fills that would otherwise evict it.
     #[test]
-    fn commit_probe_replays_recency() {
+    fn lookup_promotes_the_hit_to_mru() {
         let mut p = pwc();
         // PWC L1 holds 4 entries; fill it, then re-reference the oldest.
         for i in 0..4u64 {
-            p.fill(Vpn::new(i << 9), &[Pfn::new(i); 4]);
+            p.fill_from(Vpn::new(i << 9), &[Pfn::new(i); 4], 0);
         }
-        let probe = p.probe(Vpn::new(0));
-        assert_eq!(probe.hit_level, Some(0));
-        p.commit_probe(Vpn::new(0), &probe);
+        assert_eq!(p.lookup(Vpn::new(0), 0).hit_level, Some(0));
         // The next two distinct regions evict the two actual LRU entries,
         // not the freshly promoted one.
-        p.fill(Vpn::new(4 << 9), &[Pfn::new(4); 4]);
-        p.fill(Vpn::new(5 << 9), &[Pfn::new(5); 4]);
-        assert_eq!(p.probe(Vpn::new(0)).hit_level, Some(0), "promoted entry must survive");
+        p.fill_from(Vpn::new(4 << 9), &[Pfn::new(4); 4], 0);
+        p.fill_from(Vpn::new(5 << 9), &[Pfn::new(5); 4], 0);
+        assert_eq!(p.lookup(Vpn::new(0), 0).hit_level, Some(0), "promoted entry must survive");
     }
 
     #[test]
     fn sibling_region_hits_higher_level() {
         let mut p = pwc();
         let nodes = [Pfn::new(10), Pfn::new(11), Pfn::new(12), Pfn::new(13)];
-        p.fill(Vpn::new(0), &nodes);
+        p.fill_from(Vpn::new(0), &nodes, 0);
         // Same PD region (shares vpn >> 18) but different PT region.
-        let probe = p.probe(Vpn::new(1 << 9));
+        let probe = p.lookup(Vpn::new(1 << 9), 0);
         assert_eq!(probe.hit_level, Some(1));
         assert_eq!(probe.resume_node, Pfn::new(11));
         assert_eq!(probe.remaining_loads, 2);
@@ -253,24 +204,29 @@ mod tests {
         let mut p = pwc();
         // PWC L1 holds 4 entries; the 5th distinct PT region evicts the LRU.
         for i in 0..5u64 {
-            p.fill(Vpn::new(i << 9), &[Pfn::new(i); 4]);
+            p.fill_from(Vpn::new(i << 9), &[Pfn::new(i); 4], 0);
         }
-        let probe = p.probe(Vpn::new(0)); // oldest PT region
+        let probe = p.lookup(Vpn::new(0), 0); // oldest PT region
         assert_ne!(probe.hit_level, Some(0), "LRU entry must have been evicted");
     }
 
     #[test]
     fn probe_from_skips_sub_terminal_levels() {
-        let p = pwc();
+        let mut p = pwc();
         // Cold 2 MB probe: levels 1 and 2 only → 1 + 2 cycles, 3 loads.
-        let probe = p.probe_from(Vpn::new(0x1234), 1);
+        let probe = p.lookup(Vpn::new(0x1234), 1);
         assert_eq!(probe.hit_level, None);
         assert_eq!(probe.remaining_loads, 3);
         assert_eq!(probe.latency, 3);
         // Cold 1 GB probe: level 2 only → 2 cycles, 2 loads.
-        let probe = p.probe_from(Vpn::new(0x1234), 2);
+        let probe = p.lookup(Vpn::new(0x1234), 2);
         assert_eq!(probe.remaining_loads, 2);
         assert_eq!(probe.latency, 2);
+        assert_eq!(
+            p.levels().each_ref().map(|level| level.seq()),
+            [0, 1, 2],
+            "skipped levels stay idle"
+        );
     }
 
     #[test]
@@ -279,14 +235,14 @@ mod tests {
         let nodes = [Pfn::new(0), Pfn::new(21), Pfn::new(22), Pfn::new(23)];
         p.fill_from(Vpn::new(0x1234), &nodes, 1);
         // A warm 2 MB probe resumes from the PD node with one load left.
-        let probe = p.probe_from(Vpn::new(0x1234), 1);
+        let probe = p.lookup(Vpn::new(0x1234), 1);
         assert_eq!(probe.hit_level, Some(1));
         assert_eq!(probe.resume_node, Pfn::new(21));
         assert_eq!(probe.remaining_loads, 1);
         assert_eq!(probe.latency, 1);
         // Level 0 was never filled: a 4 KB probe of the same VPN must not
         // see a stale leaf entry.
-        let probe = p.probe(Vpn::new(0x1234));
+        let probe = p.lookup(Vpn::new(0x1234), 0);
         assert_ne!(probe.hit_level, Some(0));
     }
 
@@ -294,8 +250,7 @@ mod tests {
     fn probes_counted() {
         let mut p = pwc();
         for vpn in [Vpn::new(1), Vpn::new(2)] {
-            let probe = p.probe(vpn);
-            p.commit_probe(vpn, &probe);
+            p.lookup(vpn, 0);
         }
         assert_eq!(p.probes(), 2);
     }

@@ -246,24 +246,12 @@ impl<P> SetAssoc<P> {
     /// a miss, only the lookup clock advances.
     #[inline]
     pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
-        advance(&mut self.seq);
-        let set = self.set_of(addr);
-        let block = self.store.block(set);
-        let hit = self.store.match_mask(block, tag);
-        if hit == 0 {
-            return None;
-        }
-        // First-match-wins, exactly like a linear scan.
-        let way = hit.trailing_zeros() as usize;
-        advance(&mut self.tick);
-        self.note_hit(block, way, set * self.ways + way);
-        Some(way)
+        self.lookup_payload(addr, tag).map(|(way, _)| way)
     }
 
-    /// [`lookup`](Self::lookup) fused with payload access: on a hit,
-    /// returns the way *and* a reference to its payload, saving the
-    /// re-derivation of the flat column index that a separate
-    /// [`payload`](Self::payload) call would perform.
+    /// [`lookup`](Self::lookup) that also returns a reference to the hit
+    /// line's payload, saving the re-derivation of its record index that
+    /// a separate [`payload`](Self::payload) call would perform.
     #[inline]
     pub fn lookup_payload(&mut self, addr: u64, tag: u64) -> Option<(usize, &P)> {
         advance(&mut self.seq);
@@ -273,36 +261,12 @@ impl<P> SetAssoc<P> {
         if hit == 0 {
             return None;
         }
+        // First-match-wins, exactly like a linear scan.
         let way = hit.trailing_zeros() as usize;
         let idx = set * self.ways + way;
         advance(&mut self.tick);
         self.note_hit(block, way, idx);
         Some((way, &self.store.records[idx].payload))
-    }
-
-    /// Commits a hit previously found by [`peek`](Self::peek), applying
-    /// exactly the state transitions a hitting [`lookup`](Self::lookup)
-    /// performs: lookup clock, recency tick, lifetime stats, and the
-    /// replacement-policy stamp. This is the second half of the
-    /// probe-then-commit split the miss path uses — the probes descend
-    /// without perturbing state, and only the level that hits commits.
-    ///
-    /// `way` must be the way a `peek` of the same `addr`/tag returned,
-    /// with the array unmodified in between.
-    #[inline]
-    pub fn commit_hit(&mut self, addr: u64, way: usize) {
-        advance(&mut self.seq);
-        let (block, idx) = self.locate(addr, way);
-        advance(&mut self.tick);
-        self.note_hit(block, way, idx);
-    }
-
-    /// Commits a miss previously established by [`peek`](Self::peek):
-    /// only the lookup clock advances, exactly like a missing
-    /// [`lookup`](Self::lookup).
-    #[inline]
-    pub fn commit_miss(&mut self) {
-        advance(&mut self.seq);
     }
 
     /// Probes for `tag` without advancing any clock or updating recency
@@ -701,36 +665,6 @@ mod tests {
         assert_eq!(s.payload(0, 1).0, 16);
     }
 
-    /// peek + commit_hit / commit_miss must be indistinguishable from
-    /// lookup, for every replacement kind, across a mixed hit/miss
-    /// sequence — the contract the flattened miss path rests on.
-    #[test]
-    fn probe_then_commit_matches_lookup() {
-        for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo] {
-            let mut via_lookup = sa(4, 2, kind);
-            let mut via_commit = sa(4, 2, kind);
-            for s in [&mut via_lookup, &mut via_commit] {
-                s.fill(1, 1, 10, InsertPriority::Normal);
-                s.fill(1, 5, 11, InsertPriority::Normal);
-                s.fill(2, 2, 12, InsertPriority::Normal);
-            }
-            for addr in [1u64, 5, 2, 3, 1, 1, 5, 9, 2] {
-                let want = via_lookup.lookup(addr, addr);
-                match via_commit.peek(addr, addr) {
-                    Some(way) => via_commit.commit_hit(addr, way),
-                    None => via_commit.commit_miss(),
-                }
-                assert_eq!(via_commit.peek(addr, addr), want, "{kind:?} addr {addr}");
-            }
-            assert_eq!(via_commit.seq(), via_lookup.seq(), "{kind:?} lookup clocks");
-            // Same replacement order afterwards: evictions must agree.
-            let a = via_lookup.fill(1, 7, 0, InsertPriority::Normal).expect("set full");
-            let b = via_commit.fill(1, 7, 0, InsertPriority::Normal).expect("set full");
-            assert_eq!(a.tag, b.tag, "{kind:?} victim choice");
-            assert_eq!(a.life, b.life, "{kind:?} evicted lifetime stats");
-        }
-    }
-
     /// The `u32` storage must hand back exactly the `u64` clock values a
     /// run near the top of the clock range produced: through a run of
     /// hits to one line, an eviction, `life_of`, `iter_valid` and
@@ -763,8 +697,8 @@ mod tests {
             assert!(lives.contains(&want), "{kind:?} iter_valid: {lives:?}");
             let hits = s.with_set_views(0, Some(way), |views| views[way].hits);
             assert_eq!(hits, 3, "{kind:?} set views see the hits");
-            s.commit_hit(0, way); // seq top+6
-            s.commit_miss(); // seq top+7
+            s.lookup(0, 10).expect("resident"); // seq top+6
+            assert_eq!(s.lookup(0, 50), None); // seq top+7
             let evicted = s.invalidate(0, 10).expect("resident");
             assert_eq!(
                 evicted.life,

@@ -9,7 +9,7 @@ use crate::policy::{
     EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
 };
 use crate::reverse_map::ReverseMaps;
-use crate::set_assoc::InsertPriority;
+use crate::set_assoc::{Evicted, InsertPriority};
 use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
 use crate::tlb::{Tlb, TlbGroup};
 use crate::walker::Walker;
@@ -64,22 +64,6 @@ impl From<ConfigError> for SystemError {
 enum Side {
     Instruction,
     Data,
-}
-
-/// Classification of a unified-LLT hit, produced side-effect-free by
-/// [`System::probe_llt`] and replayed by [`System::commit_llt_hit`] — the
-/// probe-then-commit split of the translation path's second level.
-#[derive(Clone, Copy, Debug)]
-struct LltProbe {
-    /// Page size whose key hit.
-    size: PageSize,
-    /// The size-tagged LLT key that hit.
-    key: Vpn,
-    /// Way of the hit.
-    way: usize,
-    /// How many smaller sizes were probed (and missed) first; the commit
-    /// replays one lookup clock per missing probe.
-    missed_probes: usize,
 }
 
 /// The simulated machine, generic over its two content-management
@@ -391,47 +375,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         Pfn::new((unit_pfn << size.unit_shift()) | size.frame_offset(vpn))
     }
 
-    /// Side-effect-free unified-LLT probe: each enabled size peeks its own
-    /// key, smallest first, without touching clocks, counters, or policy
-    /// hooks — the classification half of the translation path's second
-    /// level. [`System::commit_llt_hit`] replays the state transitions.
-    fn probe_llt(&self, vpn: Vpn) -> Option<LltProbe> {
-        for (missed_probes, &size) in self.llt_sizes.iter().enumerate() {
-            let key = self.llt_key(size, vpn);
-            if let Some(way) = self.llt.array().peek(key.raw(), key.raw()) {
-                return Some(LltProbe { size, key, way, missed_probes });
-            }
-        }
-        None
-    }
-
-    /// Commits a [`probe_llt`](System::probe_llt) hit exactly as the
-    /// pre-split lookup loop did: the group counters, one lookup clock per
-    /// smaller size probed first, the hit's recency/lifetime update, the
-    /// policy hooks in their original order, and the L1 refill.
-    fn commit_llt_hit(&mut self, vpn: Vpn, probe: &LltProbe, pc: Pc, side: Side) -> Pfn {
-        self.llt.stats.lookups += 1;
-        for _ in 0..probe.missed_probes {
-            self.llt.array_mut().commit_miss();
-        }
-        self.llt.array_mut().commit_hit(probe.key.raw(), probe.way);
-        self.llt.stats.hits += 1;
-        self.llt_policy.on_lookup(probe.key, true);
-        // Policies that don't observe set views skip view construction.
-        if self.llt_policy.uses_set_views() {
-            let policy = &mut self.llt_policy;
-            self.llt.array_mut().with_set_views(probe.key.raw(), Some(probe.way), |views| {
-                policy.on_set_access(views);
-            });
-        }
-        let entry = self.llt.array_mut().payload_mut(probe.key.raw(), probe.way);
-        let unit_pfn = entry.pfn;
-        self.llt_policy.on_hit(probe.key, &mut entry.state);
-        let pfn = Self::compose_pfn(probe.size, unit_pfn, vpn);
-        self.fill_l1(side, probe.size, vpn, pfn, pc);
-        pfn
-    }
-
     /// Translates `vpn`, going L1 TLB → LLT (+ shadow) → page walk.
     fn translate(&mut self, pc: Pc, vpn: Vpn, side: Side) -> (Pfn, u64) {
         let l1 = match side {
@@ -445,17 +388,29 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         latency += u64::from(self.llt.latency);
 
         // --- LLT lookup with policy hooks (all inlined no-ops for the
-        // baseline). The unified LLT holds every size; probe-then-commit
-        // (the probe classifies side-effect-free, the commit replays the
-        // per-size lookup clocks, counters, and hooks in the pre-split
-        // order). ---
-        if let Some(probe) = self.probe_llt(vpn) {
-            let pfn = self.commit_llt_hit(vpn, &probe, pc, side);
-            return (pfn, latency);
-        }
+        // baseline). The unified LLT holds every size under its own key:
+        // each enabled size looks its key up, smallest first, until one
+        // hits; the group counters count the translation once. ---
         self.llt.stats.lookups += 1;
-        for _ in 0..self.llt_sizes.len() {
-            self.llt.array_mut().commit_miss();
+        for &size in self.llt_sizes {
+            let key = self.llt_key(size, vpn);
+            if let Some((way, entry)) = self.llt.array_mut().lookup_payload(key.raw(), key.raw()) {
+                let unit_pfn = entry.pfn;
+                self.llt.stats.hits += 1;
+                self.llt_policy.on_lookup(key, true);
+                // Policies that don't observe set views skip view construction.
+                if self.llt_policy.uses_set_views() {
+                    let policy = &mut self.llt_policy;
+                    self.llt
+                        .array_mut()
+                        .with_set_views(key.raw(), Some(way), |views| policy.on_set_access(views));
+                }
+                let state = &mut self.llt.array_mut().payload_mut(key.raw(), way).state;
+                self.llt_policy.on_hit(key, state);
+                let pfn = Self::compose_pfn(size, unit_pfn, vpn);
+                self.fill_l1(side, size, vpn, pfn, pc);
+                return (pfn, latency);
+            }
         }
         self.llt.stats.misses += 1;
         // Policy hooks see the key the page would occupy at its mapped
@@ -564,16 +519,16 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             Some(way) => self.llt.fill_way(key, way, unit_pfn, priority, state),
             None => self.llt.fill(key, unit_pfn, priority, state),
         };
-        if let Some((evicted_key, entry, life)) = evicted {
+        if let Some(Evicted { tag, life, payload }) = evicted {
+            let (evicted_key, pfn) = (Vpn::new(tag), Pfn::new(payload.pfn));
             let end_seq = self.llt.array().seq();
             self.llt_evictions.record(life, end_seq);
             self.llt_sampler.record_stay(life, end_seq);
-            let doa = life.hits == 0;
-            self.reverse.note_stay(self.page_table.frames(), evicted_key, Pfn::new(entry.pfn), doa);
+            self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, life.hits == 0);
             self.llt_policy.on_evict(EvictedPage {
                 vpn: evicted_key,
-                pfn: Pfn::new(entry.pfn),
-                state: entry.state,
+                pfn,
+                state: payload.state,
                 life,
             });
         }

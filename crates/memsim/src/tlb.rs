@@ -90,6 +90,8 @@ impl Tlb {
     }
 
     /// Allocates a translation, evicting via the base replacement policy.
+    /// Returns the displaced entry as the array holds it (its tag is the
+    /// entry's VPN), if any.
     #[inline]
     pub fn fill(
         &mut self,
@@ -97,11 +99,10 @@ impl Tlb {
         pfn: Pfn,
         priority: InsertPriority,
         state: u32,
-    ) -> Option<(Vpn, TlbEntry, LineLife)> {
+    ) -> Option<Evicted<TlbEntry>> {
         self.stats.fills += 1;
         self.array
             .fill(vpn.raw(), vpn.raw(), TlbEntry { pfn: pfn.raw(), state }, priority)
-            .map(evicted_parts)
             .inspect(|_| self.stats.evictions += 1)
     }
 
@@ -114,11 +115,10 @@ impl Tlb {
         pfn: Pfn,
         priority: InsertPriority,
         state: u32,
-    ) -> Option<(Vpn, TlbEntry, LineLife)> {
+    ) -> Option<Evicted<TlbEntry>> {
         self.stats.fills += 1;
         self.array
             .fill_way(vpn.raw(), way, vpn.raw(), TlbEntry { pfn: pfn.raw(), state }, priority)
-            .map(evicted_parts)
             .inspect(|_| self.stats.evictions += 1)
     }
 
@@ -131,10 +131,6 @@ impl Tlb {
     pub fn array(&self) -> &SetAssoc<TlbEntry> {
         &self.array
     }
-}
-
-fn evicted_parts(e: Evicted<TlbEntry>) -> (Vpn, TlbEntry, LineLife) {
-    (Vpn::new(e.tag), e.payload, e.life)
 }
 
 /// One per-page-size structure inside a [`TlbGroup`].
@@ -312,10 +308,10 @@ mod tests {
         let mut t = tiny();
         t.fill(Vpn::new(1), Pfn::new(10), InsertPriority::Normal, 0xAB);
         t.fill(Vpn::new(3), Pfn::new(30), InsertPriority::Normal, 0);
-        let (vpn, entry, _) = t.fill(Vpn::new(5), Pfn::new(50), InsertPriority::Normal, 0).unwrap();
-        assert_eq!(vpn, Vpn::new(1));
-        assert_eq!(entry.state, 0xAB);
-        assert_eq!(entry.pfn, 10);
+        let evicted = t.fill(Vpn::new(5), Pfn::new(50), InsertPriority::Normal, 0).unwrap();
+        assert_eq!(evicted.tag, 1);
+        assert_eq!(evicted.payload, TlbEntry { pfn: 10, state: 0xAB });
+        assert_eq!(t.stats.evictions, 1);
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl Walker {
         // A huge mapping terminates at the PDE/PDPTE: the walk neither
         // probes nor loads below its terminal level.
         let terminal = path.size.terminal_level();
-        let probe = self.pwc.probe_from(vpn, terminal);
-        self.pwc.commit_probe(vpn, &probe);
+        let probe = self.pwc.lookup(vpn, terminal);
         let mut latency = probe.latency;
         // A PWC hit at level L resumes at radix level L; loads cover
         // levels L..=terminal (closest-to-root first, sequentially

@@ -8,11 +8,7 @@ use dpc_types::ReplacementKind;
 
 #[derive(Clone, Copy, Debug)]
 pub enum Op {
-    /// Hit path #1: a full lookup.
     Lookup(u64),
-    /// Hit path #2: `peek`, then `commit_hit` or `commit_miss`, as the
-    /// probe-then-commit miss path does.
-    Commit(u64),
     Fill(u64, InsertPriority),
     Invalidate(u64),
     /// Bare victim probe: reads (and under SRRIP ages) the set's stamps.
@@ -26,20 +22,6 @@ pub fn step(sa: &mut SetAssoc<u32>, model: &mut RefModel, op: Op, trace: &[Op]) 
     match op {
         Op::Lookup(tag) => {
             assert_eq!(sa.lookup(tag, tag), model.lookup(tag, tag), "lookup {tag} after {trace:?}");
-        }
-        Op::Commit(tag) => {
-            let got = sa.peek(tag, tag);
-            assert_eq!(got, model.peek(tag, tag), "peek {tag} after {trace:?}");
-            match got {
-                Some(way) => {
-                    sa.commit_hit(tag, way);
-                    model.commit_hit(tag, way);
-                }
-                None => {
-                    sa.commit_miss();
-                    model.commit_miss();
-                }
-            }
         }
         Op::Fill(tag, priority) => {
             // Payload derived from the clocks so refills are distinguishable.
@@ -87,13 +69,13 @@ pub fn step(sa: &mut SetAssoc<u32>, model: &mut RefModel, op: Op, trace: &[Op]) 
     assert_eq!(sa.valid_count(), model.snapshot().len());
 }
 
-/// Whether `ops` takes the probe-then-commit hit path at least once.
-pub fn uses_commit(ops: &[Op]) -> bool {
-    ops.iter().any(|op| matches!(op, Op::Commit(_)))
+/// Whether `ops` inserts at `InsertPriority::High` at least once.
+pub fn has_high_fill(ops: &[Op]) -> bool {
+    ops.iter().any(|op| matches!(op, Op::Fill(_, InsertPriority::High)))
 }
 
 /// Every sequence of `depth` operations drawn from the per-tag alphabet
-/// (both hit paths, two fill priorities, invalidate, victim probe) that
+/// (lookup, the three fill priorities, invalidate, victim probe) that
 /// `keep` accepts.
 pub fn exhaustive(
     sets: usize,
@@ -106,7 +88,7 @@ pub fn exhaustive(
     // 2× oversubscription: every set sees twice as many tags as it has ways.
     for tag in 0..(2 * sets * ways) as u64 {
         alphabet.push(Op::Lookup(tag));
-        alphabet.push(Op::Commit(tag));
+        alphabet.push(Op::Fill(tag, InsertPriority::High));
         alphabet.push(Op::Fill(tag, InsertPriority::Normal));
         alphabet.push(Op::Fill(tag, InsertPriority::Distant));
         alphabet.push(Op::Invalidate(tag));
@@ -138,7 +120,7 @@ pub enum Stream {
     /// Uniform tags over every op, `High` insertions included.
     Plain,
     /// Half the time the previous tag again, so one line takes long hit
-    /// streaks through both hit paths.
+    /// streaks.
     RepeatBiased,
 }
 
@@ -173,8 +155,7 @@ pub fn randomized(
                 let tag = if next().is_multiple_of(2) { prev_tag } else { next() % tags };
                 prev_tag = tag;
                 match next() % 10 {
-                    0..=3 => Op::Lookup(tag),
-                    4..=5 => Op::Commit(tag),
+                    0..=5 => Op::Lookup(tag),
                     6 => Op::Fill(tag, InsertPriority::Normal),
                     7 => Op::Fill(tag, InsertPriority::Distant),
                     8 => Op::Invalidate(tag),

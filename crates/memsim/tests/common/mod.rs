@@ -62,11 +62,12 @@ impl RefModel {
         })
     }
 
-    /// The hit bookkeeping `lookup` and `commit_hit` share.
-    fn apply_hit(&mut self, set: usize, way: usize) {
+    pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
+        self.seq += 1;
+        let way = self.peek(addr, tag)?;
         self.tick += 1;
-        let tick = self.tick;
-        let seq = self.seq;
+        let (tick, seq) = (self.tick, self.seq);
+        let set = self.set_of(addr);
         let line = &mut self.lines[set][way];
         line.life.hits += 1;
         line.life.last_hit_seq = seq;
@@ -75,22 +76,7 @@ impl RefModel {
             ReplacementKind::Srrip => line.rrpv = 0,
             ReplacementKind::Fifo => {}
         }
-    }
-
-    pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
-        self.seq += 1;
-        let way = self.peek(addr, tag)?;
-        self.apply_hit(self.set_of(addr), way);
         Some(way)
-    }
-
-    pub fn commit_hit(&mut self, addr: u64, way: usize) {
-        self.seq += 1;
-        self.apply_hit(self.set_of(addr), way);
-    }
-
-    pub fn commit_miss(&mut self) {
-        self.seq += 1;
     }
 
     pub fn victim_way(&mut self, addr: u64) -> usize {

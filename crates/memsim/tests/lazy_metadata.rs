@@ -2,28 +2,29 @@
 //! stores its promotion at once: `hits += 1` and `last_hit_seq` in the
 //! line's record, the LRU stamp or SRRIP RRPV 0 in its set block
 //! (DESIGN.md §16.1 records the removed lazy buffer this file is named
-//! after). These drivers pit same-line hit streaks and the
-//! probe-then-commit hit path against the reference model in `common/`,
-//! through the harness `soa_equivalence.rs` drives too, so `step` checks
-//! after every operation the op's own result, `life_of` of every valid
-//! line, the full `iter_valid` snapshot and `valid_count`.
+//! after). These drivers pit same-line hit streaks against the reference
+//! model in `common/`, through the harness `soa_equivalence.rs` drives
+//! too, so `step` checks after every operation the op's own result,
+//! `life_of` of every valid line, the full `iter_valid` snapshot and
+//! `valid_count`.
 //!
 //! Drivers:
 //!
 //! * **exhaustive**: every op sequence of a fixed depth over the per-tag
-//!   alphabet on 1×2, and the 2×2 sequences that take the
-//!   `peek` plus `commit_hit`/`commit_miss` path at least once
-//!   (`soa_equivalence.rs` runs the rest);
-//! * **hit runs**: same-line hit streaks through either hit path, cut by
-//!   each metadata reader in turn (victim probe, fill, invalidate, or
-//!   just the per-step reads);
+//!   alphabet on 1×2, and the 2×2 sequences that insert at
+//!   `InsertPriority::High` at least once (`soa_equivalence.rs` runs the
+//!   rest);
+//! * **hit runs**: same-line hit streaks, back to back or aged by hits to
+//!   the line's set-mates between its own hits, cut by each metadata
+//!   reader in turn (victim probe, fill, invalidate, or just the
+//!   per-step reads);
 //! * **randomized**: an LCG stream that half the time reuses the previous
 //!   tag, so one line takes long hit streaks, on the geometries of
 //!   `soa_equivalence.rs`'s plain stream.
 
 mod common;
 
-use common::harness::{exhaustive, randomized, step, uses_commit, Op, Stream};
+use common::harness::{exhaustive, has_high_fill, randomized, step, Op, Stream};
 use common::{RefModel, BLOCK_SHAPE_WAYS, KINDS};
 use dpc_memsim::set_assoc::{InsertPriority, SetAssoc};
 
@@ -37,16 +38,23 @@ fn exhaustive_1x2_all_kinds() {
 #[test]
 fn exhaustive_2x2_all_kinds() {
     for kind in KINDS {
-        exhaustive(2, 2, kind, 3, uses_commit);
+        exhaustive(2, 2, kind, 3, has_high_fill);
     }
 }
 
 /// Same-line hit streaks of every length up to twice the associativity,
-/// through either hit path, each cut by every metadata reader in turn:
-/// the whole streak must show in the line's statistics and stamp, with
-/// the last hit's clock values, whichever reader looks first.
+/// each cut by every metadata reader in turn: the whole streak must show
+/// in the line's statistics and stamp, with the last hit's clock values,
+/// whichever reader looks first. An aged streak hits every set-mate of
+/// the line before each of the line's hits after the first, so a stamp
+/// left at an earlier hit would make the line the LRU victim.
 #[test]
 fn hit_runs_cut_by_every_reader() {
+    #[derive(Clone, Copy)]
+    enum Streak {
+        BackToBack,
+        Aged,
+    }
     #[derive(Clone, Copy)]
     enum Cut {
         Victim,
@@ -56,50 +64,48 @@ fn hit_runs_cut_by_every_reader() {
     }
     for kind in KINDS {
         for ways in [2usize, 4] {
+            // Two sets: line 2 shares set 0 with the other even tags.
+            let mates: Vec<u64> =
+                (0..(2 * ways) as u64).filter(|&t| t % 2 == 0 && t != 2).collect();
             for streak in 1..=(2 * ways) {
-                for (hit_op, cut) in [
-                    (0, Cut::Victim),
-                    (0, Cut::Fill),
-                    (0, Cut::Invalidate),
-                    (0, Cut::Nothing),
-                    (1, Cut::Victim),
-                    (1, Cut::Fill),
-                    (1, Cut::Invalidate),
-                    (1, Cut::Nothing),
-                ] {
-                    let mut sa: SetAssoc<u32> = SetAssoc::new(2, ways, kind);
-                    let mut model = RefModel::new(2, ways, kind);
-                    let mut trace = Vec::new();
-                    // Fill both sets to capacity so victim searches and
-                    // fills read real stamps, not the invalid-way
-                    // shortcut.
-                    for tag in 0..(2 * ways) as u64 {
-                        let op = Op::Fill(tag, InsertPriority::Normal);
-                        step(&mut sa, &mut model, op, &trace);
-                        trace.push(op);
+                for shape in [Streak::BackToBack, Streak::Aged] {
+                    for cut in [Cut::Victim, Cut::Fill, Cut::Invalidate, Cut::Nothing] {
+                        let mut sa: SetAssoc<u32> = SetAssoc::new(2, ways, kind);
+                        let mut model = RefModel::new(2, ways, kind);
+                        let mut trace = Vec::new();
+                        let mut run = |op: Op| {
+                            step(&mut sa, &mut model, op, &trace);
+                            trace.push(op);
+                        };
+                        // Fill both sets to capacity so victim searches
+                        // and fills read real stamps, not the invalid-way
+                        // shortcut.
+                        for tag in 0..(2 * ways) as u64 {
+                            run(Op::Fill(tag, InsertPriority::Normal));
+                        }
+                        // The streak: repeated hits to one line.
+                        for i in 0..streak {
+                            if matches!(shape, Streak::Aged) && i > 0 {
+                                for &mate in &mates {
+                                    run(Op::Lookup(mate));
+                                }
+                            }
+                            run(Op::Lookup(2));
+                        }
+                        // The cut: one reader observes the streak's effect.
+                        run(match cut {
+                            Cut::Victim => Op::Victim(2),
+                            Cut::Fill => Op::Fill(2 * ways as u64 + 2, InsertPriority::Normal),
+                            Cut::Invalidate => Op::Invalidate(2),
+                            // `step` itself reads life_of/iter_valid; follow
+                            // with a miss so unrelated clocks move on.
+                            Cut::Nothing => Op::Lookup(1000),
+                        });
+                        // And one fill into the streak's set afterwards:
+                        // replacement order must have absorbed the streak
+                        // identically.
+                        run(Op::Fill(2 * ways as u64 + 8, InsertPriority::Normal));
                     }
-                    // The streak: repeated hits to one line, via lookup or
-                    // the commit path.
-                    for _ in 0..streak {
-                        let op = if hit_op == 0 { Op::Lookup(2) } else { Op::Commit(2) };
-                        step(&mut sa, &mut model, op, &trace);
-                        trace.push(op);
-                    }
-                    // The cut: one reader observes the streak's effect.
-                    let op = match cut {
-                        Cut::Victim => Op::Victim(2),
-                        Cut::Fill => Op::Fill(2 * ways as u64 + 2, InsertPriority::Normal),
-                        Cut::Invalidate => Op::Invalidate(2),
-                        // `step` itself reads life_of/iter_valid; follow
-                        // with a miss so unrelated clocks move on.
-                        Cut::Nothing => Op::Lookup(1000),
-                    };
-                    step(&mut sa, &mut model, op, &trace);
-                    trace.push(op);
-                    // And one fill afterwards: replacement order must have
-                    // absorbed the streak identically.
-                    let op = Op::Fill(2 * ways as u64 + 7, InsertPriority::Normal);
-                    step(&mut sa, &mut model, op, &trace);
                 }
             }
         }

@@ -88,7 +88,7 @@ proptest! {
         }
     }
 
-    /// A PWC probe after a fill resumes from the correct node: the node
+    /// A PWC lookup after a fill resumes from the correct node: the node
     /// the page table actually visits at that level.
     #[test]
     fn pwc_resume_nodes_are_correct(vpns in proptest::collection::vec(0u64..(1 << 27), 1..50)) {
@@ -97,8 +97,8 @@ proptest! {
         let mut pt = PageTable::new();
         for &vpn in &vpns {
             let path = pt.translate(Vpn::new(vpn));
-            pwc.fill(Vpn::new(vpn), &path.node_pfns);
-            let probe = pwc.probe(Vpn::new(vpn));
+            pwc.fill_from(Vpn::new(vpn), &path.node_pfns, 0);
+            let probe = pwc.lookup(Vpn::new(vpn), 0);
             let level = probe.hit_level.expect("just-filled entry must hit");
             prop_assert_eq!(probe.resume_node, path.node_pfns[level]);
         }

@@ -3,8 +3,7 @@
 //! must behave observably identically to the naive array-of-structs
 //! reference model in `common/`, which transliterates the
 //! replacement-policy definitions line by line. `lazy_metadata.rs`
-//! drives the same harness (`common/harness.rs`) through hit streaks and
-//! the probe-then-commit hit path.
+//! drives the same harness (`common/harness.rs`) through hit streaks.
 //!
 //! After every operation [`step`] checks every observable:
 //!
@@ -17,12 +16,11 @@
 //! Drivers:
 //!
 //! * **exhaustive**: every op sequence of a fixed depth over a per-tag
-//!   alphabet of `lookup`, `peek` plus `commit_hit`/`commit_miss`, both
-//!   common fill priorities, invalidation and a bare victim probe (SRRIP
-//!   ages the set as a side effect of the search, so probing must match
-//!   too) on the 4×4 geometry, and on 2×2 deeper under LRU; the 2×2
-//!   sequences of every policy without a commit run here, those with one
-//!   in `lazy_metadata.rs`;
+//!   alphabet of `lookup`, all three fill priorities, invalidation and a
+//!   bare victim probe (SRRIP ages the set as a side effect of the
+//!   search, so probing must match too) on the 4×4 geometry, and on 2×2
+//!   deeper under LRU; the 2×2 sequences of every policy without a
+//!   `High` fill run here, those with one in `lazy_metadata.rs`;
 //! * **randomized**: a plain LCG stream over uniform tags that also
 //!   inserts at `InsertPriority::High`, on pow2 and non-power-of-two set
 //!   counts (modulo indexing), the fixed-width tag compares and victim
@@ -35,7 +33,7 @@
 
 mod common;
 
-use common::harness::{exhaustive, randomized, step, uses_commit, Op, Stream};
+use common::harness::{exhaustive, has_high_fill, randomized, step, Op, Stream};
 use common::{lcg, RefModel, BLOCK_SHAPE_WAYS, KINDS};
 use dpc_memsim::set_assoc::{InsertPriority, SetAssoc};
 use dpc_types::ReplacementKind;
@@ -43,7 +41,7 @@ use dpc_types::ReplacementKind;
 #[test]
 fn exhaustive_2x2_all_kinds() {
     for kind in KINDS {
-        exhaustive(2, 2, kind, 3, |ops| !uses_commit(ops));
+        exhaustive(2, 2, kind, 3, |ops| !has_high_fill(ops));
     }
 }
 

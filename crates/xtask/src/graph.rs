@@ -3,8 +3,7 @@
 //! Built from [`crate::items`]: nodes are `fn` definitions, edges are the
 //! conservatively-resolved call sites inside each body. The graph is
 //! rooted at the replay entry points the warm loop runs through —
-//! `System::run_stream`/`step` (with the LLT helpers
-//! `probe_llt`/`commit_llt_hit`), `Hierarchy::access`,
+//! `System::run_stream`/`step`, `Hierarchy::access`,
 //! `SetAssoc::locate`/`fill`, `EventStream::decode_chunk`
 //! — plus every method of a `LltPolicy`/`LlcPolicy` impl (and the trait default bodies), since policy hooks
 //! fire once per simulated memory operation. Everything reachable from a
@@ -32,8 +31,6 @@ use std::ops::Range;
 pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("System", "run_stream"),
     ("System", "step"),
-    ("System", "probe_llt"),
-    ("System", "commit_llt_hit"),
     ("Hierarchy", "access"),
     ("SetAssoc", "locate"),
     ("SetAssoc", "fill"),
