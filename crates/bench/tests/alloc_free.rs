@@ -5,7 +5,7 @@
 //!
 //! The harness installs a counting `#[global_allocator]` and replays a
 //! pre-captured event stream through the same `System` twice: the first
-//! pass warms every structure (page-table mappings, reverse maps, MSHR,
+//! pass warms every structure (page-table mappings, reverse maps and
 //! eviction vectors reach their steady-state capacity), the second pass is
 //! measured and must allocate exactly nothing.
 //!

@@ -173,11 +173,12 @@ impl<C: LlcPolicy> Hierarchy<C> {
             Some(way) => self.llc.fill_way(block, way, priority, state),
             None => self.llc.fill(block, priority, state),
         };
+        let seq = self.llc.array().seq();
+        self.llc_sampler.note_fill(seq);
         if let Some(evicted) = evicted {
             let (victim, life) = (BlockAddr::new(evicted.tag), evicted.life);
-            let end_seq = self.llc.array().seq();
-            self.llc_evictions.record(life, end_seq);
-            self.llc_sampler.record_stay(life, end_seq);
+            self.llc_evictions.record(life, seq);
+            self.llc_sampler.record_stay(life, seq);
             if life.hits == 0 {
                 self.pending_doa_evictions.push(victim.pfn());
             }
@@ -197,15 +198,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
     pub fn sample_llc(&mut self) {
         let seq = self.llc.array().seq();
         self.llc_sampler.take_sample(seq);
-    }
-
-    /// Flushes still-resident LLC blocks into the deadness sampler
-    /// (end-of-simulation accounting).
-    pub fn flush_sampler(&mut self) {
-        let end_seq = self.llc.array().seq();
-        for line in self.llc.array().iter_valid() {
-            self.llc_sampler.record_stay(line.life(), end_seq);
-        }
     }
 }
 
@@ -296,10 +288,11 @@ mod tests {
         h.access(pa(0x1000), AccessKind::Read, Pc::new(1), true);
         h.sample_llc();
         h.access(pa(0x2000), AccessKind::Read, Pc::new(1), true);
-        h.flush_sampler();
-        let d = h.llc_sampler.stats();
+        let llc = h.llc.array();
+        let d = h.llc_sampler.resolve(llc.iter_valid().map(|line| line.life()), llc.seq());
         assert_eq!(d.samples, 1);
         assert_eq!(d.present, 1, "one block resident at the sampling instant");
+        assert_eq!(d.doa, 1, "never hit, so DOA at that instant");
     }
 
     #[derive(Debug)]

@@ -12,7 +12,6 @@
 //! * a four-level radix **page table allocated in simulated physical
 //!   memory**, walked through the data caches ([`page_table`], [`walker`]),
 //!   accelerated by three **page-walk caches** ([`pwc`]);
-//! * an MSHR that carries the PC hash from LLT miss to LLT fill ([`mshr`]);
 //! * a ROB-based **timing model** in which independent misses overlap
 //!   ([`core_model`]);
 //! * deadness **sampling and eviction classification** used by the paper's
@@ -53,7 +52,6 @@
 pub mod cache;
 pub mod core_model;
 pub mod hierarchy;
-pub mod mshr;
 pub mod page_table;
 pub mod policy;
 pub mod pwc;

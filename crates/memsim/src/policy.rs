@@ -202,7 +202,7 @@ pub trait LltPolicy: Debug {
     }
 
     /// Decides what to do with a completed walk's translation. `pc` is the
-    /// PC recovered from the LLT MSHR.
+    /// PC of the access whose LLT miss started the walk.
     fn on_fill(&mut self, _vpn: Vpn, _pfn: Pfn, _pc: Pc) -> PageFillDecision {
         PageFillDecision::ALLOCATE
     }

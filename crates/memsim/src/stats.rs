@@ -107,15 +107,63 @@ impl EvictionClasses {
 /// zero hits (*DOA*)?
 ///
 /// Future knowledge is resolved lazily: sampling instants are recorded as
-/// structure-local sequence numbers, and each entry contributes to the
-/// sample accounting when its stay ends (eviction or end-of-simulation
-/// flush), when its full hit history is known.
+/// structure-local sequence numbers, and each stay is charged in two
+/// terms (DESIGN.md §17). Its fill ([`note_fill`](Self::note_fill))
+/// presumes it DOA from the fill on; its end
+/// ([`record_stay`](Self::record_stay) at an eviction,
+/// [`resolve`](Self::resolve) for the lines still resident) settles what
+/// its hit history says. Both run at the structure's current clock, at or
+/// past every sample taken, so they need no search there.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeadnessSampler {
     sample_seqs: Vec<u64>,
-    present: u64,
-    dead: u64,
-    doa: u64,
+    counts: StayCounts,
+}
+
+/// Running `present`/`dead`/`doa` totals. Signed: a fill subtracts its
+/// term up front, so a total sits below its final value (and possibly
+/// below zero) until the stays filled so far have ended.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct StayCounts {
+    present: i64,
+    dead: i64,
+    doa: i64,
+}
+
+impl StayCounts {
+    /// Adds the end term of a stay that ended at `end_seq`, given the
+    /// samples taken so far. `B(x)` counts samples `s < x` and `A(x)`
+    /// samples `s ≤ x`, both clamped to the samples before the end; the
+    /// fill already charged `−B(F)` to all three totals.
+    fn end_stay(&mut self, samples: &[u64], life: LineLife, end_seq: u64) {
+        let end = samples_before(samples, end_seq);
+        let end_term = end as i64;
+        self.present += end_term;
+        if life.hits == 0 {
+            // Dead and DOA at every sample it was present for: no search.
+            self.dead += end_term;
+            self.doa += end_term;
+            return;
+        }
+        invariant!(end <= samples.len(), "B(E) counts samples that exist");
+        let taken = &samples[..end];
+        let fill = taken.partition_point(|&s| s < life.fill_seq);
+        invariant!(fill <= taken.len(), "B(F) ≤ B(E)");
+        let live = fill + taken[fill..].partition_point(|&s| s <= life.last_hit_seq);
+        self.doa += fill as i64;
+        self.dead += end_term - live as i64 + fill as i64;
+    }
+}
+
+/// `B(seq)`: how many of `samples` (non-decreasing) lie before `seq`. A
+/// running machine asks at its current clock, which is at or past the
+/// last sample; only a sample taken at `seq` itself needs the search.
+#[inline]
+fn samples_before(samples: &[u64], seq: u64) -> usize {
+    match samples.last() {
+        Some(&last) if last >= seq => samples.partition_point(|&s| s < seq),
+        _ => samples.len(),
+    }
 }
 
 impl DeadnessSampler {
@@ -126,12 +174,12 @@ impl DeadnessSampler {
 
     /// Forgets every sample and count, keeping the sample buffer's
     /// capacity so a measured window after a warm-up samples without
-    /// allocating.
+    /// allocating. A line filled before the clear and still resident
+    /// has no sample after the clear before its fill, so dropping its
+    /// fill term is exact.
     pub fn clear(&mut self) {
         self.sample_seqs.clear();
-        self.present = 0;
-        self.dead = 0;
-        self.doa = 0;
+        self.counts = StayCounts::default();
     }
 
     /// Registers a sampling instant at structure-local sequence `seq`.
@@ -146,31 +194,48 @@ impl DeadnessSampler {
         self.sample_seqs.push(seq);
     }
 
-    /// Accounts a finished stay: the entry was resident for sequence
-    /// numbers `[life.fill_seq, end_seq)`. It was present for the samples
-    /// in that range, and dead for those after its last hit (all of them
-    /// when it never hit); both counts share one search for `end_seq`.
-    pub fn record_stay(&mut self, life: LineLife, end_seq: u64) {
-        let end = self.sample_seqs.partition_point(|&s| s < end_seq);
-        invariant!(end <= self.sample_seqs.len(), "partition_point stays in range");
-        let taken = &self.sample_seqs[..end];
-        let n_present = (end - taken.partition_point(|&s| s < life.fill_seq)) as u64;
-        self.present += n_present;
-        if life.hits == 0 {
-            self.dead += n_present;
-            self.doa += n_present;
-        } else {
-            self.dead += (end - taken.partition_point(|&s| s <= life.last_hit_seq)) as u64;
-        }
+    /// Charges a stay's fill term: a line was installed at `fill_seq`,
+    /// the structure's current clock. The stay is presumed DOA from here
+    /// on, so all three totals lose the samples taken before the fill;
+    /// [`record_stay`](Self::record_stay) adds them back at its end.
+    #[inline]
+    pub fn note_fill(&mut self, fill_seq: u64) {
+        let before = samples_before(&self.sample_seqs, fill_seq) as i64;
+        self.counts.present -= before;
+        self.counts.dead -= before;
+        self.counts.doa -= before;
     }
 
-    /// Aggregated results.
-    pub fn stats(&self) -> DeadnessStats {
+    /// Charges a finished stay's end term: the entry, whose fill was
+    /// noted, was resident for sequence numbers `[life.fill_seq,
+    /// end_seq)`. It was present for the samples in that range, and dead
+    /// for those after its last hit (all of them when it never hit).
+    #[inline]
+    pub fn record_stay(&mut self, life: LineLife, end_seq: u64) {
+        self.counts.end_stay(&self.sample_seqs, life, end_seq);
+    }
+
+    /// The aggregated results, with the lines still resident (`residents`,
+    /// each with its fill noted) ending their stays at `end_seq`.
+    /// Leaves the sampler as it was, so it may be read repeatedly.
+    pub fn resolve(
+        &self,
+        residents: impl IntoIterator<Item = LineLife>,
+        end_seq: u64,
+    ) -> DeadnessStats {
+        let mut counts = self.counts;
+        for life in residents {
+            counts.end_stay(&self.sample_seqs, life, end_seq);
+        }
+        invariant!(
+            counts.present >= 0 && counts.dead >= 0 && counts.doa >= 0,
+            "every noted fill has ended its stay: {counts:?}"
+        );
         DeadnessStats {
             samples: self.sample_seqs.len() as u64,
-            present: self.present,
-            dead: self.dead,
-            doa: self.doa,
+            present: counts.present as u64,
+            dead: counts.dead as u64,
+            doa: counts.doa as u64,
         }
     }
 }
@@ -334,30 +399,54 @@ mod tests {
         assert_eq!(c.live, 1);
     }
 
+    /// Samples in `[lo, hi)`: the brute-force range count the sampler's
+    /// fill and end terms must add up to.
+    fn count_in(samples: &[u64], lo: u64, hi: u64) -> u64 {
+        samples.iter().filter(|&&s| lo <= s && s < hi).count() as u64
+    }
+
+    /// The oracle: each stay `(life, end)` is present at the samples in
+    /// `[fill, end)`, dead at those after its last hit (all of them when
+    /// it never hit), and DOA at all of them when it never hit.
+    fn range_counts(samples: &[u64], stays: &[(LineLife, u64)]) -> DeadnessStats {
+        let mut want = DeadnessStats { samples: samples.len() as u64, ..Default::default() };
+        for &(l, end) in stays {
+            let n = count_in(samples, l.fill_seq, end);
+            want.present += n;
+            if l.hits == 0 {
+                want.dead += n;
+                want.doa += n;
+            } else {
+                want.dead += count_in(samples, l.last_hit_seq + 1, end);
+            }
+        }
+        want
+    }
+
     #[test]
     fn sampler_counts_doa_stays() {
         let mut s = DeadnessSampler::new();
+        s.note_fill(5);
         s.take_sample(10);
         s.take_sample(20);
-        s.take_sample(30);
         // Stay [5, 25) with zero hits: samples 10 and 20 present, both DOA.
         s.record_stay(life(5, 5, 0), 25);
-        let d = s.stats();
-        assert_eq!(d.present, 2);
-        assert_eq!(d.dead, 2);
-        assert_eq!(d.doa, 2);
+        s.take_sample(30);
+        let d = s.resolve([], 30);
+        assert_eq!((d.samples, d.present, d.dead, d.doa), (3, 2, 2, 2));
     }
 
     #[test]
     fn sampler_counts_partially_dead_stays() {
         let mut s = DeadnessSampler::new();
+        s.note_fill(5);
         for seq in [10, 20, 30, 40] {
             s.take_sample(seq);
         }
         // Stay [5, 45), last hit at 25, one hit: samples 10..40 present,
         // dead only at 30 and 40 (after the last hit).
         s.record_stay(life(5, 25, 1), 45);
-        let d = s.stats();
+        let d = s.resolve([], 45);
         assert_eq!(d.present, 4);
         assert_eq!(d.dead, 2);
         assert_eq!(d.doa, 0);
@@ -367,9 +456,10 @@ mod tests {
     #[test]
     fn sample_exactly_at_last_hit_is_live() {
         let mut s = DeadnessSampler::new();
+        s.note_fill(5);
         s.take_sample(25);
         s.record_stay(life(5, 25, 1), 45);
-        assert_eq!(s.stats().dead, 0);
+        assert_eq!(s.resolve([], 45).dead, 0);
     }
 
     #[test]
@@ -380,66 +470,137 @@ mod tests {
         s.take_sample(5);
     }
 
+    /// A stay that covers no sample counts nothing, including one filled
+    /// after a sample and ending at the clock of the next one.
     #[test]
     fn empty_stay_counts_nothing() {
         let mut s = DeadnessSampler::new();
         s.take_sample(10);
-        s.record_stay(life(20, 20, 0), 15); // lo >= hi
-        assert_eq!(s.stats().present, 0);
+        s.note_fill(20);
+        s.record_stay(life(20, 20, 0), 30);
+        s.take_sample(30);
+        let d = s.resolve([], 30);
+        assert_eq!((d.samples, d.present, d.dead, d.doa), (2, 0, 0, 0));
     }
 
-    /// The one-search stay accounting must count exactly what two
-    /// independent range counts give, for every stay shape: samples on
-    /// the fill, the last hit and the end, empty and inverted stays, and
-    /// an end before, inside or past the samples.
+    /// The fill/end split must count exactly what the range counts give,
+    /// for every stay shape: samples on the fill, the last hit and the
+    /// end, a sample taken at a fill's or an end's own clock before the
+    /// fill or end is charged, and an end before, inside or past the
+    /// samples. Half the stays end by eviction, half are read as
+    /// residents.
     #[test]
     fn stay_accounting_matches_range_counts() {
         let samples = [10u64, 20, 20, 30, 40];
-        let count_in = |lo: u64, hi: u64| samples.iter().filter(|&&s| lo <= s && s < hi).count();
-        let mut lives = Vec::new();
-        for fill in [0u64, 10, 15, 20, 40, 45] {
-            for last_hit in [fill, fill + 5, fill + 10, 30, 40] {
-                for hits in [0, 2] {
-                    lives.push(life(fill, last_hit, hits));
-                }
-            }
-        }
         for end in [5u64, 20, 21, 40, 41, 100] {
-            let mut single = DeadnessSampler::new();
-            for &seq in &samples {
-                single.take_sample(seq);
-            }
-            let (mut present, mut dead, mut doa) = (0, 0, 0);
-            for &l in &lives {
-                single.record_stay(l, end);
-                let n = count_in(l.fill_seq, end);
-                present += n;
-                if l.hits == 0 {
-                    dead += n;
-                    doa += n;
-                } else {
-                    dead += count_in(l.last_hit_seq + 1, end);
+            let mut stays = Vec::new();
+            for fill in [0u64, 10, 15, 20, 40, 45].into_iter().filter(|&f| f <= end) {
+                stays.push(life(fill, fill, 0));
+                for last_hit in [fill + 5, fill + 10, 30, 40, end] {
+                    if fill < last_hit && last_hit <= end {
+                        stays.push(life(fill, last_hit, 2));
+                    }
                 }
             }
-            let want = DeadnessStats {
-                samples: samples.len() as u64,
-                present: present as u64,
-                dead: dead as u64,
-                doa: doa as u64,
-            };
-            assert_eq!(single.stats(), want, "end {end}");
+            // Machine order by clock; at one clock the samples come first,
+            // then the fills, then the evictions.
+            let mut events: Vec<(u64, u8, usize)> =
+                samples.iter().enumerate().map(|(i, &seq)| (seq, 0, i)).collect();
+            for (i, l) in stays.iter().enumerate() {
+                events.push((l.fill_seq, 1, i));
+                if i % 2 == 0 {
+                    events.push((end, 2, i));
+                }
+            }
+            events.sort_unstable();
+            let mut s = DeadnessSampler::new();
+            for (seq, kind, i) in events {
+                match kind {
+                    0 => s.take_sample(seq),
+                    1 => s.note_fill(seq),
+                    _ => s.record_stay(stays[i], seq),
+                }
+            }
+            let residents = stays.iter().skip(1).step_by(2).copied();
+            let ended: Vec<(LineLife, u64)> = stays.iter().map(|&l| (l, end)).collect();
+            assert_eq!(s.resolve(residents, end), range_counts(&samples, &ended), "end {end}");
         }
+    }
+
+    /// A seeded random machine run against the range-count oracle: a
+    /// four-line structure whose clock advances on lookups, interleaving
+    /// hits, fills (evicting the slot's line), samples and a `clear`, read
+    /// after every operation with the residents ending their stays.
+    #[test]
+    fn random_machine_run_matches_range_counts() {
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) % n
+        };
+        let mut s = DeadnessSampler::new();
+        let mut lines: [Option<LineLife>; 4] = [None; 4];
+        let (mut samples, mut ended) = (Vec::new(), Vec::new());
+        let mut seq = 0u64;
+        let (mut sample_at_fill_clock, mut kept_across_clear) = (0, 0);
+        let mut last_sample_seq = None;
+        for op in 0..4000 {
+            let slot = next(4) as usize;
+            match next(10) {
+                0..=4 => {
+                    seq += 1;
+                    if let Some(l) = lines[slot].as_mut() {
+                        if next(2) == 0 {
+                            l.hits += 1;
+                            l.last_hit_seq = seq;
+                        }
+                    }
+                }
+                5..=7 => {
+                    if let Some(l) = lines[slot] {
+                        s.record_stay(l, seq);
+                        ended.push((l, seq));
+                    }
+                    sample_at_fill_clock += u32::from(last_sample_seq == Some(seq));
+                    lines[slot] = Some(life(seq, seq, 0));
+                    s.note_fill(seq);
+                }
+                _ => {
+                    s.take_sample(seq);
+                    samples.push(seq);
+                    last_sample_seq = Some(seq);
+                }
+            }
+            if op == 2000 {
+                s.clear();
+                samples.clear();
+                ended.clear();
+                kept_across_clear = lines.iter().flatten().count();
+            }
+            let residents = lines.iter().flatten().copied();
+            let mut stays = ended.clone();
+            stays.extend(residents.clone().map(|l| (l, seq)));
+            assert_eq!(s.resolve(residents, seq), range_counts(&samples, &stays), "op {op}");
+        }
+        assert!(sample_at_fill_clock > 0, "no sample was taken at a fill's own clock");
+        assert!(kept_across_clear > 0, "no line stayed resident across the clear");
     }
 
     #[test]
     fn clear_forgets_samples_and_counts() {
         let mut s = DeadnessSampler::new();
+        s.note_fill(5);
         s.take_sample(10);
         s.record_stay(life(5, 5, 0), 25);
+        s.note_fill(25);
         s.clear();
         assert_eq!(s, DeadnessSampler::new());
-        s.take_sample(3); // earlier than the forgotten samples
-        assert_eq!(s.stats().samples, 1);
+        // The line filled at 25 stays resident across the clear: it is
+        // present, dead and DOA at the one sample taken after it.
+        s.take_sample(30);
+        let d = s.resolve([life(25, 25, 0)], 40);
+        assert_eq!((d.samples, d.present, d.dead, d.doa), (1, 1, 1, 1));
     }
 
     #[test]

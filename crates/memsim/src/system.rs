@@ -3,7 +3,6 @@
 
 use crate::core_model::CoreModel;
 use crate::hierarchy::Hierarchy;
-use crate::mshr::Mshr;
 use crate::page_table::PageTable;
 use crate::policy::{
     EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
@@ -21,8 +20,6 @@ use dpc_types::{
 use std::error::Error;
 use std::fmt;
 
-/// Default outstanding-miss capacity of the LLT MSHR.
-const MSHR_CAPACITY: usize = 16;
 /// Default instructions between deadness samples.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 50_000;
 /// Events decoded per [`System::run_stream`] chunk: large enough to
@@ -107,7 +104,6 @@ pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy>
     hier: Hierarchy<C>,
     page_table: PageTable,
     walker: Walker,
-    mshr: Mshr,
 
     llt_evictions: EvictionClasses,
     llt_sampler: DeadnessSampler,
@@ -174,7 +170,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             hier: Hierarchy::with_typed_policy(&config, llc_policy),
             page_table,
             walker: Walker::new(&config.pwc),
-            mshr: Mshr::new(MSHR_CAPACITY),
             llt_evictions: EvictionClasses::default(),
             llt_sampler: DeadnessSampler::new(),
             reverse,
@@ -260,8 +255,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// warm-up/measure split drives two `run_stream` calls over the same
     /// stream with the same cursor. Like every `run_*` entry point it
     /// returns no statistics: a warm-up's would be thrown away, and
-    /// assembling them flushes every resident LLT and LLC line into
-    /// cloned deadness samplers. Read [`System::stats`] once after the
+    /// assembling them ends the stay of every resident LLT and LLC line
+    /// in the deadness read. Read [`System::stats`] once after the
     /// measured window instead.
     pub fn run_stream(
         &mut self,
@@ -438,21 +433,21 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             return (pfn, latency);
         }
 
-        // --- True miss: page walk ---
-        self.mshr.allocate(vpn, pc);
+        // --- True miss: page walk. It completes inside this access, so
+        // the missing PC reaches the fill directly (the paper's MSHR
+        // holds it across an asynchronous walk). ---
         let outcome = self.walker.walk(vpn, &mut self.page_table, &mut self.hier);
         latency += outcome.latency;
         let size = outcome.size;
         let key = self.llt_key(size, vpn);
         let unit_pfn = size.pfn_unit(outcome.pfn);
         self.reverse.note_walk(self.page_table.frames(), key, unit_pfn);
-        let fill_pc = self.mshr.complete(vpn);
         if self.config.tlb_fill == TlbFillPolicy::Both {
-            self.llt_insert(size, key, unit_pfn, fill_pc);
+            self.llt_insert(size, key, unit_pfn, pc);
         }
         // Under L1ThenVictim, the LLT is filled when the L1 evicts the
         // entry (see `fill_l1`).
-        self.fill_l1(side, size, vpn, outcome.pfn, fill_pc);
+        self.fill_l1(side, size, vpn, outcome.pfn, pc);
         (outcome.pfn, latency)
     }
 
@@ -519,11 +514,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             Some(way) => self.llt.fill_way(key, way, unit_pfn, priority, state),
             None => self.llt.fill(key, unit_pfn, priority, state),
         };
+        let seq = self.llt.array().seq();
+        self.llt_sampler.note_fill(seq);
         if let Some(Evicted { tag, life, payload }) = evicted {
             let (evicted_key, pfn) = (Vpn::new(tag), Pfn::new(payload.pfn));
-            let end_seq = self.llt.array().seq();
-            self.llt_evictions.record(life, end_seq);
-            self.llt_sampler.record_stay(life, end_seq);
+            self.llt_evictions.record(life, seq);
+            self.llt_sampler.record_stay(life, seq);
             self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, life.hits == 0);
             self.llt_policy.on_evict(EvictedPage {
                 vpn: evicted_key,
@@ -562,20 +558,11 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         self.hier.pending_doa_evictions = pending;
     }
 
-    /// Assembles the current statistics. Non-destructive: resident entries
-    /// are flushed into *clones* of the deadness samplers, so this may be
-    /// called repeatedly.
+    /// Assembles the current statistics. Non-destructive: the resident
+    /// LLT and LLC entries end their stays only in the deadness read, so
+    /// this may be called repeatedly.
     pub fn stats(&self) -> SimStats {
-        let mut llt_sampler = self.llt_sampler.clone();
-        let llt_end = self.llt.array().seq();
-        for line in self.llt.array().iter_valid() {
-            llt_sampler.record_stay(line.life(), llt_end);
-        }
-        let mut llc_sampler = self.hier.llc_sampler.clone();
-        let llc_end = self.hier.llc.array().seq();
-        for line in self.hier.llc.array().iter_valid() {
-            llc_sampler.record_stay(line.life(), llc_end);
-        }
+        let (llt, llc) = (self.llt.array(), self.hier.llc.array());
         SimStats {
             instructions: self.core.instructions(),
             mem_ops: self.mem_ops,
@@ -592,8 +579,13 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             walk_cycles: self.walker.walk_cycles,
             llt_evictions: self.llt_evictions,
             llc_evictions: self.hier.llc_evictions,
-            llt_deadness: llt_sampler.stats(),
-            llc_deadness: llc_sampler.stats(),
+            llt_deadness: self
+                .llt_sampler
+                .resolve(llt.iter_valid().map(|line| line.life()), llt.seq()),
+            llc_deadness: self
+                .hier
+                .llc_sampler
+                .resolve(llc.iter_valid().map(|line| line.life()), llc.seq()),
             doa_blocks_on_doa_pages: self.doa_blocks_on_doa_pages,
             doa_blocks_classified: self.doa_blocks_classified,
             slow_steps: self.slow_steps,
