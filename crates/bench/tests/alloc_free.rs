@@ -21,7 +21,7 @@
 
 use dpc_memsim::system::System;
 use dpc_memsim::{LlcPolicy, LltPolicy};
-use dpc_predictors::{AipLlc, AipTlb, CbPred, DpPred};
+use dpc_predictors::{AipLlc, AipTlb, CbPred, DpPred, GhostTracker};
 use dpc_types::stream::EventStream;
 use dpc_types::SystemConfig;
 use dpc_workloads::{Scale, WorkloadFactory};
@@ -130,8 +130,9 @@ fn warm_event_loop_never_allocates() {
     // The paper's headline configuration on the monomorphized path:
     // dpPred (pHIST + shadow table) and cbPred (bHIST + PFQ + ghost
     // FIFOs) must also reach an allocation-free steady state — their
-    // bypass paths drive the ghost trackers and the System's DOA
-    // classification maps, none of which may grow per event once warm.
+    // bypass paths drive the System's DOA classification maps, none of
+    // which may grow per event once warm. The ghost FIFOs need no
+    // warm-up at all: `ghost_trackers_never_allocate` below.
     let dppred_cbpred = System::with_typed_policies(
         config,
         DpPred::paper_default(),
@@ -188,4 +189,39 @@ fn warm_run_stream_never_allocates() {
     );
     let measured = sys.stats();
     assert!(measured.llc_deadness.samples > 0, "the measured window took deadness samples");
+}
+
+/// The ghost FIFOs are rings allocated whole at construction, so a
+/// freshly built tracker allocates nothing however it is driven: no
+/// warm-up pass, unlike the structures above. Both paper geometries
+/// (cbPred's 2048×16 LLC tracker, dpPred's 128×8 LLT tracker) take
+/// ~100K mixed bypasses, fills and lookups over a tag range narrow
+/// enough for ghosts to expire, be re-referenced and repeat in a set.
+#[test]
+fn ghost_trackers_never_allocate() {
+    for (sets, assoc) in [(2048, 16), (128, 8)] {
+        let mut tracker = GhostTracker::new(sets, assoc);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let during = allocations_during(|| {
+            for _ in 0..100_000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = state >> 33;
+                let tag = (r >> 2) % (sets * assoc);
+                match r % 4 {
+                    0 => tracker.note_bypass(tag),
+                    1 => tracker.note_fill(tag),
+                    _ => {
+                        tracker.note_lookup(tag);
+                    }
+                }
+            }
+        });
+        assert_eq!(during, 0, "{sets}x{assoc} ghost tracker: {during} heap allocations");
+        assert!(
+            tracker.correct > 0 && tracker.mispredictions > 0,
+            "{sets}x{assoc}: no ghost resolved"
+        );
+    }
 }

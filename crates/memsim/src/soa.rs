@@ -293,9 +293,10 @@ impl<P> LineRef<'_, P> {
 /// The paper-baseline associativities (4-way L1 TLB, 8-way L1D/L2/LLT,
 /// 16-way LLC) are dispatched to fixed-width comparisons so the compiler
 /// sees a compile-time trip count and can fully unroll; any other
-/// geometry takes the generic loop.
+/// geometry takes the generic loop. The predictors' ghost rings
+/// (`dpc_predictors::GhostTracker`) match their slots with it too.
 #[inline]
-fn match_tags(tags: &[u64], needle: u64) -> u64 {
+pub fn match_tags(tags: &[u64], needle: u64) -> u64 {
     match tags.len() {
         4 => fixed_match::<4>(tags, needle),
         8 => fixed_match::<8>(tags, needle),
