@@ -10,14 +10,14 @@
 //! consulted), which relaxes strict inclusion exactly as LLC-bypass
 //! proposals do.
 //!
-//! Page-table walker loads take the same path (`is_demand = false`) so the
-//! page table competes for cache space, as in the paper's methodology.
+//! Page-table walker loads take the same path, so the page table competes
+//! for cache space, as in the paper's methodology.
 
-use crate::cache::Cache;
+use crate::cache::{BlockInfo, Cache};
 use crate::policy::{BlockFillDecision, EvictedBlock, LlcPolicy, NullBlockPolicy};
 use crate::set_assoc::InsertPriority;
-use crate::stats::{DeadnessSampler, EvictionClasses};
-use dpc_types::{AccessKind, BlockAddr, Pc, Pfn, PhysAddr, SystemConfig};
+use crate::stats::Ledger;
+use dpc_types::{AccessKind, BlockAddr, CacheConfig, Pc, Pfn, PhysAddr, SystemConfig};
 
 /// The L1D/L2/LLC hierarchy plus main memory, generic over the LLC
 /// policy, whose concrete type monomorphizes the access path (see
@@ -25,49 +25,43 @@ use dpc_types::{AccessKind, BlockAddr, Pc, Pfn, PhysAddr, SystemConfig};
 #[derive(Debug)]
 pub struct Hierarchy<C: LlcPolicy = NullBlockPolicy> {
     /// L1 data cache.
-    pub l1d: Cache,
+    pub l1d: Cache<BlockInfo>,
     /// L2 cache.
-    pub l2: Cache,
+    pub l2: Cache<BlockInfo>,
     /// L3 / last-level cache (inclusive).
-    pub llc: Cache,
+    pub llc: Cache<BlockInfo>,
     /// Precomputed cumulative latency of an access that terminates at
     /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. An access
     /// indexes this table instead of accumulating per-level latencies as
     /// it descends.
     cum_latency: [u64; 4],
     policy: C,
-    /// LLC eviction-time dead/DOA classification (Fig. 4).
-    pub llc_evictions: EvictionClasses,
-    /// LLC resident-deadness sampler (Fig. 3).
-    pub llc_sampler: DeadnessSampler,
+    /// The LLC's eviction classes (Fig. 4) and resident deadness (Fig. 3).
+    pub llc_ledger: Ledger,
     /// PFNs of blocks evicted from the LLC as true DOA since the last
     /// drain — the `System` classifies them against LLT dead-page state
     /// for Table III.
     pub pending_doa_evictions: Vec<Pfn>,
-    /// Demand (non-walker) LLC misses.
-    pub llc_demand_misses: u64,
-    /// Walker-induced LLC misses.
-    pub llc_walker_misses: u64,
 }
 
 impl<C: LlcPolicy> Hierarchy<C> {
     /// Builds the hierarchy with the given LLC policy, monomorphizing
     /// the access path around its concrete type.
     pub fn with_typed_policy(config: &SystemConfig, policy: C) -> Self {
+        let level = |c: &CacheConfig| {
+            Cache::new(c.sets() as usize, c.ways as usize, c.replacement, c.latency)
+        };
         let l1d = u64::from(config.l1d.latency);
         let l2 = l1d + u64::from(config.l2.latency);
         let llc = l2 + u64::from(config.llc.latency);
         Hierarchy {
-            l1d: Cache::new(&config.l1d),
-            l2: Cache::new(&config.l2),
-            llc: Cache::new(&config.llc),
+            l1d: level(&config.l1d),
+            l2: level(&config.l2),
+            llc: level(&config.llc),
             cum_latency: [l1d, l2, llc, llc + u64::from(config.mem_latency)],
             policy,
-            llc_evictions: EvictionClasses::default(),
-            llc_sampler: DeadnessSampler::new(),
+            llc_ledger: Ledger::default(),
             pending_doa_evictions: Vec::new(),
-            llc_demand_misses: 0,
-            llc_walker_misses: 0,
         }
     }
 
@@ -83,25 +77,27 @@ impl<C: LlcPolicy> Hierarchy<C> {
 
     /// Performs an access and returns its latency in cycles.
     ///
-    /// `is_demand` distinguishes program accesses from page-walker loads
-    /// (both are cached; they are counted separately).
+    /// Program accesses and page-walker loads take the same path and are
+    /// cached and counted alike, so neither `_kind` nor `_is_demand`
+    /// changes what happens; both stay in the signature that callers and
+    /// benchmarks drive.
     ///
     /// Each level is looked up once, top down, and the first hit ends the
     /// descent: an L1D hit touches nothing else, an L2 hit refills the
     /// L1D, and an access that reaches the LLC continues in
     /// [`llc_access`](Self::llc_access). The latency comes from the
     /// precomputed cumulative table, indexed by the level that answered.
-    pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, is_demand: bool) -> u64 {
+    pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, _is_demand: bool) -> u64 {
         let block = pa.block();
-        if self.l1d.lookup(block).is_some() {
+        if self.l1d.lookup(block.raw()).is_some() {
             return self.cum_latency[0];
         }
-        if self.l2.lookup(block).is_some() {
-            self.l1d.fill(block, InsertPriority::Normal, 0);
+        if self.l2.lookup(block.raw()).is_some() {
+            self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
             return self.cum_latency[1];
         }
-        let hit_way = self.llc.lookup(block);
-        self.llc_access(block, hit_way, pc, is_demand)
+        let hit_way = self.llc.lookup(block.raw());
+        self.llc_access(block, hit_way, pc)
     }
 
     /// Finishes an access that missed the L1D and L2 and has looked up
@@ -113,13 +109,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// [`access`](Self::access) bloats the L1/L2-hit prefix that nearly
     /// every access takes (DESIGN.md §16.2).
     #[inline(never)]
-    fn llc_access(
-        &mut self,
-        block: BlockAddr,
-        hit_way: Option<usize>,
-        pc: Pc,
-        is_demand: bool,
-    ) -> u64 {
+    fn llc_access(&mut self, block: BlockAddr, hit_way: Option<usize>, pc: Pc) -> u64 {
         self.policy.on_lookup(block, hit_way.is_some());
         // Set-access hook (AIP-style interval predictors train on every
         // access to the set). Policies that don't observe set views skip
@@ -133,16 +123,11 @@ impl<C: LlcPolicy> Hierarchy<C> {
         if let Some(way) = hit_way {
             let state = &mut self.llc.array_mut().payload_mut(block.raw(), way).state;
             self.policy.on_hit(block, state);
-            self.l2.fill(block, InsertPriority::Normal, 0);
-            self.l1d.fill(block, InsertPriority::Normal, 0);
+            self.l2.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
+            self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
             return self.cum_latency[2];
         }
         // LLC miss: go to memory.
-        if is_demand {
-            self.llc_demand_misses += 1;
-        } else {
-            self.llc_walker_misses += 1;
-        }
         match self.policy.on_fill(block, pc) {
             BlockFillDecision::Allocate { priority, state } => {
                 self.fill_llc(block, priority, state);
@@ -152,52 +137,32 @@ impl<C: LlcPolicy> Hierarchy<C> {
             }
         }
         // The block is returned upward either way.
-        self.l2.fill(block, InsertPriority::Normal, 0);
-        self.l1d.fill(block, InsertPriority::Normal, 0);
+        self.l2.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
+        self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
         self.cum_latency[3]
     }
 
     fn fill_llc(&mut self, block: BlockAddr, priority: InsertPriority, state: u32) {
-        // A victim-overriding policy (AIP victimizes predicted-dead blocks
-        // first) picks from a full set; every other fill is the base
-        // policy's one-pass `fill`, which needs no fullness check.
-        let choice = if self.policy.overrides_victim() && self.llc.array().set_full(block.raw()) {
-            let policy = &mut self.policy;
-            self.llc
-                .array_mut()
-                .with_set_views(block.raw(), None, |views| policy.pick_victim(views))
-        } else {
-            None
+        let policy = &mut self.policy;
+        let pick = policy.overrides_victim().then_some(|views: &mut _| policy.pick_victim(views));
+        let info = BlockInfo { state };
+        let Some(evicted) = self.llc_ledger.fill(&mut self.llc, block.raw(), info, priority, pick)
+        else {
+            return;
         };
-        let evicted = match choice {
-            Some(way) => self.llc.fill_way(block, way, priority, state),
-            None => self.llc.fill(block, priority, state),
-        };
-        let seq = self.llc.array().seq();
-        self.llc_sampler.note_fill(seq);
-        if let Some(evicted) = evicted {
-            let (victim, life) = (BlockAddr::new(evicted.tag), evicted.life);
-            self.llc_evictions.record(life, seq);
-            self.llc_sampler.record_stay(life, seq);
-            if life.hits == 0 {
-                self.pending_doa_evictions.push(victim.pfn());
-            }
-            self.policy.on_evict(EvictedBlock {
-                block: victim,
-                state: evicted.payload.state,
-                life,
-                by_invalidation: false,
-            });
-            // Inclusion: the victim may not survive in upper levels.
-            self.l2.invalidate(victim);
-            self.l1d.invalidate(victim);
+        let (victim, life) = (BlockAddr::new(evicted.tag), evicted.life);
+        if life.hits == 0 {
+            self.pending_doa_evictions.push(victim.pfn());
         }
-    }
-
-    /// Takes a deadness sample of the LLC's resident blocks.
-    pub fn sample_llc(&mut self) {
-        let seq = self.llc.array().seq();
-        self.llc_sampler.take_sample(seq);
+        self.policy.on_evict(EvictedBlock {
+            block: victim,
+            state: evicted.payload.state,
+            life,
+            by_invalidation: false,
+        });
+        // Inclusion: the victim may not survive in upper levels.
+        self.l2.invalidate(victim.raw());
+        self.l1d.invalidate(victim.raw());
     }
 }
 
@@ -218,7 +183,6 @@ mod tests {
         let mut h = hierarchy();
         let lat = h.access(pa(0x10000), AccessKind::Read, Pc::new(1), true);
         assert_eq!(lat, 5 + 11 + 40 + 191);
-        assert_eq!(h.llc_demand_misses, 1);
     }
 
     #[test]
@@ -239,7 +203,7 @@ mod tests {
         h.access(pa(0x20000), AccessKind::Read, Pc::new(1), true);
         // Evict from L1 and L2 by filling conflicting sets, then re-access.
         // Simpler: invalidate the upper copies directly.
-        let block = pa(0x20000).block();
+        let block = pa(0x20000).block().raw();
         h.l1d.invalidate(block);
         h.l2.invalidate(block);
         let lat = h.access(pa(0x20000), AccessKind::Read, Pc::new(1), true);
@@ -265,31 +229,22 @@ mod tests {
         }
         // The first block was evicted from the LLC; inclusion requires it
         // to have left L1/L2 as well.
-        let first = pa(0).block();
+        let first = pa(0).block().raw();
         assert!(!h.llc.contains(first));
         assert!(!h.l1d.contains(first));
         assert!(!h.l2.contains(first));
-        assert_eq!(h.llc_evictions.total, 1);
-        assert_eq!(h.llc_evictions.doa, 1, "never-hit block is DOA");
+        assert_eq!(h.llc_ledger.evictions.total, 1);
+        assert_eq!(h.llc_ledger.evictions.doa, 1, "never-hit block is DOA");
         assert_eq!(h.pending_doa_evictions.len(), 1);
-    }
-
-    #[test]
-    fn walker_misses_counted_separately() {
-        let mut h = hierarchy();
-        h.access(pa(0x5000), AccessKind::Read, Pc::new(1), false);
-        assert_eq!(h.llc_walker_misses, 1);
-        assert_eq!(h.llc_demand_misses, 0);
     }
 
     #[test]
     fn sampler_flush_accounts_residents() {
         let mut h = hierarchy();
         h.access(pa(0x1000), AccessKind::Read, Pc::new(1), true);
-        h.sample_llc();
+        h.llc_ledger.sample(&h.llc);
         h.access(pa(0x2000), AccessKind::Read, Pc::new(1), true);
-        let llc = h.llc.array();
-        let d = h.llc_sampler.resolve(llc.iter_valid().map(|line| line.life()), llc.seq());
+        let d = h.llc_ledger.deadness(&h.llc);
         assert_eq!(d.samples, 1);
         assert_eq!(d.present, 1, "one block resident at the sampling instant");
         assert_eq!(d.doa, 1, "never hit, so DOA at that instant");
@@ -333,13 +288,17 @@ mod tests {
             AlwaysWayZero { evictions_seen: 0 },
         );
         let sets = h.llc.array().sets() as u64;
-        // Fill one LLC set completely, then one more block: the policy
-        // must evict way 0 (the first block inserted).
-        for i in 0..17u64 {
+        // Fill one LLC set completely, re-touch the first block (way 0;
+        // it has left the L1D and L2 sets, so the LLC hits and makes it
+        // MRU, leaving block 1 as the LRU victim), then one more block:
+        // the policy must evict way 0.
+        for i in (0..16u64).chain([0, 16]) {
             h.access(pa(i * sets * 64), AccessKind::Read, Pc::new(1), true);
         }
-        assert!(!h.llc.contains(pa(0).block()), "way 0 must have been victimized");
-        assert!(h.llc.contains(pa(sets * 64).block()), "second block must survive");
+        assert_eq!(h.llc.stats.hits, 1, "the re-touch must hit the LLC");
+        assert!(!h.llc.contains(pa(0).block().raw()), "way 0 must have been victimized");
+        assert!(h.llc.contains(pa(sets * 64).block().raw()), "the LRU block must survive");
+        assert_eq!(h.policy().evictions_seen, 1);
     }
 
     #[test]
@@ -363,8 +322,8 @@ mod tests {
             Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), HitWatcher::default());
         h.access(pa(0x9000), AccessKind::Read, Pc::new(1), true);
         // Evict from L1/L2 so the second access reaches the LLC and hits.
-        h.l1d.invalidate(pa(0x9000).block());
-        h.l2.invalidate(pa(0x9000).block());
+        h.l1d.invalidate(pa(0x9000).block().raw());
+        h.l2.invalidate(pa(0x9000).block().raw());
         h.access(pa(0x9000), AccessKind::Read, Pc::new(1), true);
         assert_eq!(h.llc.stats.hits, 1);
         assert_eq!(h.policy().hits_flagged, 1, "the LLC hit must be flagged to the hook");
@@ -374,7 +333,7 @@ mod tests {
     fn bypass_keeps_block_out_of_llc_but_in_l1() {
         let mut h = Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), BypassAll);
         h.access(pa(0x3000), AccessKind::Read, Pc::new(1), true);
-        let block = pa(0x3000).block();
+        let block = pa(0x3000).block().raw();
         assert!(!h.llc.contains(block));
         assert!(h.l1d.contains(block));
         assert_eq!(h.llc.stats.bypasses, 1);

@@ -6,16 +6,19 @@
 //! and Caches Together"*. It models the machine of the paper's Table I:
 //!
 //! * a three-level data-cache hierarchy with an **inclusive LLC**
-//!   ([`cache`], [`hierarchy`]);
-//! * split L1 I/D TLBs and a unified **L2 TLB (the last-level TLB)**
-//!   ([`tlb`]);
+//!   ([`hierarchy`]);
+//! * split L1 I/D TLBs, one structure per page size ([`tlb`]), and a
+//!   unified **L2 TLB (the last-level TLB)**;
+//! * one level type, [`cache::Cache`], generic over its payload, for the
+//!   L1D, the L2, the LLC and the LLT;
 //! * a four-level radix **page table allocated in simulated physical
 //!   memory**, walked through the data caches ([`page_table`], [`walker`]),
 //!   accelerated by three **page-walk caches** ([`pwc`]);
 //! * a ROB-based **timing model** in which independent misses overlap
 //!   ([`core_model`]);
 //! * deadness **sampling and eviction classification** used by the paper's
-//!   characterization figures ([`stats`]).
+//!   characterization figures, charged by one [`stats::Ledger`] for each
+//!   last level, the LLT and the LLC, at every fill of it ([`stats`]).
 //!
 //! Management policies (dpPred, cbPred, SHiP, AIP, ...) plug in through the
 //! hook traits in [`policy`]; the implementations live in `dpc-predictors`.

@@ -37,7 +37,6 @@ pub struct PwcSet {
     levels: [SetAssoc<Pfn>; 3],
     latency: [u32; 3],
     hits: [u64; 3],
-    probes: u64,
 }
 
 impl PwcSet {
@@ -52,7 +51,7 @@ impl PwcSet {
             SetAssoc::new(1, config.entries[1] as usize, ReplacementKind::Lru),
             SetAssoc::new(1, config.entries[2] as usize, ReplacementKind::Lru),
         ];
-        PwcSet { levels, latency: config.latency, hits: [0; 3], probes: 0 }
+        PwcSet { levels, latency: config.latency, hits: [0; 3] }
     }
 
     /// Looks up the PWC levels at or above `min_level`, closest-to-leaf
@@ -70,7 +69,6 @@ impl PwcSet {
     /// On a hit at level `L`, `remaining_loads` is `L + 1 - min_level`;
     /// on a full miss it is `4 - min_level` (the walk's total PTE loads).
     pub fn lookup(&mut self, vpn: Vpn, min_level: usize) -> PwcProbe {
-        self.probes += 1;
         let mut latency = 0u64;
         for (level, &shift) in LEVEL_SHIFT.iter().enumerate().skip(min_level) {
             latency += u64::from(self.latency[level]);
@@ -118,11 +116,6 @@ impl PwcSet {
     pub fn hits(&self) -> [u64; 3] {
         self.hits
     }
-
-    /// Total probes so far.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +154,6 @@ mod tests {
         assert_eq!(probe.remaining_loads, 1);
         assert_eq!(probe.latency, 1);
         assert_eq!(p.hits(), [1, 0, 0]);
-        assert_eq!(p.probes(), 1);
         assert_eq!(
             p.levels().each_ref().map(|level| level.seq()),
             [1, 0, 0],
@@ -246,12 +238,18 @@ mod tests {
         assert_ne!(probe.hit_level, Some(0));
     }
 
+    /// Each probe is counted where it ends: a hit by its level's hit
+    /// counter, a full miss by none (the walker counts walks).
     #[test]
     fn probes_counted() {
         let mut p = pwc();
-        for vpn in [Vpn::new(1), Vpn::new(2)] {
+        p.fill_from(Vpn::new(1), &[Pfn::new(7); 4], 0);
+        // Two pages of the cached PT region, then one outside every
+        // cached region.
+        for vpn in [Vpn::new(1), Vpn::new(2), Vpn::new(1 << 27)] {
             p.lookup(vpn, 0);
         }
-        assert_eq!(p.probes(), 2);
+        assert_eq!(p.hits(), [2, 0, 0]);
+        assert_eq!(p.levels().each_ref().map(|level| level.seq()), [3, 1, 1]);
     }
 }

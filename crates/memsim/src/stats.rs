@@ -1,8 +1,11 @@
 //! Simulation statistics: per-structure counters, eviction-time dead/DOA
-//! classification (paper Figs. 2 and 4) and resident-deadness sampling
-//! (paper Figs. 1 and 3).
+//! classification (paper Figs. 2 and 4), resident-deadness sampling
+//! (paper Figs. 1 and 3), and the [`Ledger`] that fills a last level (the
+//! LLT or the LLC) and charges both measures.
 
-use crate::set_assoc::LineLife;
+use crate::cache::Cache;
+use crate::policy::PolicyLineView;
+use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife};
 use dpc_types::invariant;
 use serde::{Deserialize, Serialize};
 
@@ -237,6 +240,72 @@ impl DeadnessSampler {
             dead: counts.dead as u64,
             doa: counts.doa as u64,
         }
+    }
+}
+
+/// The deadness accounts of one last level (the LLT or the LLC): its
+/// eviction classes and its resident-deadness sampler. Every fill of the
+/// level goes through [`Ledger::fill`], so each stay is charged at its
+/// fill and at its eviction in one place; the levels above it carry no
+/// ledger.
+#[derive(Debug, Default)]
+pub struct Ledger {
+    /// Eviction-time classification (Figs. 2/4).
+    pub evictions: EvictionClasses,
+    sampler: DeadnessSampler,
+}
+
+impl Ledger {
+    /// Allocates `key` in `level` and charges the stay it starts and the
+    /// one it ends. `pick`, given when the level's policy overrides victim
+    /// selection, chooses among a full set's lines (AIP victimizes
+    /// predicted-dead ones first); every other fill is the base policy's
+    /// one-pass `fill`, which needs no fullness check. Returns the
+    /// displaced line, if any.
+    #[inline]
+    pub fn fill<P: Default + HasPolicyState>(
+        &mut self,
+        level: &mut Cache<P>,
+        key: u64,
+        payload: P,
+        priority: InsertPriority,
+        pick: Option<impl FnOnce(&mut [PolicyLineView]) -> Option<usize>>,
+    ) -> Option<Evicted<P>> {
+        let way = match pick {
+            Some(pick) if level.array().set_full(key) => {
+                level.array_mut().with_set_views(key, None, pick)
+            }
+            _ => None,
+        };
+        let evicted = match way {
+            Some(way) => level.fill_way(key, way, payload, priority),
+            None => level.fill(key, payload, priority),
+        };
+        let seq = level.array().seq();
+        self.sampler.note_fill(seq);
+        if let Some(evicted) = &evicted {
+            self.evictions.record(evicted.life, seq);
+            self.sampler.record_stay(evicted.life, seq);
+        }
+        evicted
+    }
+
+    /// Takes a deadness sample of `level`'s resident lines.
+    pub fn sample<P>(&mut self, level: &Cache<P>) {
+        self.sampler.take_sample(level.array().seq());
+    }
+
+    /// The sampled deadness, with `level`'s resident lines ending their
+    /// stays now. Leaves the ledger as it was.
+    pub fn deadness<P>(&self, level: &Cache<P>) -> DeadnessStats {
+        let array = level.array();
+        self.sampler.resolve(array.iter_valid().map(|line| line.life()), array.seq())
+    }
+
+    /// Forgets every eviction, sample and count (after a warm-up).
+    pub fn clear(&mut self) {
+        self.evictions = EvictionClasses::default();
+        self.sampler.clear();
     }
 }
 
@@ -601,6 +670,35 @@ mod tests {
         s.take_sample(30);
         let d = s.resolve([life(25, 25, 0)], 40);
         assert_eq!((d.samples, d.present, d.dead, d.doa), (1, 1, 1, 1));
+    }
+
+    /// A ledger fill charges the stay it starts and the one it ends, and
+    /// asks `pick` for a victim only when the set is full.
+    #[test]
+    fn ledger_fill_charges_both_measures() {
+        use crate::cache::BlockInfo;
+        let mut level = Cache::new(1, 2, dpc_types::ReplacementKind::Lru, 1);
+        let mut ledger = Ledger::default();
+        let mut picks = 0;
+        for key in 0..3u64 {
+            ledger.sample(&level);
+            assert!(level.lookup(key).is_none());
+            let pick = Some(|_: &mut [PolicyLineView]| {
+                picks += 1;
+                Some(1) // the base LRU victim would be way 0
+            });
+            ledger.fill(&mut level, key, BlockInfo::default(), InsertPriority::Normal, pick);
+        }
+        assert_eq!(picks, 1, "only the fill into the full set picks");
+        assert!(level.contains(0) && !level.contains(1), "the picked way is evicted");
+        assert_eq!(ledger.evictions, EvictionClasses { total: 1, doa: 1, ..Default::default() });
+        // Samples at clocks 0, 1, 2; key 1's stay [2, 3) covers one,
+        // resident key 0's [1, 3) two, key 2's [3, 3) none. None hit.
+        let want = DeadnessStats { samples: 3, present: 3, dead: 3, doa: 3 };
+        assert_eq!(ledger.deadness(&level), want);
+        ledger.clear();
+        assert_eq!(ledger.deadness(&level), DeadnessStats::default());
+        assert_eq!(ledger.evictions, EvictionClasses::default());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The full simulated system: core + TLBs + page walks + caches, with the
 //! dead-page and dead-block policy attachment points.
 
+use crate::cache::Cache;
 use crate::core_model::CoreModel;
 use crate::hierarchy::Hierarchy;
 use crate::page_table::PageTable;
@@ -9,8 +10,8 @@ use crate::policy::{
 };
 use crate::reverse_map::ReverseMaps;
 use crate::set_assoc::{Evicted, InsertPriority};
-use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
-use crate::tlb::{Tlb, TlbGroup};
+use crate::stats::{Ledger, SimStats};
+use crate::tlb::{TlbEntry, TlbGroup};
 use crate::walker::Walker;
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};
 use dpc_types::{
@@ -87,7 +88,7 @@ pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy>
     core: CoreModel,
     l1i_tlb: TlbGroup,
     l1d_tlb: TlbGroup,
-    llt: Tlb,
+    llt: Cache<TlbEntry>,
     llt_policy: L,
     /// Page sizes the allocation policy can map, in probe order (smallest
     /// first). A single-size policy keeps the whole translation path on
@@ -105,8 +106,8 @@ pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy>
     page_table: PageTable,
     walker: Walker,
 
-    llt_evictions: EvictionClasses,
-    llt_sampler: DeadnessSampler,
+    /// The LLT's eviction classes (Fig. 2) and resident deadness (Fig. 1).
+    llt_ledger: Ledger,
     /// Frame→page reverse maps with each page's most recent LLT stay
     /// (Table III).
     reverse: ReverseMaps,
@@ -158,11 +159,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         let page_policy = config.page_policy;
         let page_table = PageTable::with_policy(page_policy);
         let reverse = ReverseMaps::new(&page_table);
+        let llt = &config.l2_tlb;
         Ok(System {
             core: CoreModel::new(config.core.width, config.core.rob_size, config.core.mem_slots),
             l1i_tlb: TlbGroup::for_policy(&config.l1_itlb, page_policy, true),
             l1d_tlb: TlbGroup::for_policy(&config.l1_dtlb, page_policy, false),
-            llt: Tlb::new(&config.l2_tlb),
+            llt: Cache::new(llt.sets() as usize, llt.ways as usize, llt.replacement, llt.latency),
             llt_policy,
             llt_sizes: page_policy.page_sizes(),
             size_tagged: page_policy.page_sizes().len() > 1,
@@ -170,8 +172,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             hier: Hierarchy::with_typed_policy(&config, llc_policy),
             page_table,
             walker: Walker::new(&config.pwc),
-            llt_evictions: EvictionClasses::default(),
-            llt_sampler: DeadnessSampler::new(),
+            llt_ledger: Ledger::default(),
             reverse,
             doa_blocks_on_doa_pages: 0,
             doa_blocks_classified: 0,
@@ -298,13 +299,9 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         self.hier.l1d.stats = Default::default();
         self.hier.l2.stats = Default::default();
         self.hier.llc.stats = Default::default();
-        self.hier.llc_evictions = Default::default();
-        self.hier.llc_sampler.clear();
-        self.hier.llc_demand_misses = 0;
-        self.hier.llc_walker_misses = 0;
+        self.hier.llc_ledger.clear();
         self.walker = Walker::new(&self.config.pwc);
-        self.llt_evictions = Default::default();
-        self.llt_sampler.clear();
+        self.llt_ledger.clear();
         self.doa_blocks_on_doa_pages = 0;
         self.doa_blocks_classified = 0;
         self.mem_ops = 0;
@@ -321,8 +318,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             }
         }
         if self.core.instructions() >= self.next_sample_at {
-            self.llt_sampler.take_sample(self.llt.array().seq());
-            self.hier.sample_llc();
+            self.llt_ledger.sample(&self.llt);
+            self.hier.llc_ledger.sample(&self.hier.llc);
             self.next_sample_at += self.sample_interval;
         }
     }
@@ -487,9 +484,9 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         };
         let evicted = l1.fill(size, vpn, pfn, InsertPriority::Normal, state);
         if self.config.tlb_fill == TlbFillPolicy::L1ThenVictim {
-            if let Some((evicted_size, evicted_unit, entry, _)) = evicted {
+            if let Some((evicted_size, evicted_unit, entry)) = evicted {
                 let evicted_key = self.llt_key_from_unit(evicted_size, evicted_unit);
-                if !self.llt.contains(evicted_key) {
+                if !self.llt.contains(evicted_key.raw()) {
                     self.llt_insert(
                         evicted_size,
                         evicted_key,
@@ -502,24 +499,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     }
 
     fn fill_llt(&mut self, key: Vpn, unit_pfn: Pfn, priority: InsertPriority, state: u32) {
-        // As in `Hierarchy::fill_llc`: only a victim-overriding policy
-        // needs the fullness check; everything else is one `fill` pass.
-        let choice = if self.llt_policy.overrides_victim() && self.llt.array().set_full(key.raw()) {
-            let policy = &mut self.llt_policy;
-            self.llt.array_mut().with_set_views(key.raw(), None, |views| policy.pick_victim(views))
-        } else {
-            None
-        };
-        let evicted = match choice {
-            Some(way) => self.llt.fill_way(key, way, unit_pfn, priority, state),
-            None => self.llt.fill(key, unit_pfn, priority, state),
-        };
-        let seq = self.llt.array().seq();
-        self.llt_sampler.note_fill(seq);
+        let policy = &mut self.llt_policy;
+        let pick = policy.overrides_victim().then_some(|views: &mut _| policy.pick_victim(views));
+        let entry = TlbEntry { pfn: unit_pfn.raw(), state };
+        let evicted = self.llt_ledger.fill(&mut self.llt, key.raw(), entry, priority, pick);
         if let Some(Evicted { tag, life, payload }) = evicted {
             let (evicted_key, pfn) = (Vpn::new(tag), Pfn::new(payload.pfn));
-            self.llt_evictions.record(life, seq);
-            self.llt_sampler.record_stay(life, seq);
             self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, life.hits == 0);
             self.llt_policy.on_evict(EvictedPage {
                 vpn: evicted_key,
@@ -543,7 +528,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             let Some((key, stay_doa)) = self.reverse.page_of(frames, pfn) else {
                 continue; // page-table frame or unmapped: unclassifiable
             };
-            let page_doa = match self.llt.resident_hits(key) {
+            let page_doa = match self.llt.resident_hits(key.raw()) {
                 Some(hits) => hits == 0,
                 None => match stay_doa {
                     Some(doa) => doa,
@@ -562,7 +547,6 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// LLT and LLC entries end their stays only in the deadness read, so
     /// this may be called repeatedly.
     pub fn stats(&self) -> SimStats {
-        let (llt, llc) = (self.llt.array(), self.hier.llc.array());
         SimStats {
             instructions: self.core.instructions(),
             mem_ops: self.mem_ops,
@@ -577,15 +561,10 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             walk_pte_loads: self.walker.pte_loads,
             pwc_hits: self.walker.pwc_hits(),
             walk_cycles: self.walker.walk_cycles,
-            llt_evictions: self.llt_evictions,
-            llc_evictions: self.hier.llc_evictions,
-            llt_deadness: self
-                .llt_sampler
-                .resolve(llt.iter_valid().map(|line| line.life()), llt.seq()),
-            llc_deadness: self
-                .hier
-                .llc_sampler
-                .resolve(llc.iter_valid().map(|line| line.life()), llc.seq()),
+            llt_evictions: self.llt_ledger.evictions,
+            llc_evictions: self.hier.llc_ledger.evictions,
+            llt_deadness: self.llt_ledger.deadness(&self.llt),
+            llc_deadness: self.hier.llc_ledger.deadness(&self.hier.llc),
             doa_blocks_on_doa_pages: self.doa_blocks_on_doa_pages,
             doa_blocks_classified: self.doa_blocks_classified,
             slow_steps: self.slow_steps,
@@ -981,6 +960,55 @@ mod tests {
             assert_eq!(a.llt, b.llt);
             assert_eq!(a.llc, b.llc);
         }
+    }
+
+    /// Victimizes way 0 unconditionally, recording every eviction it is
+    /// told of, to verify the LLT override plumbing.
+    #[derive(Debug, Default)]
+    struct AlwaysWayZero {
+        evicted: Vec<Vpn>,
+    }
+    impl LltPolicy for AlwaysWayZero {
+        fn policy_name(&self) -> &'static str {
+            "way-zero"
+        }
+        fn overrides_victim(&self) -> bool {
+            true
+        }
+        fn pick_victim(&mut self, _lines: &mut [crate::policy::PolicyLineView]) -> Option<usize> {
+            Some(0)
+        }
+        fn on_evict(&mut self, evicted: EvictedPage) {
+            self.evicted.push(evicted.vpn);
+        }
+    }
+
+    /// The LLT twin of the hierarchy's `policy_victim_override_is_used`:
+    /// a full LLT set evicts the way the policy picks, not the base LRU
+    /// victim, and the eviction reaches both the policy and the stats.
+    #[test]
+    fn llt_policy_victim_override_is_used() {
+        let config = SystemConfig::paper_baseline();
+        let mut sys =
+            System::with_typed_policies(config, AlwaysWayZero::default(), NullBlockPolicy)
+                .expect("valid config");
+        // Pages 128 apart share LLT set 5 (128 sets) and one L1 D-TLB set
+        // (4 ways), away from the code page's set 0.
+        let sets = sys.llt.array().sets() as u64;
+        let vpn = |i: u64| Vpn::new(0x1_0005 + i * sets);
+        let load = |i: u64| Event::load(Pc::new(0x40_0000), VirtAddr::new(vpn(i).raw() << 12));
+        // Pages 0–7 fill the set (page 0 in way 0); page 0 again misses
+        // the L1 D-TLB, hits the LLT and becomes its MRU line, so the
+        // base LRU victim is page 1. Page 8 then needs a victim.
+        for i in [0, 1, 2, 3, 4, 5, 6, 7, 0, 8] {
+            sys.step(load(i));
+        }
+        assert_eq!(sys.llt_policy().evicted, [vpn(0)], "way 0, not the LRU line, is evicted");
+        assert!(!sys.llt.contains(vpn(0).raw()));
+        assert!(sys.llt.contains(vpn(1).raw()), "the base policy's victim survives");
+        let stats = sys.stats();
+        assert_eq!(stats.llt_evictions.total, 1);
+        assert_eq!(stats.llt.evictions, 1);
     }
 
     #[test]

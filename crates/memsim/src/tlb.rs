@@ -1,10 +1,11 @@
 //! Translation lookaside buffers.
 //!
-//! [`Tlb`] models one TLB level as a set-associative array of
-//! VPN → PFN translations with 32 bits of per-entry policy scratch state
-//! (dpPred keeps its 6-bit PC hash there; the `Accessed` bit is derived
-//! from the entry's hit count). The last-level-TLB policy logic itself
-//! lives in [`System`](crate::system::System).
+//! [`TlbEntry`] is the payload of a TLB line: a VPN → PFN translation
+//! with 32 bits of policy scratch state (dpPred keeps its 6-bit PC hash
+//! there; the `Accessed` bit is derived from the entry's hit count). The
+//! last-level TLB is a [`Cache<TlbEntry>`](crate::cache::Cache) keyed by
+//! the page's LLT key, and its policy logic lives in
+//! [`System`](crate::system::System).
 //!
 //! [`TlbGroup`] models a first-level TLB as real cores build it: one
 //! set-associative structure *per page size* (x86 cpuid reports e.g.
@@ -13,11 +14,9 @@
 //! to the core as a single lookup. Entries are tagged and filled at
 //! their page's grain — one 2 MB mapping occupies one entry — and the
 //! 4 KB-grain translation is reconstructed from the in-page offset on a
-//! hit. With a single 4 KB member the group is call-for-call identical
-//! to a bare [`Tlb`], which keeps the paper's default configuration
-//! byte-identical.
+//! hit. The paper's 4 KB configuration is a group of one 4 KB member.
 
-use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife, SetAssoc};
+use crate::set_assoc::{HasPolicyState, InsertPriority, SetAssoc};
 use crate::stats::StructStats;
 use dpc_types::{AllocPolicy, PageSize, Pfn, TlbConfig, Vpn};
 
@@ -33,103 +32,6 @@ pub struct TlbEntry {
 impl HasPolicyState for TlbEntry {
     fn policy_state_mut(&mut self) -> &mut u32 {
         &mut self.state
-    }
-}
-
-/// One TLB level.
-#[derive(Debug)]
-pub struct Tlb {
-    array: SetAssoc<TlbEntry>,
-    /// Hit latency in cycles.
-    pub latency: u32,
-    /// Counters for this level.
-    pub stats: StructStats,
-}
-
-impl Tlb {
-    /// Builds a TLB from its configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero geometry; validate the [`TlbConfig`] first.
-    pub fn new(config: &TlbConfig) -> Self {
-        Tlb {
-            array: SetAssoc::new(config.sets() as usize, config.ways as usize, config.replacement),
-            latency: config.latency,
-            stats: StructStats::default(),
-        }
-    }
-
-    /// Looks up `vpn`, updating recency and counters.
-    #[inline]
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
-        self.stats.lookups += 1;
-        match self.array.lookup_payload(vpn.raw(), vpn.raw()) {
-            Some((_, entry)) => {
-                self.stats.hits += 1;
-                Some(Pfn::new(entry.pfn))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Probes without side effects.
-    #[inline]
-    pub fn contains(&self, vpn: Vpn) -> bool {
-        self.array.peek(vpn.raw(), vpn.raw()).is_some()
-    }
-
-    /// Hit count of a resident entry (the paper's `Accessed` bit is
-    /// `hits > 0`), or `None` if absent. Side-effect free.
-    #[inline]
-    pub fn resident_hits(&self, vpn: Vpn) -> Option<u64> {
-        self.array.peek(vpn.raw(), vpn.raw()).map(|way| self.array.life_of(vpn.raw(), way).hits)
-    }
-
-    /// Allocates a translation, evicting via the base replacement policy.
-    /// Returns the displaced entry as the array holds it (its tag is the
-    /// entry's VPN), if any.
-    #[inline]
-    pub fn fill(
-        &mut self,
-        vpn: Vpn,
-        pfn: Pfn,
-        priority: InsertPriority,
-        state: u32,
-    ) -> Option<Evicted<TlbEntry>> {
-        self.stats.fills += 1;
-        self.array
-            .fill(vpn.raw(), vpn.raw(), TlbEntry { pfn: pfn.raw(), state }, priority)
-            .inspect(|_| self.stats.evictions += 1)
-    }
-
-    /// Allocates a translation into a specific way (policy-chosen victim).
-    #[inline]
-    pub fn fill_way(
-        &mut self,
-        vpn: Vpn,
-        way: usize,
-        pfn: Pfn,
-        priority: InsertPriority,
-        state: u32,
-    ) -> Option<Evicted<TlbEntry>> {
-        self.stats.fills += 1;
-        self.array
-            .fill_way(vpn.raw(), way, vpn.raw(), TlbEntry { pfn: pfn.raw(), state }, priority)
-            .inspect(|_| self.stats.evictions += 1)
-    }
-
-    /// Direct access to the underlying array (policy views, sampling).
-    pub fn array_mut(&mut self) -> &mut SetAssoc<TlbEntry> {
-        &mut self.array
-    }
-
-    /// Read-only access to the underlying array.
-    pub fn array(&self) -> &SetAssoc<TlbEntry> {
-        &self.array
     }
 }
 
@@ -161,9 +63,8 @@ pub struct TlbGroup {
 }
 
 impl TlbGroup {
-    /// Builds a single-structure 4 KB group with `config`'s geometry —
-    /// the paper's configuration, behaviorally identical to
-    /// `Tlb::new(config)`.
+    /// Builds a single-structure 4 KB group with `config`'s geometry — the
+    /// paper's configuration.
     pub fn single(config: &TlbConfig) -> Self {
         TlbGroup {
             members: vec![TlbMember::new(PageSize::Size4K, config)],
@@ -175,14 +76,10 @@ impl TlbGroup {
     /// Builds the group `policy` requires: `config`'s geometry for the
     /// 4 KB structure (when present) and the cpuid-derived split
     /// geometries ([`PageSize::l1_itlb`] / [`PageSize::l1_dtlb`]) for
-    /// huge sizes. Single-size 4 KB policies collapse to
-    /// [`TlbGroup::single`].
+    /// huge sizes.
     pub fn for_policy(config: &TlbConfig, policy: AllocPolicy, instruction: bool) -> Self {
-        let sizes = policy.page_sizes();
-        if sizes == [PageSize::Size4K] {
-            return Self::single(config);
-        }
-        let members = sizes
+        let members = policy
+            .page_sizes()
             .iter()
             .map(|&size| {
                 if size == PageSize::Size4K {
@@ -241,7 +138,7 @@ impl TlbGroup {
         pfn: Pfn,
         priority: InsertPriority,
         state: u32,
-    ) -> Option<(PageSize, Vpn, TlbEntry, LineLife)> {
+    ) -> Option<(PageSize, Vpn, TlbEntry)> {
         self.stats.fills += 1;
         let m = self
             .members
@@ -253,7 +150,7 @@ impl TlbGroup {
         let unit_pfn = size.pfn_unit(pfn).raw();
         m.array
             .fill(unit_vpn, unit_vpn, TlbEntry { pfn: unit_pfn, state }, priority)
-            .map(|e| (size, Vpn::new(e.tag), e.payload, e.life))
+            .map(|e| (size, Vpn::new(e.tag), e.payload))
             .inspect(|_| self.stats.evictions += 1)
     }
 
@@ -277,18 +174,32 @@ impl TlbGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
     use dpc_types::{ReplacementKind, SystemConfig};
 
-    fn tiny() -> Tlb {
-        Tlb::new(&TlbConfig { entries: 2, ways: 2, latency: 8, replacement: ReplacementKind::Lru })
+    fn level(config: &TlbConfig) -> Cache<TlbEntry> {
+        Cache::new(config.sets() as usize, config.ways as usize, config.replacement, config.latency)
+    }
+
+    fn tiny() -> Cache<TlbEntry> {
+        level(&TlbConfig { entries: 2, ways: 2, latency: 8, replacement: ReplacementKind::Lru })
+    }
+
+    fn entry(pfn: u64, state: u32) -> TlbEntry {
+        TlbEntry { pfn, state }
+    }
+
+    /// A level lookup as a translation: the hit entry's frame.
+    fn translate(t: &mut Cache<TlbEntry>, vpn: u64) -> Option<Pfn> {
+        t.lookup(vpn).map(|way| Pfn::new(t.array().payload(vpn, way).pfn))
     }
 
     #[test]
     fn translation_roundtrip() {
         let mut t = tiny();
-        assert_eq!(t.lookup(Vpn::new(5)), None);
-        t.fill(Vpn::new(5), Pfn::new(50), InsertPriority::Normal, 0);
-        assert_eq!(t.lookup(Vpn::new(5)), Some(Pfn::new(50)));
+        assert_eq!(translate(&mut t, 5), None);
+        t.fill(5, entry(50, 0), InsertPriority::Normal);
+        assert_eq!(translate(&mut t, 5), Some(Pfn::new(50)));
         assert_eq!(t.stats.hits, 1);
         assert_eq!(t.stats.misses, 1);
     }
@@ -296,45 +207,55 @@ mod tests {
     #[test]
     fn resident_hits_tracks_accessed_bit() {
         let mut t = tiny();
-        t.fill(Vpn::new(5), Pfn::new(50), InsertPriority::Normal, 0);
-        assert_eq!(t.resident_hits(Vpn::new(5)), Some(0), "freshly filled entry is unaccessed");
-        t.lookup(Vpn::new(5));
-        assert_eq!(t.resident_hits(Vpn::new(5)), Some(1));
-        assert_eq!(t.resident_hits(Vpn::new(99)), None);
+        t.fill(5, entry(50, 0), InsertPriority::Normal);
+        assert_eq!(t.resident_hits(5), Some(0), "freshly filled entry is unaccessed");
+        t.lookup(5);
+        assert_eq!(t.resident_hits(5), Some(1));
+        assert_eq!(t.resident_hits(99), None);
     }
 
     #[test]
     fn eviction_reports_vpn_and_state() {
         let mut t = tiny();
-        t.fill(Vpn::new(1), Pfn::new(10), InsertPriority::Normal, 0xAB);
-        t.fill(Vpn::new(3), Pfn::new(30), InsertPriority::Normal, 0);
-        let evicted = t.fill(Vpn::new(5), Pfn::new(50), InsertPriority::Normal, 0).unwrap();
+        t.fill(1, entry(10, 0xAB), InsertPriority::Normal);
+        t.fill(3, entry(30, 0), InsertPriority::Normal);
+        let evicted = t.fill(5, entry(50, 0), InsertPriority::Normal).unwrap();
         assert_eq!(evicted.tag, 1);
-        assert_eq!(evicted.payload, TlbEntry { pfn: 10, state: 0xAB });
+        assert_eq!(evicted.payload, entry(10, 0xAB));
         assert_eq!(t.stats.evictions, 1);
     }
 
     #[test]
     fn paper_llt_geometry() {
-        let t = Tlb::new(&SystemConfig::paper_baseline().l2_tlb);
+        let t = level(&SystemConfig::paper_baseline().l2_tlb);
         assert_eq!(t.array().sets(), 128);
         assert_eq!(t.array().ways(), 8);
+        assert_eq!(t.latency, 8);
     }
 
     #[test]
     fn single_group_matches_bare_tlb() {
         let config = SystemConfig::paper_baseline().l1_dtlb;
-        let mut tlb = Tlb::new(&config);
+        let mut tlb = level(&config);
         let mut group = TlbGroup::single(&config);
         // Identical fill/lookup sequence → identical results and counters.
         for i in 0..200u64 {
             let vpn = Vpn::new(i * 37 % 97);
             let pfn = Pfn::new(1000 + vpn.raw());
-            assert_eq!(tlb.lookup(vpn), group.lookup(vpn), "lookup {i}");
-            tlb.fill(vpn, pfn, InsertPriority::Normal, 0);
-            group.fill(PageSize::Size4K, vpn, pfn, InsertPriority::Normal, 0);
+            assert_eq!(translate(&mut tlb, vpn.raw()), group.lookup(vpn), "lookup {i}");
+            let evicted = tlb.fill(vpn.raw(), entry(pfn.raw(), 0), InsertPriority::Normal);
+            let group_evicted = group.fill(PageSize::Size4K, vpn, pfn, InsertPriority::Normal, 0);
+            assert_eq!(
+                evicted.map(|e| (e.tag, e.payload)),
+                group_evicted.map(|(_, v, e)| (v.raw(), e))
+            );
         }
         assert_eq!(tlb.stats, group.stats);
+        // The general constructor builds the same one-member group.
+        let general = TlbGroup::for_policy(&config, AllocPolicy::Base4K, false);
+        assert_eq!(general.sizes().collect::<Vec<_>>(), [PageSize::Size4K]);
+        assert_eq!(general.primary_array().ways(), tlb.array().ways());
+        assert_eq!(general.primary_array().sets(), tlb.array().sets());
     }
 
     #[test]

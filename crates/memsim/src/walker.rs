@@ -134,7 +134,8 @@ mod tests {
         assert!(!outcome.newly_mapped);
         // 1 PWC probe cycle + 1 L1D hit.
         assert_eq!(outcome.latency, 1 + 5);
-        assert_eq!(walker.pwc_hits()[0], 1);
+        assert_eq!(walker.pwc_hits(), [1, 0, 0]);
+        assert_eq!(walker.walks, 2, "one PWC probe per walk");
     }
 
     #[test]
