@@ -1,7 +1,7 @@
 //! Single-run plumbing: policy selection, warm-up, and result capture.
 //!
 //! Policy selectors are resolved to *concrete* policy types through the
-//! static dispatcher in [`crate::dispatch`], so every run executes a
+//! static dispatcher in [`crate::dispatch`](mod@crate::dispatch), so every run executes a
 //! simulator monomorphized for its policy pair.
 
 use crate::dispatch::{dispatch, PolicyApply};
@@ -199,7 +199,7 @@ impl PolicyApply for RunAction<'_> {
 
 /// Runs `workload` under `config`, statically dispatched: the policy
 /// selectors are resolved to concrete types and the whole simulation
-/// loop is monomorphized around them (see [`crate::dispatch`]).
+/// loop is monomorphized around them (see [`crate::dispatch`](mod@crate::dispatch)).
 ///
 /// # Panics
 ///

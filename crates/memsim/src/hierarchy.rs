@@ -85,7 +85,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// Each level is looked up once, top down, and the first hit ends the
     /// descent: an L1D hit touches nothing else, an L2 hit refills the
     /// L1D, and an access that reaches the LLC continues in
-    /// [`llc_access`](Self::llc_access). The latency comes from the
+    /// `llc_access`. The latency comes from the
     /// precomputed cumulative table, indexed by the level that answered.
     pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, _is_demand: bool) -> u64 {
         let block = pa.block();

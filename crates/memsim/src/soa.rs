@@ -19,11 +19,11 @@
 //!   so the two never share a slot. The block stride is `1 + ways +
 //!   ceil(ways / 2)` words (200 bytes for the paper's 16-way LLC) and is
 //!   not padded; the first block starts on a 64-byte boundary (a safe
-//!   word offset into the allocation, see [`AlignedWords`]). Validity
+//!   word offset into the allocation, see `AlignedWords`). Validity
 //!   first means the mask and a 16-way set's tags always span three host
 //!   lines, the same count a 64-byte-padded stride would give, for 22%
 //!   fewer bytes.
-//! * **line records** — one [`LineRecord`] per line, `set * ways + way`:
+//! * **line records** — one `LineRecord` per line, `set * ways + way`:
 //!   the line's lifetime statistics as three `u32`s next to its payload
 //!   (16 bytes for a cache block's 4-byte payload).
 //!
@@ -31,10 +31,10 @@
 //! at most [`MAX_CLOCK_STEPS_PER_MEM_OP`](crate::set_assoc::MAX_CLOCK_STEPS_PER_MEM_OP)
 //! times per simulated memory operation, and runs longer than
 //! [`MAX_RUN_MEM_OPS`](crate::set_assoc::MAX_RUN_MEM_OPS) are refused
-//! before they start, so no stored value wraps; [`LineRecord::life`]
+//! before they start, so no stored value wraps; `LineRecord::life`
 //! widens to the public `u64` [`LineLife`].
 //!
-//! [`SetBlocks::match_mask`] compares every tag of a set without
+//! `SetBlocks::match_mask` compares every tag of a set without
 //! branching and intersects with the validity mask; `trailing_zeros` on
 //! the result recovers the first matching way, preserving the
 //! first-match-wins semantics of a linear scan bit for bit.
@@ -44,7 +44,7 @@
 //! way`, where `set` comes from `SetAssoc::set_of` (reduced modulo /
 //! masked by the set count) and `way < ways` is asserted by `invariant!`
 //! at the call sites, so all accesses stay inside the `sets` blocks and
-//! `sets * ways` records allocated by [`SetBlocks::new`].
+//! `sets * ways` records allocated by `SetBlocks::new`.
 
 use crate::set_assoc::LineLife;
 use dpc_types::invariant;

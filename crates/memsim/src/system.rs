@@ -245,7 +245,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
 
     /// Replays `stream` from `cursor` until the stream ends or
     /// `max_mem_ops` memory operations have been simulated, decoding in
-    /// chunks of [`EVENT_CHUNK`] events into a reusable scratch batch and
+    /// chunks of `EVENT_CHUNK` events into a reusable scratch batch and
     /// stepping the decoded slice — the batched counterpart of
     /// [`System::run_events`], bit-identical to it (the chunk decoder
     /// applies the memory-op budget before every event, exactly like the

@@ -254,26 +254,26 @@ impl LltPolicy for BeladyOracle {
             return PageFillDecision::ALLOCATE;
         }
         let own_next = self.next_use(vpn);
-        let (victim_idx, victim_next) = {
-            let residents = self.mirror[set].clone();
-            let mut best = (0usize, 0u64);
-            for (idx, &resident) in residents.iter().enumerate() {
-                let next = self.next_use(resident);
-                if next >= best.1 {
-                    best = (idx, next);
-                }
+        // The set's residents are taken out for the scan (`next_use` needs
+        // `&mut self`) and put back after, so a fill allocates nothing.
+        let mut residents = std::mem::take(&mut self.mirror[set]);
+        let mut best = (0usize, 0u64);
+        for (idx, &resident) in residents.iter().enumerate() {
+            let next = self.next_use(resident);
+            if next >= best.1 {
+                best = (idx, next);
             }
-            best
-        };
-        if own_next >= victim_next {
+        }
+        let (victim_idx, victim_next) = best;
+        let decision = if own_next >= victim_next {
             self.bypasses += 1;
             PageFillDecision::Bypass
         } else {
-            let victim = self.mirror[set][victim_idx];
-            self.mirror[set][victim_idx] = vpn;
-            self.pending_victim = Some(victim);
+            self.pending_victim = Some(std::mem::replace(&mut residents[victim_idx], vpn));
             PageFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 }
-        }
+        };
+        self.mirror[set] = residents;
+        decision
     }
 
     fn overrides_victim(&self) -> bool {

@@ -168,7 +168,7 @@ impl EventStream {
     /// a warm-up/measure split is bit-identical to event-at-a-time
     /// replay.
     ///
-    /// A tag prescan ([`classify_tags`]) finds the chunk boundary (window
+    /// A tag prescan (`classify_tags`) finds the chunk boundary (window
     /// end or memory budget) column-wise, then the payload columns are
     /// decoded through
     /// pre-sliced windows with no per-event end-of-array checks. The

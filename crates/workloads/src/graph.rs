@@ -50,7 +50,7 @@ impl CsrGraph {
         let edges = u64::from(n) * u64::from(degree) / 2;
         let pairs =
             (0..edges).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect::<Vec<_>>();
-        Self::from_pairs(n, &pairs)
+        Self::build(n, pairs)
     }
 
     /// R-MAT (Kronecker) graph with the Graph500 parameters
@@ -61,7 +61,7 @@ impl CsrGraph {
     /// Panics if `n` is zero or not a power of two.
     pub fn rmat(n: u32, degree: u32, seed: u64) -> Self {
         assert!(n > 0 && n.is_power_of_two(), "R-MAT needs a power-of-two vertex count");
-        Self::from_pairs(n, &rmat_pairs(n, degree, seed))
+        Self::build(n, rmat_pairs(n, degree, seed))
     }
 
     /// Builds a symmetric CSR from an edge list.
@@ -69,39 +69,58 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if an endpoint is not below `n`, or if the graph would hold
-    /// more than `u32::MAX` directed edges (the insertion cursor is `u32`).
+    /// more than `u32::MAX` directed edges (the bucket cursors are `u32`).
     pub fn from_pairs(n: u32, pairs: &[(u32, u32)]) -> Self {
-        let edges = pairs.len().checked_mul(2).and_then(|e| u32::try_from(e).ok());
+        Self::build(n, pairs)
+    }
+
+    /// [`from_pairs`](Self::from_pairs) over a borrowed or an owned edge
+    /// list; an owned list is freed once partitioned, before the offsets
+    /// are allocated.
+    ///
+    /// The build is cache-blocked (DESIGN.md §3). A bucket is a run of
+    /// `2^local` consecutive vertices, so it owns one contiguous span of
+    /// `targets`. Both directions of every edge are first partitioned
+    /// into their source's bucket as packed `(source mod 2^local, target)`
+    /// keys; then each bucket is radix-sorted on its own, and its sorted
+    /// keys are exactly its vertices' ascending adjacency lists, one after
+    /// the other.
+    fn build(n: u32, pairs: impl AsRef<[(u32, u32)]>) -> Self {
+        let edges = pairs.as_ref().len().checked_mul(2).and_then(|e| u32::try_from(e).ok());
         let edges = edges.expect("a CSR graph holds at most u32::MAX directed edges");
-        // Degrees first; an exclusive prefix sum then turns the same array
-        // into each vertex's insertion cursor.
-        let mut cursor = vec![0u32; n as usize];
-        for &(u, v) in pairs {
-            cursor[u as usize] += 1;
-            cursor[v as usize] += 1;
+        let packing = KeyPacking::new(n);
+        let buckets = n.div_ceil(1 << packing.local) as usize;
+        // Entries per bucket; an exclusive prefix sum then turns `starts`
+        // into each bucket's first index, which is also the final offset
+        // of the bucket's first vertex.
+        let mut starts = vec![0u32; buckets + 1];
+        for &(u, v) in pairs.as_ref() {
+            assert!(u < n && v < n, "edge ({u}, {v}) has an endpoint not below {n}");
+            starts[packing.bucket(u)] += 1;
+            starts[packing.bucket(v)] += 1;
         }
+        let widest = starts.iter().copied().max().unwrap_or(0);
+        exclusive_prefix_sum(&mut starts);
+        let mut targets = vec![0u32; edges as usize];
+        let mut cursor = starts.clone();
+        for &(u, v) in pairs.as_ref() {
+            for (from, to) in [(u, v), (v, u)] {
+                let slot = &mut cursor[packing.bucket(from)];
+                targets[*slot as usize] = packing.key(from, to);
+                *slot += 1;
+            }
+        }
+        drop((cursor, pairs));
+
         let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut acc = 0u32;
-        for slot in &mut cursor {
-            offsets.push(u64::from(acc));
-            let degree = *slot;
-            *slot = acc;
-            acc += degree;
+        let mut sorter = BucketSorter::new(packing, widest as usize);
+        for (bucket, span) in starts.windows(2).enumerate() {
+            let (lo, hi) = (span[0] as usize, span[1] as usize);
+            let first = (bucket as u32) << packing.local;
+            let vertices = (n - first).min(1 << packing.local);
+            sorter.sort(&mut targets[lo..hi], lo as u64, vertices, &mut offsets);
         }
         offsets.push(u64::from(edges));
-        let mut targets = vec![0u32; edges as usize];
-        for &(u, v) in pairs {
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        drop(cursor);
-        // Sorted adjacency for intersection algorithms.
-        for u in 0..n as usize {
-            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-            targets[lo..hi].sort_unstable();
-        }
         CsrGraph { offsets, targets }
     }
 
@@ -138,6 +157,138 @@ impl CsrGraph {
     }
 }
 
+/// Bucketing and key packing of the cache-blocked CSR build: `vbits`
+/// bits hold any vertex id, a bucket is `id >> local`, and a directed
+/// entry `u → v` is stored in `u`'s bucket as the key
+/// `(u mod 2^local) << vbits | v`, at most 32 bits. Ascending keys are
+/// ascending `(u, v)` within the bucket.
+#[derive(Clone, Copy, Debug)]
+struct KeyPacking {
+    vbits: u32,
+    local: u32,
+}
+
+impl KeyPacking {
+    /// At most 1024 vertices per bucket, fewer once the ids need more
+    /// than 22 bits (512 at 2^23).
+    fn new(n: u32) -> Self {
+        let vbits = 32 - n.saturating_sub(1).leading_zeros();
+        KeyPacking { vbits, local: 10.min(32 - vbits) }
+    }
+
+    #[inline]
+    fn bucket(self, u: u32) -> usize {
+        (u >> self.local) as usize
+    }
+
+    /// `local` is 0 when `vbits` is 32, so widening keeps the shifts in
+    /// range without a branch.
+    #[inline]
+    fn key(self, u: u32, v: u32) -> u32 {
+        let local = u64::from(u) & ((1 << self.local) - 1);
+        ((local << self.vbits) | u64::from(v)) as u32
+    }
+
+    #[inline]
+    fn local_of(self, key: u32) -> u32 {
+        (u64::from(key) >> self.vbits) as u32
+    }
+
+    #[inline]
+    fn target_of(self, key: u32) -> u32 {
+        (u64::from(key) & ((1 << self.vbits) - 1)) as u32
+    }
+}
+
+/// Per-bucket LSD radix sort of the cache-blocked CSR build: two
+/// passes on the target id (its low and high halves), then a counting
+/// pass on the local source index, whose histogram is also the bucket's
+/// slice of the offsets. Scratch buffers and histograms are reused
+/// across buckets.
+#[derive(Debug)]
+struct BucketSorter {
+    packing: KeyPacking,
+    /// Width of the low target-id digit; the high digit is the rest.
+    low_bits: u32,
+    scratch: [Vec<u32>; 2],
+    /// Histograms of the low target digit, the high target digit and the
+    /// local source index.
+    counts: [Vec<u32>; 3],
+}
+
+impl BucketSorter {
+    /// A sorter for buckets of at most `capacity` keys.
+    fn new(packing: KeyPacking, capacity: usize) -> Self {
+        let low_bits = packing.vbits.div_ceil(2);
+        let high_bits = packing.vbits - low_bits;
+        BucketSorter {
+            packing,
+            low_bits,
+            scratch: [vec![0; capacity], vec![0; capacity]],
+            counts: [vec![0; 1 << low_bits], vec![0; 1 << high_bits], vec![0; 1 << packing.local]],
+        }
+    }
+
+    /// Sorts the keys of a bucket of `vertices` vertices whose first entry
+    /// sits at index `lo` of the targets, leaves the target ids in place
+    /// of the keys, and pushes the bucket's `vertices` offsets.
+    fn sort(&mut self, keys: &mut [u32], lo: u64, vertices: u32, offsets: &mut Vec<u64>) {
+        let packing = self.packing;
+        let shift = self.low_bits;
+        let [low, high, local] = &mut self.counts;
+        let (low_mask, high_mask) = ((low.len() - 1) as u32, (high.len() - 1) as u32);
+        let low_digit = |key: u32| (key & low_mask) as usize;
+        let high_digit = |key: u32| ((key >> shift) & high_mask) as usize;
+        let local_digit = |key: u32| packing.local_of(key) as usize;
+        let local = &mut local[..vertices as usize];
+        for histogram in [&mut *low, &mut *high, &mut *local] {
+            histogram.fill(0);
+        }
+        for &key in keys.iter() {
+            low[low_digit(key)] += 1;
+            high[high_digit(key)] += 1;
+            local[local_digit(key)] += 1;
+        }
+        for histogram in [&mut *low, &mut *high, &mut *local] {
+            exclusive_prefix_sum(histogram);
+        }
+        offsets.extend(local.iter().map(|&start| lo + u64::from(start)));
+        let [first, second] = &mut self.scratch;
+        let (first, second) = (&mut first[..keys.len()], &mut second[..keys.len()]);
+        scatter(keys, first, low, low_digit, |key| key);
+        scatter(first, second, high, high_digit, |key| key);
+        scatter(second, keys, local, local_digit, |key| packing.target_of(key));
+    }
+}
+
+/// Turns counts into exclusive running totals, in place.
+fn exclusive_prefix_sum(slots: &mut [u32]) {
+    let mut acc = 0u32;
+    for slot in slots {
+        let count = *slot;
+        *slot = acc;
+        acc += count;
+    }
+}
+
+/// One stable counting-sort pass: each key of `from`, in order, is
+/// written as `value(key)` to the next slot of its digit, whose cursors
+/// (`cursor`, exclusive prefix sums of the digit histogram) it advances.
+#[inline]
+fn scatter(
+    from: &[u32],
+    to: &mut [u32],
+    cursor: &mut [u32],
+    digit: impl Fn(u32) -> usize,
+    value: impl Fn(u32) -> u32,
+) {
+    for &key in from {
+        let slot = &mut cursor[digit(key)];
+        to[*slot as usize] = value(key);
+        *slot += 1;
+    }
+}
+
 /// `rng.gen::<f64>()` is `(next_u64() >> 11) · 2^-53`, exactly, and each
 /// quadrant threshold lies in [0.5, 1), where `t · 2^53` is an integer. So
 /// `gen::<f64>() < t` holds exactly when `next_u64() >> 11 < t · 2^53`
@@ -151,27 +302,67 @@ const T_A: u64 = draw_threshold(0.57);
 const T_AB: u64 = draw_threshold(0.76);
 const T_ABC: u64 = draw_threshold(0.95);
 
+/// The R-MAT quadrant of a raw draw `x = next_u64()`: the number of
+/// thresholds its 53 random bits reach, 0, 1, 2 or 3 for a, b, c, d.
+/// Its high bit is the quadrant's u bit and its low bit the v bit:
+/// (0, 0), (0, 1), (1, 0), (1, 1).
+const fn quadrant(x: u64) -> u8 {
+    let m = x >> 11;
+    (m >= T_A) as u8 + (m >= T_AB) as u8 + (m >= T_ABC) as u8
+}
+
+/// Marks a top byte whose draws straddle a threshold.
+const STRADDLES: u8 = 4;
+
+/// The quadrant shared by every draw with a given top byte, or
+/// [`STRADDLES`] for the three bytes that hold a threshold.
+const QUADRANT_BY_TOP_BYTE: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let low = (byte as u64) << 56;
+        let (first, last) = (quadrant(low), quadrant(low | ((1 << 56) - 1)));
+        table[byte] = if first == last { first } else { STRADDLES };
+        byte += 1;
+    }
+    table
+};
+
 /// The `n · degree / 2` R-MAT edges of [`CsrGraph::rmat`], one quadrant
-/// draw per vertex-id bit, most significant first. Quadrants a, b, c, d
-/// set (u, v) bits (0, 0), (0, 1), (1, 0), (1, 1); comparing the draw
-/// with the three integer thresholds yields both bits without a branch.
+/// draw per vertex-id bit, most significant first. A draw's top byte
+/// settles its quadrant through a table in 253 draws of 256; the other
+/// three compare all 53 bits with the thresholds. The quadrants of an
+/// edge are packed two bits each, so u is the odd bits and v the even
+/// bits.
 fn rmat_pairs(n: u32, degree: u32, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let bits = n.trailing_zeros();
     let edges = u64::from(n) * u64::from(degree) / 2;
     let mut pairs = Vec::with_capacity(edges as usize);
     for _ in 0..edges {
-        let (mut u, mut v) = (0u32, 0u32);
+        let mut quadrants = 0u64;
         for _ in 0..bits {
-            let draw = rng.next_u64() >> 11;
-            let (past_a, past_ab, past_abc) =
-                (u32::from(draw >= T_A), u32::from(draw >= T_AB), u32::from(draw >= T_ABC));
-            u = (u << 1) | past_ab;
-            v = (v << 1) | (past_a ^ past_ab ^ past_abc);
+            let x = rng.next_u64();
+            let mut q = QUADRANT_BY_TOP_BYTE[(x >> 56) as usize];
+            if q == STRADDLES {
+                q = quadrant(x);
+            }
+            quadrants = (quadrants << 2) | u64::from(q);
         }
-        pairs.push((u, v));
+        pairs.push((even_bits(quadrants >> 1), even_bits(quadrants)));
     }
     pairs
+}
+
+/// Gathers bits 0, 2, 4, … 62 of `x` into a `u32`, in order.
+fn even_bits(x: u64) -> u32 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+    x = (x | (x >> 16)) & 0x0000_0000_ffff_ffff;
+    x as u32
 }
 
 #[cfg(test)]
@@ -313,6 +504,26 @@ mod tests {
     }
 
     #[test]
+    fn top_byte_table_agrees_with_the_exact_quadrant() {
+        let straddling: Vec<u64> = [T_A, T_AB, T_ABC].iter().map(|t| (t << 11) >> 56).collect();
+        for byte in 0..256u64 {
+            let (low, high) = (byte << 56, (byte << 56) | ((1 << 56) - 1));
+            let entry = QUADRANT_BY_TOP_BYTE[byte as usize];
+            if straddling.contains(&byte) {
+                assert_eq!(entry, STRADDLES, "byte {byte:#x}");
+                assert!(quadrant(low) < quadrant(high), "byte {byte:#x}");
+            } else {
+                assert_eq!((entry, entry), (quadrant(low), quadrant(high)), "byte {byte:#x}");
+            }
+        }
+        for (q, t) in [T_A, T_AB, T_ABC].into_iter().enumerate() {
+            assert_eq!((quadrant((t << 11) - 1), quadrant(t << 11)), (q as u8, q as u8 + 1));
+        }
+        assert_eq!(even_bits(0b1110_0100), 0b1010);
+        assert_eq!(even_bits(u64::MAX), u32::MAX);
+    }
+
+    #[test]
     fn from_pairs_edge_cases() {
         let empty = CsrGraph::from_pairs(3, &[]);
         assert_eq!((empty.offsets.as_slice(), empty.edges()), (&[0, 0, 0, 0][..], 0));
@@ -330,6 +541,88 @@ mod tests {
         let single = CsrGraph::from_pairs(1, &[(0, 0), (0, 0)]);
         assert_eq!((single.vertices(), single.degree(0)), (1, 4));
         assert_eq!(CsrGraph::rmat(1, 8, 5).targets, [0; 8]);
+    }
+
+    /// Pins the Small shared graph (2^22 vertices, degree 8), whose
+    /// buckets are large enough to exercise the hub buckets of the
+    /// bucketed build; digest recorded in EXPERIMENTS.md ("Standalone
+    /// build").
+    #[test]
+    fn small_shared_graph_matches_its_recorded_digest() {
+        let got = digest(&CsrGraph::rmat(1 << 22, 8, 42 ^ 0x1111));
+        assert_eq!(got, 0x8b24_7673_9a28_1b57, "digest {got:016x}");
+    }
+
+    /// The build `from_pairs` replaced: a per-vertex `u32` cursor, a random
+    /// scatter of both directions of every edge, then one `sort_unstable`
+    /// per adjacency list.
+    fn reference_from_pairs(n: u32, pairs: &[(u32, u32)]) -> CsrGraph {
+        let mut cursor = vec![0u32; n as usize];
+        for &(u, v) in pairs {
+            cursor[u as usize] += 1;
+            cursor[v as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        let mut acc = 0u32;
+        for slot in &mut cursor {
+            offsets.push(u64::from(acc));
+            let degree = *slot;
+            *slot = acc;
+            acc += degree;
+        }
+        offsets.push(u64::from(acc));
+        let mut targets = vec![0u32; acc as usize];
+        for &(u, v) in pairs {
+            targets[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            targets[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+        for u in 0..n as usize {
+            targets[offsets[u] as usize..offsets[u + 1] as usize].sort_unstable();
+        }
+        CsrGraph { offsets, targets }
+    }
+
+    fn assert_matches_reference(n: u32, pairs: &[(u32, u32)], case: &str) {
+        let (got, want) = (CsrGraph::from_pairs(n, pairs), reference_from_pairs(n, pairs));
+        assert_eq!(got.offsets, want.offsets, "{case}: offsets");
+        assert_eq!(got.targets, want.targets, "{case}: targets");
+    }
+
+    #[test]
+    fn from_pairs_matches_the_reference_build() {
+        assert_matches_reference(0, &[], "no vertices");
+        assert_matches_reference(5, &[], "no edges");
+        assert_matches_reference(1, &[(0, 0), (0, 0), (0, 0)], "one vertex");
+        let loops_and_duplicates = [(3, 3), (1, 4), (4, 1), (1, 4), (0, 6), (3, 3), (6, 0), (2, 2)];
+        assert_matches_reference(7, &loops_and_duplicates, "self-loops and duplicates");
+        // Non-power-of-two counts: a single partial bucket, and several
+        // buckets of 1024 vertices with a partial last one.
+        for n in [1000, 2500, 5000] {
+            let mut rng = SmallRng::seed_from_u64(u64::from(n));
+            let pairs = (0..4 * n).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)));
+            assert_matches_reference(n, &pairs.collect::<Vec<_>>(), &format!("uniform n {n}"));
+        }
+    }
+
+    /// Skewed R-MAT pairs on both bucket widths: 1024-vertex buckets up to
+    /// 2^22 vertices and 512-vertex buckets at 2^23, with a prefix of the
+    /// pair stream so the 2^22- and 2^23-vertex builds stay small.
+    #[test]
+    fn from_pairs_matches_the_reference_build_on_rmat_pairs() {
+        for (bits, local) in [(13u32, 10), (22, 10), (23, 9)] {
+            assert_eq!(KeyPacking::new(1 << bits).local, local, "2^{bits} vertices");
+            let mut pairs = rmat_pairs(1 << bits, 1, 42 ^ u64::from(bits));
+            pairs.truncate(1 << 17);
+            assert_matches_reference(1 << bits, &pairs, &format!("R-MAT 2^{bits}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 4")]
+    fn from_pairs_rejects_an_endpoint_out_of_range() {
+        CsrGraph::from_pairs(4, &[(0, 1), (2, 4)]);
     }
 
     #[test]
