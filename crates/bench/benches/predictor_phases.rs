@@ -13,7 +13,6 @@
 //! groups price each predictor structure on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dpc_memsim::set_assoc::LineLife;
 use dpc_memsim::{EvictedPage, LlcPolicy, LltPolicy};
 use dpc_predictors::{AipTlb, CbPred, DpPred, ShipLlc, ShipTlb};
 use dpc_types::{BlockAddr, Pc, Pfn, SystemConfig, Vpn};
@@ -27,13 +26,7 @@ fn trained_dppred() -> DpPred {
     for i in 0..2 * PROBES {
         let vpn = Vpn::new(i % PROBES);
         let pc_hash = (i % 64) as u32;
-        let hits = u64::from(i % 3 == 0);
-        pred.on_evict(EvictedPage {
-            vpn,
-            pfn: Pfn::new(i),
-            state: pc_hash,
-            life: LineLife { fill_seq: i, last_hit_seq: i, hits },
-        });
+        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(i), state: pc_hash, accessed: i % 3 == 0 });
     }
     pred
 }

@@ -1,10 +1,12 @@
-//! One set-associative level, generic over its payload: the L1D, the L2
-//! and the LLC hold [`BlockInfo`], the last-level TLB holds
-//! [`TlbEntry`](crate::tlb::TlbEntry). Lines are keyed by their raw line
-//! number (block address or LLT key), which also derives the set, so
-//! keys are unambiguous across sets (convenient for back-invalidation).
+//! One set-associative level, generic over its payload: the L1D and the
+//! L2 hold `()`, the LLC holds [`Lived`]`<`[`BlockInfo`]`>` and the
+//! last-level TLB [`Lived`]`<`[`TlbEntry`](crate::tlb::TlbEntry)`>`, so
+//! only the two levels a deadness ledger reads keep line lifetimes.
+//! Lines are keyed by their raw line number (block address or LLT key),
+//! which also derives the set, so keys are unambiguous across sets
+//! (convenient for back-invalidation).
 
-use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, SetAssoc};
+use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, Line, Lived, SetAssoc};
 use crate::stats::StructStats;
 use dpc_types::ReplacementKind;
 
@@ -32,7 +34,7 @@ pub struct Cache<P> {
     pub stats: StructStats,
 }
 
-impl<P: Default> Cache<P> {
+impl<P: Line> Cache<P> {
     /// Builds a level of `sets × ways` lines.
     ///
     /// # Panics
@@ -45,9 +47,7 @@ impl<P: Default> Cache<P> {
             stats: StructStats::default(),
         }
     }
-}
 
-impl<P> Cache<P> {
     /// Looks up `key`, updating recency and counters. Returns the hit
     /// way.
     #[inline]
@@ -66,13 +66,6 @@ impl<P> Cache<P> {
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
         self.array.peek(key, key).is_some()
-    }
-
-    /// Hit count of a resident line (the paper's `Accessed` bit is
-    /// `hits > 0`), or `None` if absent. Side-effect free.
-    #[inline]
-    pub fn resident_hits(&self, key: u64) -> Option<u64> {
-        self.array.peek(key, key).map(|way| self.array.life_of(key, way).hits)
     }
 
     /// Allocates `key`, evicting via the base replacement policy.
@@ -104,10 +97,7 @@ impl<P> Cache<P> {
 
     /// Removes `key` if present (back-invalidation), returning its line.
     #[inline]
-    pub fn invalidate(&mut self, key: u64) -> Option<Evicted<P>>
-    where
-        P: Default,
-    {
+    pub fn invalidate(&mut self, key: u64) -> Option<Evicted<P>> {
         let evicted = self.array.invalidate(key, key);
         self.stats.invalidations += u64::from(evicted.is_some());
         evicted
@@ -124,16 +114,31 @@ impl<P> Cache<P> {
     }
 }
 
+impl<P: Default> Cache<Lived<P>> {
+    /// Hit count of a resident line (the paper's `Accessed` bit is
+    /// `hits > 0`), or `None` if absent. Side-effect free.
+    #[inline]
+    pub fn resident_hits(&self, key: u64) -> Option<u64> {
+        self.array.peek(key, key).map(|way| self.array.payload(key, way).life().hits)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::Hierarchy;
+    use crate::policy::NullBlockPolicy;
     use dpc_types::SystemConfig;
 
-    fn small() -> Cache<BlockInfo> {
+    fn small() -> Cache<Lived<BlockInfo>> {
         Cache::new(1, 2, ReplacementKind::Lru, 5)
     }
 
-    fn paper_llc() -> Cache<BlockInfo> {
+    fn block(state: u32) -> Lived<BlockInfo> {
+        Lived::new(BlockInfo { state })
+    }
+
+    fn paper_llc() -> Cache<Lived<BlockInfo>> {
         let c = SystemConfig::paper_baseline().llc;
         Cache::new(c.sets() as usize, c.ways as usize, c.replacement, c.latency)
     }
@@ -152,11 +157,31 @@ mod tests {
         assert!(per_line <= 29.0, "{per_line} host bytes per LLC line");
     }
 
+    /// The paper's L1D and L2, built as the hierarchy builds them, cost
+    /// their set blocks alone: a block of `1 + ways + ceil(ways / 2)`
+    /// words per set plus the seven words of alignment slack, and no
+    /// record byte. A lifetime or payload field that comes back to these
+    /// levels has to move this pin on purpose.
+    #[test]
+    fn paper_l1d_and_l2_cost_their_set_blocks_alone() {
+        let h = Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), NullBlockPolicy);
+        let (l1d, l2) = (h.l1d.array(), h.l2.array());
+        let levels = [
+            ("L1D", l1d.sets(), l1d.ways(), l1d.host_bytes()),
+            ("L2", l2.sets(), l2.ways(), l2.host_bytes()),
+        ];
+        for (name, sets, ways, host_bytes) in levels {
+            let block_words = sets * (1 + ways + ways.div_ceil(2)) + 7;
+            assert_eq!(host_bytes, block_words * 8, "{name}: {sets}x{ways}");
+        }
+        assert_eq!((l1d.sets() + l2.sets()) * 8, 4608, "the paper's L1D and L2 lines");
+    }
+
     #[test]
     fn miss_fill_hit() {
         let mut c = small();
         assert!(c.lookup(7).is_none());
-        assert!(c.fill(7, BlockInfo { state: 3 }, InsertPriority::Normal).is_none());
+        assert!(c.fill(7, block(3), InsertPriority::Normal).is_none());
         assert!(c.lookup(7).is_some());
         assert_eq!(c.stats.lookups, 2);
         assert_eq!(c.stats.hits, 1);
@@ -167,9 +192,9 @@ mod tests {
     #[test]
     fn eviction_returns_state() {
         let mut c = small();
-        c.fill(0, BlockInfo { state: 11 }, InsertPriority::Normal);
-        c.fill(2, BlockInfo { state: 22 }, InsertPriority::Normal);
-        let evicted = c.fill(4, BlockInfo { state: 33 }, InsertPriority::Normal).unwrap();
+        c.fill(0, block(11), InsertPriority::Normal);
+        c.fill(2, block(22), InsertPriority::Normal);
+        let evicted = c.fill(4, block(33), InsertPriority::Normal).unwrap();
         assert_eq!(evicted.tag, 0);
         assert_eq!(evicted.payload.state, 11);
         assert_eq!(c.stats.evictions, 1);
@@ -178,7 +203,7 @@ mod tests {
     #[test]
     fn invalidate_counts() {
         let mut c = small();
-        c.fill(9, BlockInfo::default(), InsertPriority::Normal);
+        c.fill(9, block(0), InsertPriority::Normal);
         assert!(c.contains(9));
         assert!(c.invalidate(9).is_some());
         assert!(!c.contains(9));

@@ -15,7 +15,7 @@
 
 use crate::cache::{BlockInfo, Cache};
 use crate::policy::{BlockFillDecision, EvictedBlock, LlcPolicy, NullBlockPolicy};
-use crate::set_assoc::InsertPriority;
+use crate::set_assoc::{HasPolicyState, InsertPriority, Line, Lived};
 use crate::stats::Ledger;
 use dpc_types::{AccessKind, BlockAddr, CacheConfig, Pc, Pfn, PhysAddr, SystemConfig};
 
@@ -24,12 +24,14 @@ use dpc_types::{AccessKind, BlockAddr, CacheConfig, Pc, Pfn, PhysAddr, SystemCon
 /// [`crate::System`]). The parameter defaults to the no-op baseline.
 #[derive(Debug)]
 pub struct Hierarchy<C: LlcPolicy = NullBlockPolicy> {
-    /// L1 data cache.
-    pub l1d: Cache<BlockInfo>,
-    /// L2 cache.
-    pub l2: Cache<BlockInfo>,
-    /// L3 / last-level cache (inclusive).
-    pub llc: Cache<BlockInfo>,
+    /// L1 data cache. Nothing reads its lines' payload or lifetime, so
+    /// it stores none.
+    pub l1d: Cache<()>,
+    /// L2 cache, payload-free like the L1D.
+    pub l2: Cache<()>,
+    /// L3 / last-level cache (inclusive): the policy state of each block
+    /// and the lifetime its ledger reads.
+    pub llc: Cache<Lived<BlockInfo>>,
     /// Precomputed cumulative latency of an access that terminates at
     /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. An access
     /// indexes this table instead of accumulating per-level latencies as
@@ -48,9 +50,9 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// Builds the hierarchy with the given LLC policy, monomorphizing
     /// the access path around its concrete type.
     pub fn with_typed_policy(config: &SystemConfig, policy: C) -> Self {
-        let level = |c: &CacheConfig| {
+        fn level<P: Line>(c: &CacheConfig) -> Cache<P> {
             Cache::new(c.sets() as usize, c.ways as usize, c.replacement, c.latency)
-        };
+        }
         let l1d = u64::from(config.l1d.latency);
         let l2 = l1d + u64::from(config.l2.latency);
         let llc = l2 + u64::from(config.llc.latency);
@@ -93,7 +95,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
             return self.cum_latency[0];
         }
         if self.l2.lookup(block.raw()).is_some() {
-            self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
+            self.l1d.fill(block.raw(), (), InsertPriority::Normal);
             return self.cum_latency[1];
         }
         let hit_way = self.llc.lookup(block.raw());
@@ -121,10 +123,10 @@ impl<C: LlcPolicy> Hierarchy<C> {
                 .with_set_views(block.raw(), hit_way, |views| policy.on_set_access(views));
         }
         if let Some(way) = hit_way {
-            let state = &mut self.llc.array_mut().payload_mut(block.raw(), way).state;
+            let state = self.llc.array_mut().payload_mut(block.raw(), way).policy_state_mut();
             self.policy.on_hit(block, state);
-            self.l2.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
-            self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
+            self.l2.fill(block.raw(), (), InsertPriority::Normal);
+            self.l1d.fill(block.raw(), (), InsertPriority::Normal);
             return self.cum_latency[2];
         }
         // LLC miss: go to memory.
@@ -137,8 +139,8 @@ impl<C: LlcPolicy> Hierarchy<C> {
             }
         }
         // The block is returned upward either way.
-        self.l2.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
-        self.l1d.fill(block.raw(), BlockInfo::default(), InsertPriority::Normal);
+        self.l2.fill(block.raw(), (), InsertPriority::Normal);
+        self.l1d.fill(block.raw(), (), InsertPriority::Normal);
         self.cum_latency[3]
     }
 
@@ -150,15 +152,14 @@ impl<C: LlcPolicy> Hierarchy<C> {
         else {
             return;
         };
-        let (victim, life) = (BlockAddr::new(evicted.tag), evicted.life);
-        if life.hits == 0 {
+        let (victim, accessed) = (BlockAddr::new(evicted.tag), evicted.payload.accessed());
+        if !accessed {
             self.pending_doa_evictions.push(victim.pfn());
         }
         self.policy.on_evict(EvictedBlock {
             block: victim,
             state: evicted.payload.state,
-            life,
-            by_invalidation: false,
+            accessed,
         });
         // Inclusion: the victim may not survive in upper levels.
         self.l2.invalidate(victim.raw());

@@ -22,7 +22,6 @@
 //! [`PageFillDecision::Bypass`] triggers [`LlcPolicy::note_doa_page`].
 
 pub use crate::set_assoc::InsertPriority;
-use crate::set_assoc::LineLife;
 use dpc_types::{BlockAddr, Pc, Pfn, Vpn};
 use std::fmt::Debug;
 
@@ -86,9 +85,6 @@ pub struct PolicyLineView {
     pub way: usize,
     /// The line's tag (VPN for TLBs, block address for caches).
     pub tag: u64,
-    /// Hits received by the line since fill (the `Accessed` bit of the
-    /// paper is `hits > 0`).
-    pub hits: u64,
     /// Whether this lookup hit this line.
     pub is_hit: bool,
     /// Per-line policy scratch state (written back after the hook).
@@ -104,16 +100,9 @@ pub struct EvictedPage {
     pub pfn: Pfn,
     /// Per-entry policy state (dpPred keeps its PC hash here).
     pub state: u32,
-    /// Lifetime statistics; `life.hits == 0` is the paper's "Accessed bit
-    /// unset" condition identifying a true DOA page.
-    pub life: LineLife,
-}
-
-impl EvictedPage {
-    /// The paper's `Accessed`-bit test: was the entry ever hit?
-    pub fn accessed(&self) -> bool {
-        self.life.hits > 0
-    }
+    /// The paper's `Accessed` bit: was the entry hit during its stay?
+    /// An unset bit identifies a true DOA page.
+    pub accessed: bool,
 }
 
 /// An LLC block at the moment of its eviction.
@@ -123,18 +112,9 @@ pub struct EvictedBlock {
     pub block: BlockAddr,
     /// Per-block policy state (cbPred keeps its DP bit here).
     pub state: u32,
-    /// Lifetime statistics; `life.hits == 0` identifies a true DOA block.
-    pub life: LineLife,
-    /// Whether the eviction was a back-invalidation side effect rather
-    /// than a capacity/conflict replacement.
-    pub by_invalidation: bool,
-}
-
-impl EvictedBlock {
-    /// The paper's `Accessed`-bit test: was the block ever hit?
-    pub fn accessed(&self) -> bool {
-        self.life.hits > 0
-    }
+    /// The `Accessed` bit: was the block hit during its stay? An unset
+    /// bit identifies a true DOA block.
+    pub accessed: bool,
 }
 
 /// Prediction-quality counters reported by a policy (paper Tables VI/VII).
@@ -344,19 +324,5 @@ mod tests {
         let mut b = NullBlockPolicy;
         assert_eq!(b.on_fill(BlockAddr::new(1), Pc::new(3)), BlockFillDecision::ALLOCATE);
         assert_eq!(b.policy_name(), "baseline");
-    }
-
-    #[test]
-    fn evicted_accessors() {
-        let life = LineLife { fill_seq: 1, last_hit_seq: 1, hits: 0 };
-        let page = EvictedPage { vpn: Vpn::new(1), pfn: Pfn::new(2), state: 0, life };
-        assert!(!page.accessed());
-        let block = EvictedBlock {
-            block: BlockAddr::new(1),
-            state: 0,
-            life: LineLife { hits: 3, ..life },
-            by_invalidation: false,
-        };
-        assert!(block.accessed());
     }
 }

@@ -11,8 +11,10 @@
 //! * **PWC L3** (index 2) tags `vpn >> 27` and holds the PDPT node —
 //!   3 PTE loads.
 
-use crate::set_assoc::{InsertPriority, SetAssoc};
+use crate::set_assoc::{InsertPriority, Line, SetAssoc};
 use dpc_types::{Pfn, PwcConfig, ReplacementKind, Vpn};
+
+impl Line for Pfn {}
 
 /// Tag shift applied to the VPN for PWC level `i` (0-based).
 const LEVEL_SHIFT: [u32; 3] = [9, 18, 27];

@@ -9,27 +9,28 @@
 //! validity mask, contiguous tags and `u32` replacement stamps share one
 //! block, so a lookup is a branchless tag compare plus one mask
 //! intersection inside a few adjacent host lines, and each line's
-//! lifetime statistics sit next to its payload in one record. Set
-//! indexing uses a precomputed mask when the set count is a power of two
-//! (every paper-baseline structure) and falls back to modulo otherwise
-//! (e.g. a 3 MB LLC with 3072 sets).
+//! payload sits in a record of its own. Set indexing uses a precomputed
+//! mask when the set count is a power of two (every paper-baseline
+//! structure) and falls back to modulo otherwise (e.g. a 3 MB LLC with
+//! 3072 sets).
 //!
-//! Lifetime statistics needed by the paper's deadness characterization
-//! (fill time, last-hit time, hit count) are stored in each line's record
-//! at its fill and at every hit, and read as [`LineLife`]. The array's two
-//! clocks and everything stamped from them are `u32`:
+//! Only [`Lived`] payloads, those of the two levels a ledger reads (the
+//! LLT and the LLC), keep the lifetime statistics of the paper's deadness
+//! characterization (fill time, last-hit time, hit count), read as
+//! [`LineLife`]; every other level stores its payload alone ([`Line`]).
+//! The array's two clocks and everything stamped from them are `u32`:
 //! [`MAX_CLOCK_STEPS_PER_MEM_OP`] bounds how fast any array's clocks
 //! advance per simulated memory operation, and [`MAX_RUN_MEM_OPS`] is the
-//! longest run that bound keeps below `u32::MAX` (DESIGN.md §10). The `u64` fields of [`LineLife`] are
-//! widened copies.
+//! longest run that bound keeps below `u32::MAX` (DESIGN.md §10).
 //!
 //! The victim-selection hooks ([`SetAssoc::with_set_views`]) reuse a
 //! scratch buffer owned by the array, so steady-state operation performs
 //! **zero heap allocations per event** (see DESIGN.md §10).
 
 use crate::policy::PolicyLineView;
-use crate::soa::{LineRecord, LineRef, SetBlocks};
+use crate::soa::SetBlocks;
 use dpc_types::{invariant, ReplacementKind};
+use std::ops::Deref;
 
 /// Payloads that expose 32 bits of policy scratch state to the
 /// [`policy`](crate::policy) hooks.
@@ -97,19 +98,91 @@ pub struct LineLife {
     pub hits: u64,
 }
 
+/// A line's payload, told of its fill and of every hit at the array's
+/// lookup clock. Only [`Lived`] records them: every other payload keeps
+/// the empty defaults, so a hit stores nothing outside the set block.
+pub trait Line: Default {
+    /// The line was filled at lookup clock `seq`.
+    #[inline(always)]
+    fn stamp_fill(&mut self, _seq: u32) {}
+    /// The line was hit at lookup clock `seq`.
+    #[inline(always)]
+    fn stamp_hit(&mut self, _seq: u32) {}
+}
+
+impl Line for () {}
+/// The equivalence suites' test payload.
+impl Line for u32 {}
+
+/// A payload `P` with its line's lifetime as `u32` clocks (see
+/// [`MAX_RUN_MEM_OPS`]): the payload of the two levels a
+/// [`Ledger`](crate::stats::Ledger) reads, the LLT and the LLC. It
+/// dereferences to `P`, and its policy state is `P`'s.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Lived<P> {
+    fill_seq: u32,
+    last_hit_seq: u32,
+    hits: u32,
+    payload: P,
+}
+
+impl<P> Lived<P> {
+    /// `payload` before its fill; the fill stamps the clocks.
+    pub fn new(payload: P) -> Self {
+        Lived { fill_seq: 0, last_hit_seq: 0, hits: 0, payload }
+    }
+
+    /// The lifetime statistics, widened to the public form.
+    pub fn life(&self) -> LineLife {
+        LineLife {
+            fill_seq: u64::from(self.fill_seq),
+            last_hit_seq: u64::from(self.last_hit_seq),
+            hits: u64::from(self.hits),
+        }
+    }
+
+    /// The paper's `Accessed` bit: was the line hit since its fill?
+    pub fn accessed(&self) -> bool {
+        self.hits > 0
+    }
+}
+
+impl<P: Default> Line for Lived<P> {
+    #[inline(always)]
+    fn stamp_fill(&mut self, seq: u32) {
+        (self.fill_seq, self.last_hit_seq, self.hits) = (seq, seq, 0);
+    }
+    #[inline(always)]
+    fn stamp_hit(&mut self, seq: u32) {
+        self.hits += 1;
+        self.last_hit_seq = seq;
+    }
+}
+
+impl<P> Deref for Lived<P> {
+    type Target = P;
+    fn deref(&self) -> &P {
+        &self.payload
+    }
+}
+
+impl<P: HasPolicyState> HasPolicyState for Lived<P> {
+    fn policy_state_mut(&mut self) -> &mut u32 {
+        self.payload.policy_state_mut()
+    }
+}
+
 /// Contents evicted by an insertion.
 #[derive(Clone, Debug)]
 pub struct Evicted<P> {
     /// Tag of the evicted line.
     pub tag: u64,
-    /// Lifetime statistics accumulated during the evictee's stay.
-    pub life: LineLife,
-    /// The evicted payload.
+    /// The evicted payload (with its lifetime, for a [`Lived`] one).
     pub payload: P,
 }
 
 /// A set-associative array of `sets × ways` lines holding payload `P`,
-/// stored as set blocks plus line records ([`SetBlocks`]).
+/// stored as set blocks plus payload records ([`SetBlocks`]).
 #[derive(Clone, Debug)]
 pub struct SetAssoc<P> {
     sets: usize,
@@ -127,12 +200,12 @@ pub struct SetAssoc<P> {
     scratch: Vec<PolicyLineView>,
     /// Monotonic recency clock (advanced on every touch/insert).
     tick: u32,
-    /// Monotonic lookup sequence (advanced on every lookup), used for
-    /// lifetime statistics.
+    /// Monotonic lookup sequence (advanced on every lookup), the clock
+    /// the [`Line`] hooks are given.
     seq: u32,
 }
 
-impl<P: Default> SetAssoc<P> {
+impl<P: Line> SetAssoc<P> {
     /// Creates an array with `sets` sets of `ways` ways each.
     ///
     /// # Panics
@@ -156,17 +229,7 @@ impl<P: Default> SetAssoc<P> {
             seq: 0,
         }
     }
-}
 
-/// Advances an array clock. [`MAX_RUN_MEM_OPS`] keeps every clock of a
-/// run below `u32::MAX`.
-#[inline]
-fn advance(clock: &mut u32) {
-    invariant!(*clock < u32::MAX, "array clock overflow: the run exceeds MAX_RUN_MEM_OPS");
-    *clock += 1;
-}
-
-impl<P> SetAssoc<P> {
     /// Number of sets.
     #[inline]
     pub fn sets(&self) -> usize {
@@ -224,16 +287,14 @@ impl<P> SetAssoc<P> {
     }
 
     /// Records a hit on `way` (record index `idx`, set block `block`):
-    /// one more hit and the current lookup clock in the line's record,
-    /// and the replacement promotion in its stamp (the recency clock under
+    /// the payload's [`Line::stamp_hit`] at the current lookup clock, and
+    /// the replacement promotion in its stamp (the recency clock under
     /// LRU, RRPV 0 under SRRIP, nothing under FIFO). Must run *after* the
     /// hit advanced `seq` and `tick`.
     #[inline]
     fn note_hit(&mut self, block: usize, way: usize, idx: usize) {
         invariant!(idx < self.store.records.len(), "set * ways + way stays inside the records");
-        let record = &mut self.store.records[idx];
-        record.hits += 1;
-        record.last_hit_seq = self.seq;
+        self.store.records[idx].stamp_hit(self.seq);
         match self.replacement {
             ReplacementKind::Lru => self.store.set_stamp(block, way, self.tick),
             ReplacementKind::Srrip => self.store.set_stamp(block, way, 0),
@@ -242,8 +303,8 @@ impl<P> SetAssoc<P> {
     }
 
     /// Looks up `tag` in its set. On a hit, advances the lookup clock,
-    /// updates recency and lifetime stats, and returns the way index. On
-    /// a miss, only the lookup clock advances.
+    /// updates recency and the payload's [`Line::stamp_hit`], and returns
+    /// the way index. On a miss, only the lookup clock advances.
     #[inline]
     pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
         self.lookup_payload(addr, tag).map(|(way, _)| way)
@@ -266,7 +327,7 @@ impl<P> SetAssoc<P> {
         let idx = set * self.ways + way;
         advance(&mut self.tick);
         self.note_hit(block, way, idx);
-        Some((way, &self.store.records[idx].payload))
+        Some((way, &self.store.records[idx]))
     }
 
     /// Probes for `tag` without advancing any clock or updating recency
@@ -287,7 +348,7 @@ impl<P> SetAssoc<P> {
     pub fn payload(&self, addr: u64, way: usize) -> &P {
         let (_, idx) = self.locate(addr, way);
         invariant!(idx < self.store.records.len(), "locate() stays inside the records");
-        &self.store.records[idx].payload
+        &self.store.records[idx]
     }
 
     /// Mutable payload of a way in the set that `addr` maps to.
@@ -295,15 +356,7 @@ impl<P> SetAssoc<P> {
     pub fn payload_mut(&mut self, addr: u64, way: usize) -> &mut P {
         let (_, idx) = self.locate(addr, way);
         invariant!(idx < self.store.records.len(), "locate() stays inside the records");
-        &mut self.store.records[idx].payload
-    }
-
-    /// Lifetime statistics of a way in the set that `addr` maps to.
-    #[inline]
-    pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
-        let (_, idx) = self.locate(addr, way);
-        invariant!(idx < self.store.records.len(), "locate() stays inside the records");
-        self.store.records[idx].life()
+        &mut self.store.records[idx]
     }
 
     /// The way the base replacement policy would evict from the set `addr`
@@ -388,20 +441,18 @@ impl<P> SetAssoc<P> {
         way: usize,
         idx: usize,
         tag: u64,
-        payload: P,
+        mut payload: P,
         priority: InsertPriority,
     ) -> Option<Evicted<P>> {
         invariant!(idx < self.store.records.len(), "the victim's record lies inside its set");
         advance(&mut self.tick);
         let tick = self.tick;
-        let seq = self.seq;
         let way_bit = 1u64 << way;
         let old_tag = self.store.tag(block, way);
         let was_valid = self.store.valid(block) & way_bit != 0;
-        let fresh = LineRecord { fill_seq: seq, last_hit_seq: seq, hits: 0, payload };
-        let old = std::mem::replace(&mut self.store.records[idx], fresh);
-        let evicted =
-            was_valid.then(|| Evicted { tag: old_tag, life: old.life(), payload: old.payload });
+        payload.stamp_fill(self.seq);
+        let old = std::mem::replace(&mut self.store.records[idx], payload);
+        let evicted = was_valid.then_some(Evicted { tag: old_tag, payload: old });
         *self.store.valid_mut(block) |= way_bit;
         self.store.set_tag(block, way, tag);
         let stamp = match self.replacement {
@@ -422,16 +473,12 @@ impl<P> SetAssoc<P> {
 
     /// Invalidates `tag` if present, returning the evicted contents
     /// (used for LLC-inclusion back-invalidation).
-    pub fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<P>>
-    where
-        P: Default,
-    {
+    pub fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<P>> {
         let way = self.peek(addr, tag)?;
         let (block, idx) = self.locate(addr, way);
         *self.store.valid_mut(block) &= !(1u64 << way);
         let tag = self.store.tag(block, way);
-        let record = &mut self.store.records[idx];
-        Some(Evicted { tag, life: record.life(), payload: std::mem::take(&mut record.payload) })
+        Some(Evicted { tag, payload: std::mem::take(&mut self.store.records[idx]) })
     }
 
     /// Whether every way of the set `addr` maps to holds valid contents.
@@ -466,12 +513,10 @@ impl<P> SetAssoc<P> {
         while mask != 0 {
             let way = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let record = &mut self.store.records[base + way];
-            let (hits, state) = (u64::from(record.hits), *record.payload.policy_state_mut());
+            let state = *self.store.records[base + way].policy_state_mut();
             self.scratch.push(PolicyLineView {
                 way,
                 tag: self.store.tag(block, way),
-                hits,
                 is_hit: hit_way == Some(way),
                 state,
             });
@@ -483,14 +528,14 @@ impl<P> SetAssoc<P> {
                 "policy moved a view beyond the {}-way set",
                 self.ways
             );
-            *self.store.records[base + view.way].payload.policy_state_mut() = view.state;
+            *self.store.records[base + view.way].policy_state_mut() = view.state;
         }
         result
     }
 
-    /// Iterates over all valid lines (used by the deadness sampler's final
-    /// flush and by tests).
-    pub fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
+    /// Iterates over all valid lines as (tag, payload), in storage order
+    /// (used by the deadness sampler's final flush and by tests).
+    pub fn iter_valid(&self) -> impl Iterator<Item = (u64, &P)> {
         self.store.iter_valid()
     }
 
@@ -499,11 +544,20 @@ impl<P> SetAssoc<P> {
         self.store.valid_count()
     }
 
-    /// Host bytes of this array's line storage (set blocks and records).
+    /// Host bytes of this array's line storage (set blocks and payload
+    /// records).
     #[cfg(test)]
     pub(crate) fn host_bytes(&self) -> usize {
         self.store.host_bytes()
     }
+}
+
+/// Advances an array clock. [`MAX_RUN_MEM_OPS`] keeps every clock of a
+/// run below `u32::MAX`.
+#[inline]
+fn advance(clock: &mut u32) {
+    invariant!(*clock < u32::MAX, "array clock overflow: the run exceeds MAX_RUN_MEM_OPS");
+    *clock += 1;
 }
 
 #[cfg(test)]
@@ -514,14 +568,24 @@ mod tests {
         SetAssoc::new(sets, ways, kind)
     }
 
+    fn lived(sets: usize, ways: usize, kind: ReplacementKind) -> SetAssoc<Lived<u32>> {
+        SetAssoc::new(sets, ways, kind)
+    }
+
+    /// The lifetime of the line `tag` occupies.
+    fn life_of<P: Default>(s: &SetAssoc<Lived<P>>, addr: u64, tag: u64) -> LineLife {
+        s.payload(addr, s.peek(addr, tag).expect("resident")).life()
+    }
+
     #[test]
     fn miss_then_hit() {
-        let mut s = sa(4, 2, ReplacementKind::Lru);
+        let mut s = lived(4, 2, ReplacementKind::Lru);
         assert_eq!(s.lookup(5, 5), None);
-        assert!(s.fill(5, 5, 99, InsertPriority::Normal).is_none());
+        assert!(s.fill(5, 5, Lived::new(99), InsertPriority::Normal).is_none());
         let way = s.lookup(5, 5).expect("filled tag must hit");
-        assert_eq!(*s.payload(5, way), 99);
-        assert_eq!(s.life_of(5, way).hits, 1);
+        assert_eq!(**s.payload(5, way), 99);
+        assert_eq!(s.payload(5, way).life().hits, 1);
+        assert!(s.payload(5, way).accessed());
     }
 
     #[test]
@@ -605,27 +669,50 @@ mod tests {
 
     #[test]
     fn lifetime_stats_track_hits() {
-        let mut s = sa(1, 1, ReplacementKind::Lru);
+        let mut s = lived(1, 1, ReplacementKind::Lru);
         s.lookup(0, 9); // seq 1, miss
-        s.fill(0, 9, 0, InsertPriority::Normal); // fill_seq = 1
+        s.fill(0, 9, Lived::new(0), InsertPriority::Normal); // fill_seq = 1
         s.lookup(0, 9); // seq 2, hit
         s.lookup(0, 9); // seq 3, hit
         s.lookup(0, 8); // seq 4, miss
-        let evicted = s.fill(0, 8, 0, InsertPriority::Normal).unwrap();
-        assert_eq!(evicted.life.fill_seq, 1);
-        assert_eq!(evicted.life.last_hit_seq, 3);
-        assert_eq!(evicted.life.hits, 2);
+        let evicted = s.fill(0, 8, Lived::new(0), InsertPriority::Normal).unwrap();
+        let life = evicted.payload.life();
+        assert_eq!(life.fill_seq, 1);
+        assert_eq!(life.last_hit_seq, 3);
+        assert_eq!(life.hits, 2);
+        assert!(evicted.payload.accessed());
     }
 
     #[test]
     fn doa_lifetime() {
-        let mut s = sa(1, 1, ReplacementKind::Lru);
+        let mut s = lived(1, 1, ReplacementKind::Lru);
         s.lookup(0, 9);
-        s.fill(0, 9, 0, InsertPriority::Normal);
+        s.fill(0, 9, Lived::new(0), InsertPriority::Normal);
         s.lookup(0, 8);
-        let evicted = s.fill(0, 8, 0, InsertPriority::Normal).unwrap();
-        assert_eq!(evicted.life.hits, 0, "never-hit line is DOA");
-        assert_eq!(evicted.life.last_hit_seq, evicted.life.fill_seq);
+        let evicted = s.fill(0, 8, Lived::new(0), InsertPriority::Normal).unwrap();
+        let life = evicted.payload.life();
+        assert_eq!(life.hits, 0, "never-hit line is DOA");
+        assert_eq!(life.last_hit_seq, life.fill_seq);
+        assert!(!evicted.payload.accessed());
+    }
+
+    /// A refill restamps a `Lived` payload whatever clocks it came with,
+    /// and a lifetime-free payload comes back as it went in.
+    #[test]
+    fn fill_stamps_only_lived_payloads() {
+        let mut s = lived(1, 1, ReplacementKind::Lru);
+        s.lookup(0, 9); // seq 1
+        let mut stale = Lived::new(7);
+        stale.stamp_fill(40);
+        stale.stamp_hit(41);
+        s.fill(0, 9, stale, InsertPriority::Normal);
+        let want = LineLife { fill_seq: 1, last_hit_seq: 1, hits: 0 };
+        assert_eq!(life_of(&s, 0, 9), want);
+        assert_eq!(**s.payload(0, 0), 7);
+        let mut plain = sa(1, 1, ReplacementKind::Lru);
+        plain.fill(0, 9, 7, InsertPriority::Normal);
+        plain.lookup(0, 9);
+        assert_eq!(plain.invalidate(0, 9).map(|e| e.payload), Some(7));
     }
 
     #[test]
@@ -652,6 +739,7 @@ mod tests {
                 &mut self.0
             }
         }
+        impl Line for S {}
         let mut s: SetAssoc<S> = SetAssoc::new(1, 2, ReplacementKind::Lru);
         s.fill(0, 1, S(5), InsertPriority::Normal);
         s.fill(0, 2, S(6), InsertPriority::Normal);
@@ -667,8 +755,9 @@ mod tests {
 
     /// The `u32` storage must hand back exactly the `u64` clock values a
     /// run near the top of the clock range produced: through a run of
-    /// hits to one line, an eviction, `life_of`, `iter_valid` and
-    /// `with_set_views`, for every replacement kind.
+    /// hits to one line, an eviction, the resident payload, `iter_valid`
+    /// and `with_set_views` (which sees the policy state through the
+    /// `Lived` wrapper), for every replacement kind.
     #[test]
     fn lifetimes_round_trip_near_the_top_of_the_clock_range() {
         #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -681,45 +770,45 @@ mod tests {
         let start = u32::MAX - 40;
         let top = u64::from(start);
         for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo] {
-            let mut s: SetAssoc<S> = SetAssoc::new(1, 2, kind);
+            let mut s: SetAssoc<Lived<S>> = SetAssoc::new(1, 2, kind);
             s.start_clocks_at(start);
             assert_eq!(s.lookup(0, 10), None); // seq top+1
-            s.fill(0, 10, S(1), InsertPriority::Normal); // fill_seq top+1
+            s.fill(0, 10, Lived::new(S(1)), InsertPriority::Normal); // fill_seq top+1
             s.lookup(0, 20); // seq top+2, miss
-            s.fill(0, 20, S(2), InsertPriority::Normal); // fill_seq top+2
+            s.fill(0, 20, Lived::new(S(2)), InsertPriority::Normal); // fill_seq top+2
             for _ in 0..3 {
                 s.lookup(0, 10).expect("resident"); // seq top+3..=top+5
             }
             let way = s.peek(0, 10).expect("resident");
             let want = LineLife { fill_seq: top + 1, last_hit_seq: top + 5, hits: 3 };
-            assert_eq!(s.life_of(0, way), want, "{kind:?} life_of sees the hit run");
-            let lives: Vec<LineLife> = s.iter_valid().map(|l| l.life()).collect();
+            assert_eq!(s.payload(0, way).life(), want, "{kind:?} payload sees the hit run");
+            let lives: Vec<LineLife> = s.iter_valid().map(|(_, l)| l.life()).collect();
             assert!(lives.contains(&want), "{kind:?} iter_valid: {lives:?}");
-            let hits = s.with_set_views(0, Some(way), |views| views[way].hits);
-            assert_eq!(hits, 3, "{kind:?} set views see the hits");
+            let state = s.with_set_views(0, Some(way), |views| views[way].state);
+            assert_eq!(state, 1, "{kind:?} set views see the wrapped policy state");
             s.lookup(0, 10).expect("resident"); // seq top+6
             assert_eq!(s.lookup(0, 50), None); // seq top+7
             let evicted = s.invalidate(0, 10).expect("resident");
             assert_eq!(
-                evicted.life,
+                evicted.payload.life(),
                 LineLife { fill_seq: top + 1, last_hit_seq: top + 6, hits: 4 },
                 "{kind:?} invalidation"
             );
             // Fill the freed way, then force an eviction of the other line
             // through the replacement policy.
-            s.fill(0, 30, S(3), InsertPriority::Normal);
+            s.fill(0, 30, Lived::new(S(3)), InsertPriority::Normal);
             s.lookup(0, 30).expect("resident"); // seq top+8
                                                 // Every kind evicts the never-hit, earlier-filled tag 20.
-            let evicted = s.fill(0, 40, S(4), InsertPriority::Normal).expect("set full");
+            let evicted = s.fill(0, 40, Lived::new(S(4)), InsertPriority::Normal);
+            let evicted = evicted.expect("set full");
             assert_eq!(evicted.tag, 20, "{kind:?} victim");
             assert_eq!(
-                evicted.life,
+                evicted.payload.life(),
                 LineLife { fill_seq: top + 2, last_hit_seq: top + 2, hits: 0 },
                 "{kind:?} eviction"
             );
-            let survivor = s.peek(0, 30).expect("resident");
             assert_eq!(
-                s.life_of(0, survivor),
+                life_of(&s, 0, 30),
                 LineLife { fill_seq: top + 7, last_hit_seq: top + 8, hits: 1 },
                 "{kind:?} survivor"
             );

@@ -23,16 +23,19 @@
 //!   first means the mask and a 16-way set's tags always span three host
 //!   lines, the same count a 64-byte-padded stride would give, for 22%
 //!   fewer bytes.
-//! * **line records** — one `LineRecord` per line, `set * ways + way`:
-//!   the line's lifetime statistics as three `u32`s next to its payload
-//!   (16 bytes for a cache block's 4-byte payload).
+//! * **records** — one payload `P` per line, `set * ways + way`. Its type
+//!   is the level's: the L1D and the L2 store `()` (no bytes), the L1
+//!   TLBs a `TlbEntry`, the PWCs a node frame. Only the two levels a
+//!   deadness ledger reads, the LLT and the LLC, store a
+//!   [`Lived`](crate::set_assoc::Lived) payload, which keeps the line's
+//!   lifetime as three `u32` clocks beside it (16 bytes for a cache
+//!   block).
 //!
 //! Every clock stored here is a `u32`. The owning array's clocks advance
 //! at most [`MAX_CLOCK_STEPS_PER_MEM_OP`](crate::set_assoc::MAX_CLOCK_STEPS_PER_MEM_OP)
 //! times per simulated memory operation, and runs longer than
 //! [`MAX_RUN_MEM_OPS`](crate::set_assoc::MAX_RUN_MEM_OPS) are refused
-//! before they start, so no stored value wraps; `LineRecord::life`
-//! widens to the public `u64` [`LineLife`].
+//! before they start, so no stored value wraps.
 //!
 //! `SetBlocks::match_mask` compares every tag of a set without
 //! branching and intersects with the validity mask; `trailing_zeros` on
@@ -46,7 +49,6 @@
 //! at the call sites, so all accesses stay inside the `sets` blocks and
 //! `sets * ways` records allocated by `SetBlocks::new`.
 
-use crate::set_assoc::LineLife;
 use dpc_types::invariant;
 
 /// Maximum associativity representable by the per-set `u64` validity
@@ -59,32 +61,6 @@ const ALIGN_WORDS: usize = 8;
 /// Word offset of the tags inside a set block (the validity mask is
 /// word 0).
 const TAGS: usize = 1;
-
-/// Lifetime statistics and payload of one line, stored side by side.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct LineRecord<P> {
-    /// Lookup sequence number at fill.
-    pub(crate) fill_seq: u32,
-    /// Lookup sequence number of the most recent hit.
-    pub(crate) last_hit_seq: u32,
-    /// Hits since fill.
-    pub(crate) hits: u32,
-    /// The structure-specific payload (TLB translation, cache block
-    /// flags, PWC node, ...).
-    pub(crate) payload: P,
-}
-
-impl<P> LineRecord<P> {
-    /// The record's lifetime statistics, widened to the public form.
-    #[inline]
-    pub(crate) fn life(&self) -> LineLife {
-        LineLife {
-            fill_seq: u64::from(self.fill_seq),
-            last_hit_seq: u64::from(self.last_hit_seq),
-            hits: u64::from(self.hits),
-        }
-    }
-}
 
 /// A `u64` array whose usable part, `words[start..]`, begins on a
 /// 64-byte boundary: the allocation is over-sized by up to seven words
@@ -116,7 +92,7 @@ impl AlignedWords {
     }
 }
 
-/// The set blocks and line records of a set-associative array.
+/// The set blocks and per-line payload records of a set-associative array.
 ///
 /// Field layout is crate-internal; [`SetAssoc`](crate::set_assoc::SetAssoc)
 /// is the only consumer and re-exposes typed accessors.
@@ -127,8 +103,8 @@ pub struct SetBlocks<P> {
     stride: usize,
     /// All set blocks, set `s` at words `start + s * stride ..`.
     blocks: AlignedWords,
-    /// One record per line, `set * ways + way`.
-    pub(crate) records: Vec<LineRecord<P>>,
+    /// One payload per line, `set * ways + way`.
+    pub(crate) records: Vec<P>,
 }
 
 impl<P: Default> SetBlocks<P> {
@@ -147,7 +123,7 @@ impl<P: Default> SetBlocks<P> {
         let blocks = AlignedWords::new(sets * stride);
         let lines = sets * ways;
         let mut records = Vec::with_capacity(lines);
-        records.resize_with(lines, LineRecord::default);
+        records.resize_with(lines, P::default);
         SetBlocks { ways, stride, blocks, records }
     }
 }
@@ -233,15 +209,14 @@ impl<P> SetBlocks<P> {
         min_key_way(&words[start..end], self.ways)
     }
 
-    /// Iterates over all valid lines in storage order.
-    pub(crate) fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
+    /// Iterates over all valid lines in storage order, as (tag, payload).
+    pub(crate) fn iter_valid(&self) -> impl Iterator<Item = (u64, &P)> {
         let sets = self.records.len() / self.ways;
         (0..sets).flat_map(move |set| {
             let block = self.block(set);
             BitIter(self.valid(block)).map(move |way| {
                 let idx = set * self.ways + way;
-                let record = &self.records[idx];
-                LineRef { tag: self.tag(block, way), life: record.life(), payload: &record.payload }
+                (self.tag(block, way), &self.records[idx])
             })
         })
     }
@@ -257,31 +232,7 @@ impl<P> SetBlocks<P> {
     #[cfg(test)]
     pub(crate) fn host_bytes(&self) -> usize {
         self.blocks.words.capacity() * std::mem::size_of::<u64>()
-            + self.records.capacity() * std::mem::size_of::<LineRecord<P>>()
-    }
-}
-
-/// A read-only view of one valid line, yielded by
-/// [`SetAssoc::iter_valid`](crate::set_assoc::SetAssoc::iter_valid).
-#[derive(Clone, Copy, Debug)]
-pub struct LineRef<'a, P> {
-    tag: u64,
-    life: LineLife,
-    /// The line's payload.
-    pub payload: &'a P,
-}
-
-impl<P> LineRef<'_, P> {
-    /// The line's tag.
-    #[inline]
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Lifetime statistics of the current contents.
-    #[inline]
-    pub fn life(&self) -> LineLife {
-        self.life
+            + self.records.capacity() * std::mem::size_of::<P>()
     }
 }
 
@@ -343,7 +294,11 @@ fn generic_match(tags: &[u64], needle: u64) -> u64 {
 /// paper-baseline widths (4, 8, 16) reduce their keys pairwise, a tree of
 /// independent `min`s instead of a serial compare chain; any other
 /// geometry takes the generic loop.
-#[inline]
+///
+/// Forced inline, with [`fixed_min_key_way`]: with one `SetAssoc::fill`
+/// per payload type, `#[inline]` left it an out-of-line call per victim
+/// search (EXPERIMENTS.md, "Lifetimes only where a ledger reads them").
+#[inline(always)]
 fn min_key_way(stamps: &[u64], ways: usize) -> usize {
     match ways {
         4 => fixed_min_key_way::<4>(stamps),
@@ -364,7 +319,7 @@ fn way_key(word: u64, way: usize) -> u64 {
 /// to [`generic_min_key_way`] if `stamps` is not exactly `N / 2` words
 /// (cannot happen for callers that dispatch on the way count, but keeps
 /// the function total without panicking).
-#[inline]
+#[inline(always)]
 fn fixed_min_key_way<const N: usize>(stamps: &[u64]) -> usize {
     if stamps.len() != N / 2 {
         return generic_min_key_way(stamps, N);
@@ -518,7 +473,7 @@ mod tests {
         store.set_tag(b1, 0, 22);
         *store.valid_mut(b0) = 0b10;
         *store.valid_mut(b1) = 0b01;
-        let tags: Vec<u64> = store.iter_valid().map(|l| l.tag()).collect();
+        let tags: Vec<u64> = store.iter_valid().map(|(tag, _)| tag).collect();
         assert_eq!(tags, vec![11, 22]);
         assert_eq!(store.valid_count(), 2);
     }

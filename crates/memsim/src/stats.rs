@@ -5,7 +5,7 @@
 
 use crate::cache::Cache;
 use crate::policy::PolicyLineView;
-use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife};
+use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife, Lived};
 use dpc_types::invariant;
 use serde::{Deserialize, Serialize};
 
@@ -246,8 +246,9 @@ impl DeadnessSampler {
 /// The deadness accounts of one last level (the LLT or the LLC): its
 /// eviction classes and its resident-deadness sampler. Every fill of the
 /// level goes through [`Ledger::fill`], so each stay is charged at its
-/// fill and at its eviction in one place; the levels above it carry no
-/// ledger.
+/// fill and at its eviction in one place. The level's payload is
+/// [`Lived`], the one payload that keeps line lifetimes; the levels
+/// above it carry no ledger and no lifetime.
 #[derive(Debug, Default)]
 pub struct Ledger {
     /// Eviction-time classification (Figs. 2/4).
@@ -256,21 +257,21 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Allocates `key` in `level` and charges the stay it starts and the
-    /// one it ends. `pick`, given when the level's policy overrides victim
-    /// selection, chooses among a full set's lines (AIP victimizes
-    /// predicted-dead ones first); every other fill is the base policy's
-    /// one-pass `fill`, which needs no fullness check. Returns the
-    /// displaced line, if any.
+    /// Allocates `payload` under `key` in `level` and charges the stay it
+    /// starts and the one it ends. `pick`, given when the level's policy
+    /// overrides victim selection, chooses among a full set's lines (AIP
+    /// victimizes predicted-dead ones first); every other fill is the base
+    /// policy's one-pass `fill`, which needs no fullness check. Returns
+    /// the displaced line, if any.
     #[inline]
     pub fn fill<P: Default + HasPolicyState>(
         &mut self,
-        level: &mut Cache<P>,
+        level: &mut Cache<Lived<P>>,
         key: u64,
         payload: P,
         priority: InsertPriority,
         pick: Option<impl FnOnce(&mut [PolicyLineView]) -> Option<usize>>,
-    ) -> Option<Evicted<P>> {
+    ) -> Option<Evicted<Lived<P>>> {
         let way = match pick {
             Some(pick) if level.array().set_full(key) => {
                 level.array_mut().with_set_views(key, None, pick)
@@ -278,28 +279,29 @@ impl Ledger {
             _ => None,
         };
         let evicted = match way {
-            Some(way) => level.fill_way(key, way, payload, priority),
-            None => level.fill(key, payload, priority),
+            Some(way) => level.fill_way(key, way, Lived::new(payload), priority),
+            None => level.fill(key, Lived::new(payload), priority),
         };
         let seq = level.array().seq();
         self.sampler.note_fill(seq);
         if let Some(evicted) = &evicted {
-            self.evictions.record(evicted.life, seq);
-            self.sampler.record_stay(evicted.life, seq);
+            let life = evicted.payload.life();
+            self.evictions.record(life, seq);
+            self.sampler.record_stay(life, seq);
         }
         evicted
     }
 
     /// Takes a deadness sample of `level`'s resident lines.
-    pub fn sample<P>(&mut self, level: &Cache<P>) {
+    pub fn sample<P: Default>(&mut self, level: &Cache<Lived<P>>) {
         self.sampler.take_sample(level.array().seq());
     }
 
     /// The sampled deadness, with `level`'s resident lines ending their
     /// stays now. Leaves the ledger as it was.
-    pub fn deadness<P>(&self, level: &Cache<P>) -> DeadnessStats {
+    pub fn deadness<P: Default>(&self, level: &Cache<Lived<P>>) -> DeadnessStats {
         let array = level.array();
-        self.sampler.resolve(array.iter_valid().map(|line| line.life()), array.seq())
+        self.sampler.resolve(array.iter_valid().map(|(_, line)| line.life()), array.seq())
     }
 
     /// Forgets every eviction, sample and count (after a warm-up).

@@ -9,7 +9,7 @@ use crate::policy::{
     EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
 };
 use crate::reverse_map::ReverseMaps;
-use crate::set_assoc::{Evicted, InsertPriority};
+use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, Lived};
 use crate::stats::{Ledger, SimStats};
 use crate::tlb::{TlbEntry, TlbGroup};
 use crate::walker::Walker;
@@ -88,7 +88,7 @@ pub struct System<L: LltPolicy = NullPagePolicy, C: LlcPolicy = NullBlockPolicy>
     core: CoreModel,
     l1i_tlb: TlbGroup,
     l1d_tlb: TlbGroup,
-    llt: Cache<TlbEntry>,
+    llt: Cache<Lived<TlbEntry>>,
     llt_policy: L,
     /// Page sizes the allocation policy can map, in probe order (smallest
     /// first). A single-size policy keeps the whole translation path on
@@ -397,7 +397,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
                         .array_mut()
                         .with_set_views(key.raw(), Some(way), |views| policy.on_set_access(views));
                 }
-                let state = &mut self.llt.array_mut().payload_mut(key.raw(), way).state;
+                let state = self.llt.array_mut().payload_mut(key.raw(), way).policy_state_mut();
                 self.llt_policy.on_hit(key, state);
                 let pfn = Self::compose_pfn(size, unit_pfn, vpn);
                 self.fill_l1(side, size, vpn, pfn, pc);
@@ -503,14 +503,15 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         let pick = policy.overrides_victim().then_some(|views: &mut _| policy.pick_victim(views));
         let entry = TlbEntry { pfn: unit_pfn.raw(), state };
         let evicted = self.llt_ledger.fill(&mut self.llt, key.raw(), entry, priority, pick);
-        if let Some(Evicted { tag, life, payload }) = evicted {
+        if let Some(Evicted { tag, payload }) = evicted {
             let (evicted_key, pfn) = (Vpn::new(tag), Pfn::new(payload.pfn));
-            self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, life.hits == 0);
+            let accessed = payload.accessed();
+            self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, !accessed);
             self.llt_policy.on_evict(EvictedPage {
                 vpn: evicted_key,
                 pfn,
                 state: payload.state,
-                life,
+                accessed,
             });
         }
     }
@@ -528,13 +529,9 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             let Some((key, stay_doa)) = self.reverse.page_of(frames, pfn) else {
                 continue; // page-table frame or unmapped: unclassifiable
             };
-            let page_doa = match self.llt.resident_hits(key.raw()) {
-                Some(hits) => hits == 0,
-                None => match stay_doa {
-                    Some(doa) => doa,
-                    None => continue,
-                },
-            };
+            // A resident page's own `Accessed` bit, else its last stay's.
+            let resident = self.llt.resident_hits(key.raw()).map(|hits| hits == 0);
+            let Some(page_doa) = resident.or(stay_doa) else { continue };
             self.doa_blocks_classified += 1;
             if page_doa {
                 self.doa_blocks_on_doa_pages += 1;
@@ -632,9 +629,8 @@ mod tests {
         let llt = sys.llt.array();
         clocks.push((llt.seq(), llt.tick()));
         clocks.extend(sys.walker.pwc().levels().iter().map(|a| (a.seq(), a.tick())));
-        for cache in [&sys.hier.l1d, &sys.hier.l2, &sys.hier.llc] {
-            clocks.push((cache.array().seq(), cache.array().tick()));
-        }
+        let (l1d, l2, llc) = (sys.hier.l1d.array(), sys.hier.l2.array(), sys.hier.llc.array());
+        clocks.extend([(l1d.seq(), l1d.tick()), (l2.seq(), l2.tick()), (llc.seq(), llc.tick())]);
         clocks
     }
 

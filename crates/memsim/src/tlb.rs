@@ -2,10 +2,11 @@
 //!
 //! [`TlbEntry`] is the payload of a TLB line: a VPN → PFN translation
 //! with 32 bits of policy scratch state (dpPred keeps its 6-bit PC hash
-//! there; the `Accessed` bit is derived from the entry's hit count). The
-//! last-level TLB is a [`Cache<TlbEntry>`](crate::cache::Cache) keyed by
-//! the page's LLT key, and its policy logic lives in
-//! [`System`](crate::system::System).
+//! there). The L1 TLBs store the bare entry. The last-level TLB is a
+//! `Cache<Lived<TlbEntry>>` ([`Cache`](crate::cache::Cache),
+//! [`Lived`](crate::set_assoc::Lived)) keyed by the page's LLT key, whose
+//! lifetime gives the `Accessed` bit (a nonzero hit count); its policy
+//! logic lives in [`System`](crate::system::System).
 //!
 //! [`TlbGroup`] models a first-level TLB as real cores build it: one
 //! set-associative structure *per page size* (x86 cpuid reports e.g.
@@ -16,7 +17,7 @@
 //! 4 KB-grain translation is reconstructed from the in-page offset on a
 //! hit. The paper's 4 KB configuration is a group of one 4 KB member.
 
-use crate::set_assoc::{HasPolicyState, InsertPriority, SetAssoc};
+use crate::set_assoc::{HasPolicyState, InsertPriority, Line, SetAssoc};
 use crate::stats::StructStats;
 use dpc_types::{AllocPolicy, PageSize, Pfn, TlbConfig, Vpn};
 
@@ -34,6 +35,8 @@ impl HasPolicyState for TlbEntry {
         &mut self.state
     }
 }
+
+impl Line for TlbEntry {}
 
 /// One per-page-size structure inside a [`TlbGroup`].
 #[derive(Debug)]
@@ -175,22 +178,24 @@ impl TlbGroup {
 mod tests {
     use super::*;
     use crate::cache::Cache;
+    use crate::set_assoc::Lived;
     use dpc_types::{ReplacementKind, SystemConfig};
 
-    fn level(config: &TlbConfig) -> Cache<TlbEntry> {
+    /// A last-level TLB of `config`'s geometry.
+    fn level(config: &TlbConfig) -> Cache<Lived<TlbEntry>> {
         Cache::new(config.sets() as usize, config.ways as usize, config.replacement, config.latency)
     }
 
-    fn tiny() -> Cache<TlbEntry> {
+    fn tiny() -> Cache<Lived<TlbEntry>> {
         level(&TlbConfig { entries: 2, ways: 2, latency: 8, replacement: ReplacementKind::Lru })
     }
 
-    fn entry(pfn: u64, state: u32) -> TlbEntry {
-        TlbEntry { pfn, state }
+    fn entry(pfn: u64, state: u32) -> Lived<TlbEntry> {
+        Lived::new(TlbEntry { pfn, state })
     }
 
     /// A level lookup as a translation: the hit entry's frame.
-    fn translate(t: &mut Cache<TlbEntry>, vpn: u64) -> Option<Pfn> {
+    fn translate(t: &mut Cache<Lived<TlbEntry>>, vpn: u64) -> Option<Pfn> {
         t.lookup(vpn).map(|way| Pfn::new(t.array().payload(vpn, way).pfn))
     }
 
@@ -221,7 +226,8 @@ mod tests {
         t.fill(3, entry(30, 0), InsertPriority::Normal);
         let evicted = t.fill(5, entry(50, 0), InsertPriority::Normal).unwrap();
         assert_eq!(evicted.tag, 1);
-        assert_eq!(evicted.payload, entry(10, 0xAB));
+        assert_eq!(*evicted.payload, TlbEntry { pfn: 10, state: 0xAB });
+        assert!(!evicted.payload.accessed());
         assert_eq!(t.stats.evictions, 1);
     }
 
@@ -246,7 +252,7 @@ mod tests {
             let evicted = tlb.fill(vpn.raw(), entry(pfn.raw(), 0), InsertPriority::Normal);
             let group_evicted = group.fill(PageSize::Size4K, vpn, pfn, InsertPriority::Normal, 0);
             assert_eq!(
-                evicted.map(|e| (e.tag, e.payload)),
+                evicted.map(|e| (e.tag, *e.payload)),
                 group_evicted.map(|(_, v, e)| (v.raw(), e))
             );
         }

@@ -1,9 +1,13 @@
 //! The one SetAssoc-vs-[`RefModel`] harness both equivalence suites
 //! drive: the operation set, the per-step check and the exhaustive and
-//! LCG drivers.
+//! LCG drivers. Every step runs on the model and on both kinds of array
+//! a level can be: one whose payload keeps the line's lifetime
+//! (`SetAssoc<Lived<u32>>`, the LLT's and the LLC's kind) and a
+//! lifetime-free one (`SetAssoc<u32>`, the kind of the L1 levels and the
+//! PWCs).
 
-use super::{evicted_parts, lcg, RefModel};
-use dpc_memsim::set_assoc::{InsertPriority, LineLife, SetAssoc};
+use super::{lcg, RefEvicted, RefModel};
+use dpc_memsim::set_assoc::{Evicted, InsertPriority, Line, LineLife, Lived, SetAssoc};
 use dpc_types::ReplacementKind;
 
 #[derive(Clone, Copy, Debug)]
@@ -15,58 +19,139 @@ pub enum Op {
     Victim(u64),
 }
 
-/// Applies `op` to both implementations and asserts every observable
-/// matches: the op's own result, `life_of` of each valid line, then the
-/// complete valid-line state.
-pub fn step(sa: &mut SetAssoc<u32>, model: &mut RefModel, op: Op, trace: &[Op]) {
-    match op {
-        Op::Lookup(tag) => {
-            assert_eq!(sa.lookup(tag, tag), model.lookup(tag, tag), "lookup {tag} after {trace:?}");
+/// A payload kind the harness checks an array of.
+pub trait Kept: Line + Default {
+    /// Whether the kind keeps the line's lifetime.
+    const LIVES: bool;
+    /// The payload a fill of model payload `payload` installs.
+    fn wrap(payload: u32) -> Self;
+    /// The model payload and, for a lifetime-keeping kind, the lifetime.
+    fn parts(&self) -> (u32, Option<LineLife>);
+}
+
+impl Kept for u32 {
+    const LIVES: bool = false;
+    fn wrap(payload: u32) -> Self {
+        payload
+    }
+    fn parts(&self) -> (u32, Option<LineLife>) {
+        (*self, None)
+    }
+}
+
+impl Kept for Lived<u32> {
+    const LIVES: bool = true;
+    fn wrap(payload: u32) -> Self {
+        Lived::new(payload)
+    }
+    fn parts(&self) -> (u32, Option<LineLife>) {
+        (**self, Some(self.life()))
+    }
+}
+
+/// One line as an array of kind `P` shows it: (tag, life, payload), the
+/// life `None` for a lifetime-free kind.
+type Seen = (u64, Option<LineLife>, u32);
+
+/// What an op returned: a hit or victim way, or the line `L` that left.
+#[derive(Debug, PartialEq)]
+enum Outcome<L> {
+    Way(Option<usize>),
+    Left(Option<L>),
+}
+
+/// A model line as an array of kind `P` must show it.
+fn seen<P: Kept>((tag, life, payload): RefEvicted) -> Seen {
+    (tag, P::LIVES.then_some(life), payload)
+}
+
+/// The model and the two array kinds it is checked against, stepped in
+/// lockstep.
+pub struct Subjects {
+    pub model: RefModel,
+    lived: SetAssoc<Lived<u32>>,
+    plain: SetAssoc<u32>,
+}
+
+impl Subjects {
+    pub fn new(sets: usize, ways: usize, kind: ReplacementKind) -> Self {
+        Subjects {
+            model: RefModel::new(sets, ways, kind),
+            lived: SetAssoc::new(sets, ways, kind),
+            plain: SetAssoc::new(sets, ways, kind),
         }
-        Op::Fill(tag, priority) => {
-            // Payload derived from the clocks so refills are distinguishable.
-            let payload = (tag as u32) ^ ((model.seq as u32) << 8);
-            let got = sa.fill(tag, tag, payload, priority);
-            let want = model.fill(tag, tag, payload, priority);
+    }
+
+    /// Applies `op` to the model and both arrays and asserts every
+    /// observable of each array matches ([`check`]).
+    pub fn step(&mut self, op: Op, trace: &[Op]) {
+        // Payload derived from the clocks so refills are distinguishable.
+        let payload = match op {
+            Op::Fill(tag, _) => (tag as u32) ^ ((self.model.seq as u32) << 8),
+            _ => 0,
+        };
+        let want = match op {
+            Op::Lookup(tag) => Outcome::Way(self.model.lookup(tag, tag)),
+            Op::Fill(tag, priority) => Outcome::Left(self.model.fill(tag, tag, payload, priority)),
+            Op::Invalidate(tag) => Outcome::Left(self.model.invalidate(tag, tag)),
+            Op::Victim(addr) => Outcome::Way(Some(self.model.victim_way(addr))),
+        };
+        check(&mut self.lived, &self.model, op, payload, &want, trace);
+        check(&mut self.plain, &self.model, op, payload, &want, trace);
+    }
+}
+
+/// Applies `op` (a fill installs `payload`) to `sa` and asserts every
+/// observable matches the model, which has already taken the op: the
+/// op's own result (`want`, its lifetime dropped for a lifetime-free
+/// kind), the payload and lifetime of each valid line by set and way,
+/// the complete valid-line state and `valid_count`.
+fn check<P: Kept>(
+    sa: &mut SetAssoc<P>,
+    model: &RefModel,
+    op: Op,
+    payload: u32,
+    want: &Outcome<RefEvicted>,
+    trace: &[Op],
+) {
+    let kind = if P::LIVES { "lived" } else { "plain" };
+    let left = |e: Option<Evicted<P>>| {
+        Outcome::Left(e.map(|e| {
+            let (payload, life) = e.payload.parts();
+            (e.tag, life, payload)
+        }))
+    };
+    let got = match op {
+        Op::Lookup(tag) => Outcome::Way(sa.lookup(tag, tag)),
+        Op::Fill(tag, priority) => left(sa.fill(tag, tag, P::wrap(payload), priority)),
+        Op::Invalidate(tag) => left(sa.invalidate(tag, tag)),
+        Op::Victim(addr) => Outcome::Way(Some(sa.victim_way(addr))),
+    };
+    let want = match *want {
+        Outcome::Way(way) => Outcome::Way(way),
+        Outcome::Left(line) => Outcome::Left(line.map(seen::<P>)),
+    };
+    assert_eq!(got, want, "{kind} {op:?} after {trace:?}");
+    for (set, lines) in model.lines.iter().enumerate() {
+        for (way, line) in lines.iter().enumerate().filter(|(_, line)| line.valid) {
+            let (payload, life) = sa.payload(set as u64, way).parts();
             assert_eq!(
-                evicted_parts(&got),
-                evicted_parts(&want),
-                "fill {tag} {priority:?} after {trace:?}"
-            );
-        }
-        Op::Invalidate(tag) => {
-            let got = sa.invalidate(tag, tag);
-            let want = model.invalidate(tag, tag);
-            assert_eq!(
-                evicted_parts(&got),
-                evicted_parts(&want),
-                "invalidate {tag} after {trace:?}"
-            );
-        }
-        Op::Victim(addr) => {
-            assert_eq!(
-                sa.victim_way(addr),
-                model.victim_way(addr),
-                "victim {addr} after {trace:?}"
+                (payload, life),
+                (line.payload, P::LIVES.then_some(line.life)),
+                "{kind} set {set} way {way} after {op:?} (history {trace:?})"
             );
         }
     }
-    for set in 0..model.sets {
-        for way in 0..model.ways {
-            if model.lines[set][way].valid {
-                let addr = set as u64;
-                assert_eq!(
-                    sa.life_of(addr, way),
-                    model.life_of(addr, way),
-                    "life_of set {set} way {way} after {op:?} (history {trace:?})"
-                );
-            }
-        }
-    }
-    let got: Vec<(u64, LineLife, u32)> =
-        sa.iter_valid().map(|line| (line.tag(), line.life(), *line.payload)).collect();
-    assert_eq!(got, model.snapshot(), "state diverged after {op:?} (history {trace:?})");
-    assert_eq!(sa.valid_count(), model.snapshot().len());
+    let got: Vec<Seen> = sa
+        .iter_valid()
+        .map(|(tag, line)| {
+            let (payload, life) = line.parts();
+            (tag, life, payload)
+        })
+        .collect();
+    let want: Vec<Seen> = model.snapshot().into_iter().map(seen::<P>).collect();
+    assert_eq!(got, want, "{kind} state diverged after {op:?} (history {trace:?})");
+    assert_eq!(sa.valid_count(), want.len(), "{kind} valid_count after {op:?}");
 }
 
 /// Whether `ops` inserts at `InsertPriority::High` at least once.
@@ -106,10 +191,9 @@ pub fn exhaustive(
         if !keep(&ops) {
             continue;
         }
-        let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
-        let mut model = RefModel::new(sets, ways, kind);
+        let mut subjects = Subjects::new(sets, ways, kind);
         for (i, &op) in ops.iter().enumerate() {
-            step(&mut sa, &mut model, op, &ops[..i]);
+            subjects.step(op, &ops[..i]);
         }
     }
 }
@@ -133,8 +217,7 @@ pub fn randomized(
     seed: u64,
     stream: Stream,
 ) {
-    let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
-    let mut model = RefModel::new(sets, ways, kind);
+    let mut subjects = Subjects::new(sets, ways, kind);
     let mut next = lcg(seed);
     let tags = (3 * sets * ways) as u64;
     let mut prev_tag = 0u64;
@@ -163,6 +246,6 @@ pub fn randomized(
                 }
             }
         };
-        step(&mut sa, &mut model, op, &[]);
+        subjects.step(op, &[]);
     }
 }

@@ -4,14 +4,16 @@
 //! [`harness`] the one operation set, per-step check and driver set they
 //! share. The model transliterates the replacement-policy definitions
 //! line by line: nested `Vec`s, linear scans, `u64` clocks, every hit
-//! stored at hit time. Written for obviousness, not speed.
+//! stored at hit time. It keeps every line's lifetime; the harness
+//! compares it with an array that keeps lifetimes and with one that
+//! does not. Written for obviousness, not speed.
 
 // Each suite drives a different subset of the harness.
 #![allow(dead_code)]
 
 pub mod harness;
 
-use dpc_memsim::set_assoc::{Evicted, InsertPriority, LineLife, RRPV_LONG, RRPV_MAX};
+use dpc_memsim::set_assoc::{InsertPriority, LineLife, RRPV_LONG, RRPV_MAX};
 use dpc_types::ReplacementKind;
 
 pub const KINDS: [ReplacementKind; 3] =
@@ -28,7 +30,11 @@ pub struct RefLine {
     pub payload: u32,
 }
 
-/// The specification a `SetAssoc<u32>` must be indistinguishable from.
+/// A line that left the model: (tag, life, payload).
+pub type RefEvicted = (u64, LineLife, u32);
+
+/// The specification a `SetAssoc` of `u32` payloads must be
+/// indistinguishable from.
 pub struct RefModel {
     pub sets: usize,
     pub ways: usize,
@@ -113,14 +119,13 @@ impl RefModel {
         tag: u64,
         payload: u32,
         priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
+    ) -> Option<RefEvicted> {
         self.tick += 1;
         let tick = self.tick;
         let seq = self.seq;
         let set = self.set_of(addr);
         let line = &mut self.lines[set][way];
-        let evicted =
-            line.valid.then_some(Evicted { tag: line.tag, life: line.life, payload: line.payload });
+        let evicted = line.valid.then_some((line.tag, line.life, line.payload));
         line.valid = true;
         line.tag = tag;
         line.payload = payload;
@@ -150,25 +155,21 @@ impl RefModel {
         tag: u64,
         payload: u32,
         priority: InsertPriority,
-    ) -> Option<Evicted<u32>> {
+    ) -> Option<RefEvicted> {
         let way = self.victim_way(addr);
         self.fill_way(addr, way, tag, payload, priority)
     }
 
-    pub fn invalidate(&mut self, addr: u64, tag: u64) -> Option<Evicted<u32>> {
+    pub fn invalidate(&mut self, addr: u64, tag: u64) -> Option<RefEvicted> {
         let way = self.peek(addr, tag)?;
         let set = self.set_of(addr);
         let line = &mut self.lines[set][way];
         line.valid = false;
-        Some(Evicted { tag: line.tag, life: line.life, payload: line.payload })
-    }
-
-    pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
-        self.lines[self.set_of(addr)][way].life
+        Some((line.tag, line.life, line.payload))
     }
 
     /// All valid lines in storage order: (tag, life, payload).
-    pub fn snapshot(&self) -> Vec<(u64, LineLife, u32)> {
+    pub fn snapshot(&self) -> Vec<RefEvicted> {
         self.lines
             .iter()
             .flatten()
@@ -176,10 +177,6 @@ impl RefModel {
             .map(|line| (line.tag, line.life, line.payload))
             .collect()
     }
-}
-
-pub fn evicted_parts(e: &Option<Evicted<u32>>) -> Option<(u64, LineLife, u32)> {
-    e.as_ref().map(|e| (e.tag, e.life, e.payload))
 }
 
 /// Numerical Recipes LCG: deterministic, dependency-free.

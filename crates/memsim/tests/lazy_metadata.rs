@@ -1,12 +1,14 @@
-//! Hit-statistics half of the [`SetAssoc`] equivalence proof. A hit
-//! stores its promotion at once: `hits += 1` and `last_hit_seq` in the
-//! line's record, the LRU stamp or SRRIP RRPV 0 in its set block
-//! (DESIGN.md §16.1 records the removed lazy buffer this file is named
-//! after). These drivers pit same-line hit streaks against the reference
-//! model in `common/`, through the harness `soa_equivalence.rs` drives
-//! too, so `step` checks after every operation the op's own result,
-//! `life_of` of every valid line, the full `iter_valid` snapshot and
-//! `valid_count`.
+//! Hit-statistics half of the
+//! [`SetAssoc`](dpc_memsim::set_assoc::SetAssoc) equivalence proof. A hit
+//! stores its promotion at once: the LRU stamp or SRRIP RRPV 0 in its
+//! set block and, for a `Lived` payload, `hits += 1` and `last_hit_seq`
+//! in the line's record (DESIGN.md §16.1 records the removed lazy buffer
+//! this file is named after). These drivers pit same-line hit streaks
+//! against the reference model in `common/`, through the harness
+//! `soa_equivalence.rs` drives too, so `Subjects::step` checks after
+//! every operation, on a lifetime-keeping and a lifetime-free array
+//! alike, the op's own result, the payload and lifetime of every valid
+//! line, the full `iter_valid` snapshot and `valid_count`.
 //!
 //! Drivers:
 //!
@@ -24,9 +26,9 @@
 
 mod common;
 
-use common::harness::{exhaustive, has_high_fill, randomized, step, Op, Stream};
-use common::{RefModel, BLOCK_SHAPE_WAYS, KINDS};
-use dpc_memsim::set_assoc::{InsertPriority, SetAssoc};
+use common::harness::{exhaustive, has_high_fill, randomized, Op, Stream, Subjects};
+use common::{BLOCK_SHAPE_WAYS, KINDS};
+use dpc_memsim::set_assoc::InsertPriority;
 
 #[test]
 fn exhaustive_1x2_all_kinds() {
@@ -70,11 +72,10 @@ fn hit_runs_cut_by_every_reader() {
             for streak in 1..=(2 * ways) {
                 for shape in [Streak::BackToBack, Streak::Aged] {
                     for cut in [Cut::Victim, Cut::Fill, Cut::Invalidate, Cut::Nothing] {
-                        let mut sa: SetAssoc<u32> = SetAssoc::new(2, ways, kind);
-                        let mut model = RefModel::new(2, ways, kind);
+                        let mut subjects = Subjects::new(2, ways, kind);
                         let mut trace = Vec::new();
                         let mut run = |op: Op| {
-                            step(&mut sa, &mut model, op, &trace);
+                            subjects.step(op, &trace);
                             trace.push(op);
                         };
                         // Fill both sets to capacity so victim searches
@@ -97,7 +98,7 @@ fn hit_runs_cut_by_every_reader() {
                             Cut::Victim => Op::Victim(2),
                             Cut::Fill => Op::Fill(2 * ways as u64 + 2, InsertPriority::Normal),
                             Cut::Invalidate => Op::Invalidate(2),
-                            // `step` itself reads life_of/iter_valid; follow
+                            // `step` itself reads every line; follow
                             // with a miss so unrelated clocks move on.
                             Cut::Nothing => Op::Lookup(1000),
                         });

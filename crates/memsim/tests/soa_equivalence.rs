@@ -1,15 +1,19 @@
-//! Equivalence proof for [`SetAssoc`]'s storage: its set-blocked
-//! layout (`u32` stamps and lifetimes, bitmask match, one-pass fill)
-//! must behave observably identically to the naive array-of-structs
-//! reference model in `common/`, which transliterates the
-//! replacement-policy definitions line by line. `lazy_metadata.rs`
+//! Equivalence proof for [`SetAssoc`](dpc_memsim::set_assoc::SetAssoc)'s
+//! storage: its set-blocked layout (`u32` stamps and lifetimes, bitmask
+//! match, one-pass fill) must behave observably identically to the naive
+//! array-of-structs reference model in `common/`, which transliterates
+//! the replacement-policy definitions line by line. `lazy_metadata.rs`
 //! drives the same harness (`common/harness.rs`) through hit streaks.
 //!
-//! After every operation [`step`] checks every observable:
+//! Every operation runs on the model and, in lockstep, on two arrays:
+//! one whose payload keeps the line's lifetime (`Lived<u32>`) and a
+//! lifetime-free one (`u32`). After it, [`Subjects::step`] checks every
+//! observable of each array:
 //!
-//! * the op's own result (hit way, victim way, evicted tag, payload and
+//! * the op's own result (hit way, victim way, evicted tag, payload and,
+//!   for the lifetime-keeping array,
 //!   [`LineLife`](dpc_memsim::set_assoc::LineLife));
-//! * `life_of` of **every valid line**;
+//! * the payload and lifetime of **every valid line**, by set and way;
 //! * the full `iter_valid` snapshot in storage order;
 //! * `valid_count`.
 //!
@@ -33,9 +37,9 @@
 
 mod common;
 
-use common::harness::{exhaustive, has_high_fill, randomized, step, Op, Stream};
+use common::harness::{exhaustive, has_high_fill, randomized, Op, Stream, Subjects};
 use common::{lcg, RefModel, BLOCK_SHAPE_WAYS, KINDS};
-use dpc_memsim::set_assoc::{InsertPriority, SetAssoc};
+use dpc_memsim::set_assoc::InsertPriority;
 use dpc_types::ReplacementKind;
 
 #[test]
@@ -116,8 +120,7 @@ fn fill_meets_a_tie(model: &RefModel, tag: u64) -> bool {
 /// LRU every distant line stamps 0, so sets fill with tied stamps.
 /// Returns how many fills met a tie.
 fn distant_heavy(sets: usize, ways: usize, kind: ReplacementKind, ops: usize, seed: u64) -> usize {
-    let mut sa: SetAssoc<u32> = SetAssoc::new(sets, ways, kind);
-    let mut model = RefModel::new(sets, ways, kind);
+    let mut subjects = Subjects::new(sets, ways, kind);
     let mut next = lcg(seed);
     let tags = (3 * sets * ways) as u64;
     let mut ties = 0;
@@ -130,10 +133,10 @@ fn distant_heavy(sets: usize, ways: usize, kind: ReplacementKind, ops: usize, se
             8 => Op::Invalidate(tag),
             _ => Op::Victim(tag),
         };
-        if matches!(op, Op::Fill(..)) && fill_meets_a_tie(&model, tag) {
+        if matches!(op, Op::Fill(..)) && fill_meets_a_tie(&subjects.model, tag) {
             ties += 1;
         }
-        step(&mut sa, &mut model, op, &[]);
+        subjects.step(op, &[]);
     }
     ties
 }

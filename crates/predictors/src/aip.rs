@@ -157,8 +157,8 @@ impl AipCore {
     /// Eviction: train the table with the observed maximum live interval
     /// (confidence set when the observation repeats) and resolve
     /// prediction accuracy.
-    fn on_evict(&mut self, tag: u64, state: u32, hits: u64) {
-        if hits == 0 {
+    fn on_evict(&mut self, tag: u64, state: u32, accessed: bool) {
+        if !accessed {
             self.doa_evictions += 1;
         }
         if state & PREDICTED_DEAD_BIT != 0 {
@@ -251,7 +251,7 @@ impl LlcPolicy for AipLlc {
 
     #[inline]
     fn on_evict(&mut self, evicted: EvictedBlock) {
-        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.life.hits);
+        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.accessed);
     }
 }
 
@@ -316,7 +316,7 @@ impl LltPolicy for AipTlb {
 
     #[inline]
     fn on_evict(&mut self, evicted: EvictedPage) {
-        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.life.hits);
+        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.accessed);
     }
 }
 
@@ -325,7 +325,7 @@ mod tests {
     use super::*;
 
     fn view(way: usize, tag: u64, state: u32, is_hit: bool) -> PolicyLineView {
-        PolicyLineView { way, tag, hits: 0, is_hit, state }
+        PolicyLineView { way, tag, is_hit, state }
     }
 
     #[test]
@@ -357,12 +357,12 @@ mod tests {
         let state = core.initial_state(pc);
         // First eviction with max live 0: threshold := 0, not confident —
         // prediction fires only past the grace margin of 2.
-        core.on_evict(10, state, 0);
+        core.on_evict(10, state, false);
         assert!(!core.is_dead(10, set_interval(state, 2)));
         assert!(core.is_dead(10, set_interval(state, 3)));
         // Second identical observation: confident — threshold trusted
         // as-is.
-        core.on_evict(10, state, 0);
+        core.on_evict(10, state, false);
         assert!(core.is_dead(10, set_interval(state, 1)));
         assert!(!core.is_dead(10, set_interval(state, 0)), "interval 0 is not past threshold");
     }
@@ -372,8 +372,8 @@ mod tests {
         let mut core = AipCore::new();
         let pc = Pc::new(0x400);
         let base = core.initial_state(pc);
-        core.on_evict(20, base, 0);
-        core.on_evict(20, base, 0); // confident threshold 0 for tag 20
+        core.on_evict(20, base, false);
+        core.on_evict(20, base, false); // confident threshold 0 for tag 20
         let alive = base;
         let dead = set_interval(base, 9);
         let mut views = vec![view(0, 10, alive, false), view(1, 20, dead, false)];
@@ -391,10 +391,10 @@ mod tests {
     fn threshold_change_drops_confidence() {
         let mut core = AipCore::new();
         let state = core.initial_state(Pc::new(0x400));
-        core.on_evict(10, state, 0);
-        core.on_evict(10, state, 0); // confident at 0
-        core.on_evict(10, set_max_live(state, 3), 1); // different observation
-                                                      // New threshold 3, unconfident: the grace margin applies again.
+        core.on_evict(10, state, false);
+        core.on_evict(10, state, false); // confident at 0
+        core.on_evict(10, set_max_live(state, 3), true); // different observation
+                                                         // New threshold 3, unconfident: the grace margin applies again.
         assert!(!core.is_dead(10, set_interval(state, 5)));
         assert!(core.is_dead(10, set_interval(state, 6)));
     }

@@ -203,7 +203,7 @@ impl LlcPolicy for CbPred {
 
     #[inline]
     fn on_evict(&mut self, evicted: EvictedBlock) {
-        let accessed = evicted.accessed();
+        let accessed = evicted.accessed;
         if !accessed {
             self.unpredicted_doas += 1;
         }
@@ -224,7 +224,6 @@ impl LlcPolicy for CbPred {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_memsim::set_assoc::LineLife;
     use dpc_types::SystemConfig;
 
     fn cb() -> CbPred {
@@ -232,21 +231,11 @@ mod tests {
     }
 
     fn doa_evict(pred: &mut CbPred, block: BlockAddr, dp: bool) {
-        pred.on_evict(EvictedBlock {
-            block,
-            state: if dp { DP_BIT } else { 0 },
-            life: LineLife { fill_seq: 0, last_hit_seq: 0, hits: 0 },
-            by_invalidation: false,
-        });
+        pred.on_evict(EvictedBlock { block, state: if dp { DP_BIT } else { 0 }, accessed: false });
     }
 
     fn live_evict(pred: &mut CbPred, block: BlockAddr, dp: bool) {
-        pred.on_evict(EvictedBlock {
-            block,
-            state: if dp { DP_BIT } else { 0 },
-            life: LineLife { fill_seq: 0, last_hit_seq: 9, hits: 4 },
-            by_invalidation: false,
-        });
+        pred.on_evict(EvictedBlock { block, state: if dp { DP_BIT } else { 0 }, accessed: true });
     }
 
     /// A block address inside frame 5.

@@ -273,7 +273,7 @@ impl LltPolicy for DpPred {
         let pc_hash = evicted.state;
         let vpn_hash = self.vpn_hash(evicted.vpn);
         let idx = self.index(pc_hash, vpn_hash);
-        if evicted.accessed() {
+        if evicted.accessed {
             // Not a DOA: clear the counter (paper Fig. 6c).
             self.phist[idx].clear();
         } else {
@@ -288,21 +288,11 @@ mod tests {
     use super::*;
 
     fn doa_evict(pred: &mut DpPred, vpn: Vpn, pc_hash: u32) {
-        pred.on_evict(EvictedPage {
-            vpn,
-            pfn: Pfn::new(1),
-            state: pc_hash,
-            life: dpc_memsim::set_assoc::LineLife { fill_seq: 0, last_hit_seq: 0, hits: 0 },
-        });
+        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(1), state: pc_hash, accessed: false });
     }
 
     fn live_evict(pred: &mut DpPred, vpn: Vpn, pc_hash: u32) {
-        pred.on_evict(EvictedPage {
-            vpn,
-            pfn: Pfn::new(1),
-            state: pc_hash,
-            life: dpc_memsim::set_assoc::LineLife { fill_seq: 0, last_hit_seq: 5, hits: 2 },
-        });
+        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(1), state: pc_hash, accessed: true });
     }
 
     #[test]

@@ -218,7 +218,7 @@ mod tests {
                 vpn: follower_vpn,
                 pfn: Pfn::new(1),
                 state: dpc_types::hash::hash_pc(pc, 6),
-                life: dpc_memsim::set_assoc::LineLife { fill_seq: 0, last_hit_seq: 0, hits: 0 },
+                accessed: false,
             });
         }
         // Duel says bypass: the prediction goes through.
@@ -245,7 +245,7 @@ mod tests {
                 vpn: leader_vpn,
                 pfn: Pfn::new(1),
                 state: dpc_types::hash::hash_pc(pc, 6),
-                life: dpc_memsim::set_assoc::LineLife { fill_seq: 0, last_hit_seq: 0, hits: 0 },
+                accessed: false,
             });
         }
         // Disable bypassing globally; the bypass leader still bypasses.

@@ -72,7 +72,7 @@ impl LltPolicy for DoaRecorder {
     }
 
     fn on_evict(&mut self, evicted: EvictedPage) {
-        self.record.borrow_mut().entry(evicted.vpn).or_default().push_back(evicted.life.hits == 0);
+        self.record.borrow_mut().entry(evicted.vpn).or_default().push_back(!evicted.accessed);
     }
 }
 
@@ -289,22 +289,16 @@ impl LltPolicy for BeladyOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_memsim::set_assoc::LineLife;
 
-    fn evicted(vpn: u64, hits: u64) -> EvictedPage {
-        EvictedPage {
-            vpn: Vpn::new(vpn),
-            pfn: Pfn::new(1),
-            state: 0,
-            life: LineLife { fill_seq: 0, last_hit_seq: 0, hits },
-        }
+    fn evicted(vpn: u64, accessed: bool) -> EvictedPage {
+        EvictedPage { vpn: Vpn::new(vpn), pfn: Pfn::new(1), state: 0, accessed }
     }
 
     #[test]
     fn recorder_logs_in_order() {
         let (mut rec, record) = DoaRecorder::new();
-        rec.on_evict(evicted(7, 0)); // DOA
-        rec.on_evict(evicted(7, 3)); // live
+        rec.on_evict(evicted(7, false)); // DOA
+        rec.on_evict(evicted(7, true)); // live
         let log = record.borrow();
         assert_eq!(log[&Vpn::new(7)], VecDeque::from([true, false]));
     }
@@ -312,8 +306,8 @@ mod tests {
     #[test]
     fn oracle_replays_outcomes_in_order() {
         let (mut rec, record) = DoaRecorder::new();
-        rec.on_evict(evicted(7, 0));
-        rec.on_evict(evicted(7, 3));
+        rec.on_evict(evicted(7, false));
+        rec.on_evict(evicted(7, true));
         let mut oracle = OracleBypass::new(record);
         assert_eq!(oracle.on_fill(Vpn::new(7), Pfn::new(1), Pc::new(0)), PageFillDecision::Bypass);
         assert_eq!(
@@ -399,8 +393,8 @@ mod tests {
             PageFillDecision::Allocate { .. }
         ));
         let mut views = vec![
-            PolicyLineView { way: 0, tag: 1, hits: 0, is_hit: false, state: 0 },
-            PolicyLineView { way: 1, tag: 2, hits: 0, is_hit: false, state: 0 },
+            PolicyLineView { way: 0, tag: 1, is_hit: false, state: 0 },
+            PolicyLineView { way: 1, tag: 2, is_hit: false, state: 0 },
         ];
         assert_eq!(oracle.pick_victim(&mut views), Some(0), "vpn 1 has the farthest next use");
     }

@@ -98,16 +98,16 @@ impl ShipCore {
 
     /// Eviction without re-reference trains the SHCT negatively and
     /// resolves the accuracy of a distant prediction.
-    fn on_evict(&mut self, tag: u64, state: u32, hits: u64) {
+    fn on_evict(&mut self, tag: u64, state: u32, accessed: bool) {
         let sig = (state & SIG_MASK) as usize;
         if state & OUTCOME_BIT == 0 {
             self.shct[sig].decrement();
         }
-        if hits == 0 {
+        if !accessed {
             self.doa_evictions += 1;
         }
         if state & PREDICTED_BIT != 0 {
-            if hits == 0 {
+            if !accessed {
                 // Unresolved: track the counterfactual stay in the ghost.
                 self.ghost.note_bypass(tag);
             } else {
@@ -184,7 +184,7 @@ impl LlcPolicy for ShipLlc {
 
     #[inline]
     fn on_evict(&mut self, evicted: EvictedBlock) {
-        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.life.hits);
+        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.accessed);
     }
 }
 
@@ -243,18 +243,13 @@ impl LltPolicy for ShipTlb {
 
     #[inline]
     fn on_evict(&mut self, evicted: EvictedPage) {
-        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.life.hits);
+        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.accessed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_memsim::set_assoc::LineLife;
-
-    fn doa_life() -> LineLife {
-        LineLife { fill_seq: 0, last_hit_seq: 0, hits: 0 }
-    }
 
     #[test]
     fn cold_signature_inserts_normal() {
@@ -274,12 +269,7 @@ mod tests {
             else {
                 panic!("SHiP never bypasses");
             };
-            ship.on_evict(EvictedBlock {
-                block: BlockAddr::new(i),
-                state,
-                life: doa_life(),
-                by_invalidation: false,
-            });
+            ship.on_evict(EvictedBlock { block: BlockAddr::new(i), state, accessed: false });
         }
     }
 
@@ -291,12 +281,7 @@ mod tests {
         let BlockFillDecision::Allocate { state, .. } = ship.on_fill(BlockAddr::new(1), pc) else {
             panic!("SHiP never bypasses");
         };
-        ship.on_evict(EvictedBlock {
-            block: BlockAddr::new(1),
-            state,
-            life: doa_life(),
-            by_invalidation: false,
-        });
+        ship.on_evict(EvictedBlock { block: BlockAddr::new(1), state, accessed: false });
         assert!(matches!(
             ship.on_fill(BlockAddr::new(2), pc),
             BlockFillDecision::Allocate { priority: InsertPriority::Normal, .. }
@@ -322,12 +307,7 @@ mod tests {
         assert!(state & OUTCOME_BIT != 0);
         // A second hit must not double-train.
         ship.on_hit(BlockAddr::new(1), &mut state);
-        ship.on_evict(EvictedBlock {
-            block: BlockAddr::new(1),
-            state,
-            life: LineLife { fill_seq: 0, last_hit_seq: 2, hits: 2 },
-            by_invalidation: false,
-        });
+        ship.on_evict(EvictedBlock { block: BlockAddr::new(1), state, accessed: true });
         let decision = ship.on_fill(BlockAddr::new(3), pc);
         assert!(
             matches!(
@@ -353,7 +333,7 @@ mod tests {
                 vpn: Vpn::new(i),
                 pfn: Pfn::new(i),
                 state,
-                life: doa_life(),
+                accessed: false,
             });
         }
         // Distant-predicted fill that is truly DOA: correct.
@@ -363,12 +343,7 @@ mod tests {
             panic!()
         };
         assert_eq!(priority, InsertPriority::Distant);
-        ship.on_evict(EvictedPage {
-            vpn: Vpn::new(99),
-            pfn: Pfn::new(99),
-            state,
-            life: doa_life(),
-        });
+        ship.on_evict(EvictedPage { vpn: Vpn::new(99), pfn: Pfn::new(99), state, accessed: false });
         let report = ship.accuracy_report().unwrap();
         assert!(report.predictions >= 1);
         assert_eq!(report.correct, report.predictions, "all predictions were truly DOA");

@@ -5,14 +5,9 @@
 use dpc_memsim::policy::{
     BlockFillDecision, EvictedBlock, EvictedPage, LlcPolicy, LltPolicy, PageFillDecision,
 };
-use dpc_memsim::set_assoc::LineLife;
 use dpc_predictors::{CbPred, DpPred, ShipTlb};
 use dpc_types::{BlockAddr, Pc, Pfn, SystemConfig, Vpn};
 use proptest::prelude::*;
-
-fn life(hits: u64) -> LineLife {
-    LineLife { fill_seq: 0, last_hit_seq: hits.min(1) * 10, hits }
-}
 
 /// One predictor-visible event.
 #[derive(Clone, Debug)]
@@ -54,13 +49,13 @@ proptest! {
                     vpn: Vpn::new(v.into()),
                     pfn: Pfn::new(1),
                     state: u32::from(p) & 0x3f,
-                    life: life(0),
+                    accessed: false,
                 }),
                 Ev::EvictLive(v, p) => pred.on_evict(EvictedPage {
                     vpn: Vpn::new(v.into()),
                     pfn: Pfn::new(1),
                     state: u32::from(p) & 0x3f,
-                    life: life(3),
+                    accessed: true,
                 }),
                 Ev::Shadow(v) => {
                     let _ = pred.shadow_lookup(Vpn::new(v.into()));
@@ -140,8 +135,7 @@ proptest! {
             pred.on_evict(EvictedBlock {
                 block,
                 state: u32::from(fifo.contains(&frame)),
-                life: life(0),
-                by_invalidation: false,
+                accessed: false,
             });
         }
     }
@@ -162,7 +156,7 @@ proptest! {
                     PageFillDecision::Allocate { state, .. } => state,
                     PageFillDecision::Bypass => unreachable!(),
                 },
-                life: life(u64::from(p % 2)),
+                accessed: p % 2 == 1,
             });
         }
     }
