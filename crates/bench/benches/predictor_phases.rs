@@ -13,7 +13,7 @@
 //! groups price each predictor structure on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dpc_memsim::{EvictedPage, LlcPolicy, LltPolicy};
+use dpc_memsim::{LevelPolicy, LlcPolicy, LltPolicy};
 use dpc_predictors::{AipTlb, CbPred, DpPred, ShipLlc, ShipTlb};
 use dpc_types::{BlockAddr, Pc, Pfn, SystemConfig, Vpn};
 
@@ -26,7 +26,7 @@ fn trained_dppred() -> DpPred {
     for i in 0..2 * PROBES {
         let vpn = Vpn::new(i % PROBES);
         let pc_hash = (i % 64) as u32;
-        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(i), state: pc_hash, accessed: i % 3 == 0 });
+        pred.on_evict(vpn, pc_hash, i % 3 == 0);
     }
     pred
 }
@@ -42,7 +42,7 @@ fn bench_predictor_phases(c: &mut Criterion) {
             trained_dppred,
             |pred| {
                 for i in 0..PROBES {
-                    black_box(pred.on_fill(Vpn::new(i), Pfn::new(i), Pc::new(i % 64)));
+                    black_box(pred.on_fill(Vpn::new(i), Pc::new(i % 64)));
                 }
             },
             BatchSize::PerIteration,
@@ -77,7 +77,7 @@ fn bench_predictor_phases(c: &mut Criterion) {
                     let vpn = Vpn::new(i % *entries);
                     // Hit path: serve the entry, then reinstall it so the
                     // next probe of this VPN hits again.
-                    if black_box(pred.shadow_lookup(vpn)).is_some() {
+                    if black_box(pred.shadow_lookup(vpn, Pc::new(0))).is_some() {
                         pred.on_bypass(vpn, Pfn::new(i));
                     }
                 }
@@ -114,11 +114,7 @@ fn bench_predictor_phases(c: &mut Criterion) {
             ShipTlb::paper_default,
             |pred| {
                 for i in 0..PROBES {
-                    black_box(pred.on_fill(
-                        Vpn::new(i),
-                        Pfn::new(i),
-                        Pc::new(0x40_0000 + (i % 13) * 4),
-                    ));
+                    black_box(pred.on_fill(Vpn::new(i), Pc::new(0x40_0000 + (i % 13) * 4)));
                 }
             },
             BatchSize::PerIteration,
@@ -142,7 +138,7 @@ fn bench_predictor_phases(c: &mut Criterion) {
             AipTlb::paper_default,
             |pred| {
                 for i in 0..PROBES {
-                    black_box(pred.on_fill(Vpn::new(i), Pfn::new(i), Pc::new(0x40_0000)));
+                    black_box(pred.on_fill(Vpn::new(i), Pc::new(0x40_0000)));
                 }
             },
             BatchSize::PerIteration,

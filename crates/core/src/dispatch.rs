@@ -11,11 +11,12 @@
 //!
 //! The selector space collapses onto five LLT policy types
 //! (`NullPagePolicy`, `DpPred` — covering the default, no-shadow and
-//! custom selectors — `DuelingDpPred`, `ShipTlb`, `AipTlb`) and four LLC
-//! policy types (`NullBlockPolicy`, `CbPred` — covering the default,
-//! no-PFQ and custom-PFQ selectors — `ShipLlc`, `AipLlc`), so the full
-//! cross product costs 5 × 4 = 20 monomorphic instantiations of the
-//! action.
+//! custom selectors — `DuelingDpPred`, `Ship<Vpn>` and `Aip<Vpn>`, named
+//! `ShipTlb` and `AipTlb`) and four LLC policy types (`NullBlockPolicy`,
+//! `CbPred` — covering the default, no-PFQ and custom-PFQ selectors —
+//! `Ship<BlockAddr>` and `Aip<BlockAddr>`, named `ShipLlc` and `AipLlc`),
+//! so the full cross product costs 5 × 4 = 20 monomorphic instantiations
+//! of the action.
 
 use crate::runner::{LlcPolicySel, TlbPolicySel};
 use dpc_memsim::{LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy};
@@ -104,13 +105,14 @@ fn with_llc<A: PolicyApply, L: LltPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::any::type_name;
 
-    /// Reports the `policy_name`s the dispatcher actually constructed.
-    struct Names;
-    impl PolicyApply for Names {
+    /// Reports the concrete types the dispatcher actually constructed.
+    struct Types;
+    impl PolicyApply for Types {
         type Out = (&'static str, &'static str);
-        fn apply<L: LltPolicy, C: LlcPolicy>(self, llt: L, llc: C) -> Self::Out {
-            (llt.policy_name(), llc.policy_name())
+        fn apply<L: LltPolicy, C: LlcPolicy>(self, _llt: L, _llc: C) -> Self::Out {
+            (type_name::<L>(), type_name::<C>())
         }
     }
 
@@ -118,22 +120,55 @@ mod tests {
     fn every_selector_maps_to_its_policy() {
         let system = SystemConfig::paper_baseline();
         let cases: &[(TlbPolicySel, LlcPolicySel, &str, &str)] = &[
-            (TlbPolicySel::Baseline, LlcPolicySel::Baseline, "baseline", "baseline"),
-            (TlbPolicySel::DpPred, LlcPolicySel::CbPred, "dpPred", "cbPred"),
-            (TlbPolicySel::DpPredNoShadow, LlcPolicySel::CbPredNoPfq, "dpPred", "cbPred"),
+            (
+                TlbPolicySel::Baseline,
+                LlcPolicySel::Baseline,
+                type_name::<NullPagePolicy>(),
+                type_name::<NullBlockPolicy>(),
+            ),
+            (
+                TlbPolicySel::DpPred,
+                LlcPolicySel::CbPred,
+                type_name::<DpPred>(),
+                type_name::<CbPred>(),
+            ),
+            (
+                TlbPolicySel::DpPredNoShadow,
+                LlcPolicySel::CbPredNoPfq,
+                type_name::<DpPred>(),
+                type_name::<CbPred>(),
+            ),
             (
                 TlbPolicySel::DpPredCustom(DpPredConfig::for_tlb(&system.l2_tlb)),
                 LlcPolicySel::CbPredPfq(32),
-                "dpPred",
-                "cbPred",
+                type_name::<DpPred>(),
+                type_name::<CbPred>(),
             ),
-            (TlbPolicySel::DuelingDpPred, LlcPolicySel::ShipLlc, "dueling-dpPred", "SHiP-LLC"),
-            (TlbPolicySel::ShipTlb, LlcPolicySel::AipLlc, "SHiP-TLB", "AIP-LLC"),
-            (TlbPolicySel::AipTlb, LlcPolicySel::Baseline, "AIP-TLB", "baseline"),
+            (
+                TlbPolicySel::DuelingDpPred,
+                LlcPolicySel::ShipLlc,
+                type_name::<DuelingDpPred>(),
+                type_name::<ShipLlc>(),
+            ),
+            (
+                TlbPolicySel::ShipTlb,
+                LlcPolicySel::AipLlc,
+                type_name::<ShipTlb>(),
+                type_name::<AipLlc>(),
+            ),
+            (
+                TlbPolicySel::AipTlb,
+                LlcPolicySel::Baseline,
+                type_name::<AipTlb>(),
+                type_name::<NullBlockPolicy>(),
+            ),
         ];
         for &(tlb, llc, want_llt, want_llc) in cases {
-            let (llt, llc_name) = dispatch(tlb, llc, &system, Names);
+            let (llt, llc_name) = dispatch(tlb, llc, &system, Types);
             assert_eq!((llt, llc_name), (want_llt, want_llc), "{tlb:?}/{llc:?}");
         }
+        // The aliases name distinct instantiations of one generic type.
+        assert_ne!(type_name::<ShipTlb>(), type_name::<ShipLlc>());
+        assert_ne!(type_name::<AipTlb>(), type_name::<AipLlc>());
     }
 }

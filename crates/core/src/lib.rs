@@ -76,7 +76,9 @@ pub mod prelude {
     pub use crate::runner::{
         run_oracle, run_workload, LlcPolicySel, RunConfig, RunResult, TlbPolicySel,
     };
-    pub use dpc_memsim::{LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, SimStats, System};
+    pub use dpc_memsim::{
+        LevelPolicy, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, SimStats, System,
+    };
     pub use dpc_predictors::{AipLlc, AipTlb, CbPred, DpPred, OracleBypass, ShipLlc, ShipTlb};
     pub use dpc_types::{
         AccessKind, AllocPolicy, Event, EventStream, PageSize, Pc, SystemConfig, VirtAddr, Workload,

@@ -6,6 +6,7 @@
 //! which also derives the set, so keys are unambiguous across sets
 //! (convenient for back-invalidation).
 
+use crate::policy::LevelPolicy;
 use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, Line, Lived, SetAssoc};
 use crate::stats::StructStats;
 use dpc_types::ReplacementKind;
@@ -111,6 +112,30 @@ impl<P: Line> Cache<P> {
     /// Read-only access to the underlying array.
     pub fn array(&self) -> &SetAssoc<P> {
         &self.array
+    }
+}
+
+impl<P: Line + HasPolicyState> Cache<P> {
+    /// Runs `policy`'s hooks for one lookup of `key` that hit `hit_way`
+    /// (or missed): `on_lookup`, the set views when the policy reads
+    /// them, then `on_hit` with the hit line's state. The LLT's hit and
+    /// miss and every LLC access run this one sequence.
+    #[inline]
+    pub fn observe_lookup<Q: LevelPolicy>(
+        &mut self,
+        policy: &mut Q,
+        key: Q::Key,
+        hit_way: Option<usize>,
+    ) {
+        policy.on_lookup(key, hit_way.is_some());
+        let raw = key.into();
+        // Policies that don't observe set views skip view construction.
+        if policy.uses_set_views() {
+            self.array.with_set_views(raw, hit_way, |views| policy.on_set_access(views));
+        }
+        if let Some(way) = hit_way {
+            policy.on_hit(key, self.array.payload_mut(raw, way).policy_state_mut());
+        }
     }
 }
 

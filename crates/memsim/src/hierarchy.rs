@@ -14,8 +14,8 @@
 //! for cache space, as in the paper's methodology.
 
 use crate::cache::{BlockInfo, Cache};
-use crate::policy::{BlockFillDecision, EvictedBlock, LlcPolicy, NullBlockPolicy};
-use crate::set_assoc::{HasPolicyState, InsertPriority, Line, Lived};
+use crate::policy::{FillDecision, LlcPolicy, NullBlockPolicy};
+use crate::set_assoc::{InsertPriority, Line, Lived};
 use crate::stats::Ledger;
 use dpc_types::{AccessKind, BlockAddr, CacheConfig, Pc, Pfn, PhysAddr, SystemConfig};
 
@@ -112,29 +112,18 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// every access takes (DESIGN.md §16.2).
     #[inline(never)]
     fn llc_access(&mut self, block: BlockAddr, hit_way: Option<usize>, pc: Pc) -> u64 {
-        self.policy.on_lookup(block, hit_way.is_some());
-        // Set-access hook (AIP-style interval predictors train on every
-        // access to the set). Policies that don't observe set views skip
-        // the view construction entirely.
-        if self.policy.uses_set_views() {
-            let policy = &mut self.policy;
-            self.llc
-                .array_mut()
-                .with_set_views(block.raw(), hit_way, |views| policy.on_set_access(views));
-        }
-        if let Some(way) = hit_way {
-            let state = self.llc.array_mut().payload_mut(block.raw(), way).policy_state_mut();
-            self.policy.on_hit(block, state);
+        self.llc.observe_lookup(&mut self.policy, block, hit_way);
+        if hit_way.is_some() {
             self.l2.fill(block.raw(), (), InsertPriority::Normal);
             self.l1d.fill(block.raw(), (), InsertPriority::Normal);
             return self.cum_latency[2];
         }
         // LLC miss: go to memory.
         match self.policy.on_fill(block, pc) {
-            BlockFillDecision::Allocate { priority, state } => {
+            FillDecision::Allocate { priority, state } => {
                 self.fill_llc(block, priority, state);
             }
-            BlockFillDecision::Bypass => {
+            FillDecision::Bypass => {
                 self.llc.stats.bypasses += 1;
             }
         }
@@ -145,22 +134,16 @@ impl<C: LlcPolicy> Hierarchy<C> {
     }
 
     fn fill_llc(&mut self, block: BlockAddr, priority: InsertPriority, state: u32) {
-        let policy = &mut self.policy;
-        let pick = policy.overrides_victim().then_some(|views: &mut _| policy.pick_victim(views));
         let info = BlockInfo { state };
-        let Some(evicted) = self.llc_ledger.fill(&mut self.llc, block.raw(), info, priority, pick)
+        let Some(evicted) =
+            self.llc_ledger.fill(&mut self.llc, &mut self.policy, block, info, priority)
         else {
             return;
         };
-        let (victim, accessed) = (BlockAddr::new(evicted.tag), evicted.payload.accessed());
-        if !accessed {
+        let victim = BlockAddr::new(evicted.tag);
+        if !evicted.payload.accessed() {
             self.pending_doa_evictions.push(victim.pfn());
         }
-        self.policy.on_evict(EvictedBlock {
-            block: victim,
-            state: evicted.payload.state,
-            accessed,
-        });
         // Inclusion: the victim may not survive in upper levels.
         self.l2.invalidate(victim.raw());
         self.l1d.invalidate(victim.raw());
@@ -170,6 +153,7 @@ impl<C: LlcPolicy> Hierarchy<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::LevelPolicy;
 
     fn hierarchy() -> Hierarchy {
         Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), NullBlockPolicy)
@@ -253,34 +237,32 @@ mod tests {
 
     #[derive(Debug)]
     struct BypassAll;
-    impl LlcPolicy for BypassAll {
-        fn policy_name(&self) -> &'static str {
-            "bypass-all"
-        }
-        fn on_fill(&mut self, _block: BlockAddr, _pc: Pc) -> BlockFillDecision {
-            BlockFillDecision::Bypass
+    impl LevelPolicy for BypassAll {
+        type Key = BlockAddr;
+        fn on_fill(&mut self, _block: BlockAddr, _pc: Pc) -> FillDecision {
+            FillDecision::Bypass
         }
     }
+    impl LlcPolicy for BypassAll {}
 
     /// Victimizes way 0 unconditionally, to verify the override plumbing.
     #[derive(Debug)]
     struct AlwaysWayZero {
         evictions_seen: u64,
     }
-    impl LlcPolicy for AlwaysWayZero {
-        fn policy_name(&self) -> &'static str {
-            "way-zero"
-        }
+    impl LevelPolicy for AlwaysWayZero {
+        type Key = BlockAddr;
         fn overrides_victim(&self) -> bool {
             true
         }
         fn pick_victim(&mut self, _lines: &mut [crate::policy::PolicyLineView]) -> Option<usize> {
             Some(0)
         }
-        fn on_evict(&mut self, _evicted: EvictedBlock) {
+        fn on_evict(&mut self, _block: BlockAddr, _state: u32, _accessed: bool) {
             self.evictions_seen += 1;
         }
     }
+    impl LlcPolicy for AlwaysWayZero {}
 
     #[test]
     fn policy_victim_override_is_used() {
@@ -308,10 +290,8 @@ mod tests {
         struct HitWatcher {
             hits_flagged: u64,
         }
-        impl LlcPolicy for HitWatcher {
-            fn policy_name(&self) -> &'static str {
-                "hit-watcher"
-            }
+        impl LevelPolicy for HitWatcher {
+            type Key = BlockAddr;
             fn uses_set_views(&self) -> bool {
                 true
             }
@@ -319,6 +299,7 @@ mod tests {
                 self.hits_flagged += lines.iter().filter(|view| view.is_hit).count() as u64;
             }
         }
+        impl LlcPolicy for HitWatcher {}
         let mut h =
             Hierarchy::with_typed_policy(&SystemConfig::paper_baseline(), HitWatcher::default());
         h.access(pa(0x9000), AccessKind::Read, Pc::new(1), true);

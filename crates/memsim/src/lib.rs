@@ -21,7 +21,9 @@
 //!   last level, the LLT and the LLC, at every fill of it ([`stats`]).
 //!
 //! Management policies (dpPred, cbPred, SHiP, AIP, ...) plug in through the
-//! hook traits in [`policy`]; the implementations live in `dpc-predictors`.
+//! one hook surface in [`policy`] ([`LevelPolicy`], shared by both last
+//! levels, and its sub-traits [`LltPolicy`] and [`LlcPolicy`]); the
+//! implementations live in `dpc-predictors`.
 //!
 //! # Example
 //!
@@ -67,8 +69,8 @@ pub mod tlb;
 pub mod walker;
 
 pub use policy::{
-    AccuracyReport, BlockFillDecision, EvictedBlock, EvictedPage, InsertPriority, LlcPolicy,
-    LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision, PolicyLineView,
+    AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LlcPolicy, LltPolicy,
+    NullBlockPolicy, NullPagePolicy, PolicyLineView,
 };
 pub use set_assoc::MAX_RUN_MEM_OPS;
 pub use stats::{DeadnessStats, EvictionClasses, SimStats, StructStats};

@@ -1,15 +1,21 @@
-//! Hook traits through which content-management policies (dpPred, cbPred,
-//! SHiP, AIP, the oracle, ...) attach to the last-level TLB and the LLC.
+//! The hook traits through which content-management policies (dpPred,
+//! cbPred, SHiP, AIP, the oracle, ...) attach to the last-level TLB and
+//! the LLC.
 //!
 //! The structures own their arrays and statistics; a policy only observes
 //! lookups/fills/evictions and answers three questions:
 //!
-//! 1. *Should this fill be bypassed?* ([`LltPolicy::on_fill`],
-//!    [`LlcPolicy::on_fill`])
+//! 1. *Should this fill be bypassed?* ([`LevelPolicy::on_fill`])
 //! 2. *Where should an allocated entry land in the replacement order?*
 //!    (the [`InsertPriority`] inside the fill decision — how SHiP is adapted)
-//! 3. *Is there a preferred victim?* (`pick_victim` — how AIP prioritizes
-//!    predicted-dead entries)
+//! 3. *Is there a preferred victim?* ([`LevelPolicy::pick_victim`] — how
+//!    AIP prioritizes predicted-dead entries)
+//!
+//! Both last levels call the same hooks, declared once in
+//! [`LevelPolicy`] over the level's key ([`Vpn`] for the LLT,
+//! [`BlockAddr`] for the LLC). The hooks only one level calls live in
+//! the two sub-traits: [`LltPolicy`] adds the shadow probe and the bypass
+//! notice, [`LlcPolicy`] the dead-page message.
 //!
 //! Each entry carries 32 bits of opaque policy scratch state (`state`),
 //! enough for every predictor in the paper (dpPred stores a 6-bit PC hash;
@@ -18,60 +24,40 @@
 //!
 //! The cross-predictor channel of the paper — *"when the dpPred in the LLT
 //! predicts a DOA page, the corresponding PFN is sent to all LLC slices"* —
-//! is wired by the [`System`](crate::system::System): a
-//! [`PageFillDecision::Bypass`] triggers [`LlcPolicy::note_doa_page`].
+//! is wired by the [`System`](crate::system::System): an LLT
+//! [`FillDecision::Bypass`] triggers [`LlcPolicy::note_doa_page`].
 
 pub use crate::set_assoc::InsertPriority;
 use dpc_types::{BlockAddr, Pc, Pfn, Vpn};
 use std::fmt::Debug;
 
-/// Decision returned by [`LltPolicy::on_fill`] when a page walk completes.
+/// Decision returned by [`LevelPolicy::on_fill`] when a line arrives: a
+/// completed walk's translation at the LLT, a block from memory at the
+/// LLC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PageFillDecision {
-    /// Allocate the translation in the LLT.
+pub enum FillDecision {
+    /// Allocate the line in the level.
     Allocate {
-        /// Replacement-order position for the new entry.
+        /// Replacement-order position for the new line.
         priority: InsertPriority,
-        /// Initial per-entry policy state (e.g. dpPred's 6-bit PC hash).
+        /// Initial per-line policy state (e.g. dpPred's 6-bit PC hash,
+        /// cbPred's DP bit).
         state: u32,
     },
-    /// Do not allocate (predicted dead-on-arrival). The translation is
-    /// still returned to the L1 TLB; dpPred additionally parks it in its
-    /// shadow table.
+    /// Do not allocate (predicted dead-on-arrival). The line is still
+    /// returned upward: a translation to the L1 TLB (dpPred additionally
+    /// parks it in its shadow table), a block to the L2 and the L1D.
     Bypass,
 }
 
-impl PageFillDecision {
-    /// The default allocation used by the no-op policy.
+impl FillDecision {
+    /// The default allocation used by the no-op policies.
     pub const ALLOCATE: Self =
-        PageFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 };
+        FillDecision::Allocate { priority: InsertPriority::Normal, state: 0 };
 }
 
-/// Decision returned by [`LlcPolicy::on_fill`] when a block arrives from
-/// memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockFillDecision {
-    /// Allocate the block in the LLC.
-    Allocate {
-        /// Replacement-order position for the new block.
-        priority: InsertPriority,
-        /// Initial per-block policy state (e.g. cbPred's DP bit).
-        state: u32,
-    },
-    /// Do not allocate in the LLC (predicted dead-on-arrival). The block is
-    /// still returned to, and cached by, the upper levels.
-    Bypass,
-}
-
-impl BlockFillDecision {
-    /// The default allocation used by the no-op policy.
-    pub const ALLOCATE: Self =
-        BlockFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 };
-}
-
-/// A view of one valid line handed to set-access hooks
-/// ([`LltPolicy::on_set_access`] / [`LlcPolicy::on_set_access`]) and to
-/// `pick_victim`.
+/// A view of one valid line handed to [`LevelPolicy::on_set_access`] and
+/// [`LevelPolicy::pick_victim`].
 ///
 /// `state` is a *copy* of the line's policy scratch state;
 /// [`SetAssoc::with_set_views`](crate::set_assoc::SetAssoc::with_set_views)
@@ -89,32 +75,6 @@ pub struct PolicyLineView {
     pub is_hit: bool,
     /// Per-line policy scratch state (written back after the hook).
     pub state: u32,
-}
-
-/// An LLT entry at the moment of its eviction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvictedPage {
-    /// Virtual page number of the evicted translation.
-    pub vpn: Vpn,
-    /// Physical frame it mapped to.
-    pub pfn: Pfn,
-    /// Per-entry policy state (dpPred keeps its PC hash here).
-    pub state: u32,
-    /// The paper's `Accessed` bit: was the entry hit during its stay?
-    /// An unset bit identifies a true DOA page.
-    pub accessed: bool,
-}
-
-/// An LLC block at the moment of its eviction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvictedBlock {
-    /// Physical block address of the evicted block.
-    pub block: BlockAddr,
-    /// Per-block policy state (cbPred keeps its DP bit here).
-    pub state: u32,
-    /// The `Accessed` bit: was the block hit during its stay? An unset
-    /// bit identifies a true DOA block.
-    pub accessed: bool,
 }
 
 /// Prediction-quality counters reported by a policy (paper Tables VI/VII).
@@ -156,61 +116,45 @@ impl AccuracyReport {
     }
 }
 
-/// Content-management policy for the last-level TLB.
+/// Content-management policy for one last level: the hooks the LLT and
+/// the LLC both call, over the level's key.
 ///
 /// All hooks have no-op defaults so simple policies implement only what
 /// they need. Implementations must be deterministic.
-pub trait LltPolicy: Debug {
-    /// Short name for reports (e.g. `"dpPred"`, `"SHiP-TLB"`).
-    fn policy_name(&self) -> &'static str;
+pub trait LevelPolicy: Debug {
+    /// The level's line key: [`Vpn`] (the LLT key, size-tagged when
+    /// several page sizes coexist) or [`BlockAddr`]. It converts to and
+    /// from the raw tag the array stores.
+    type Key: Copy + Into<u64> + From<u64>;
 
     /// Prediction-quality counters, if the policy tracks them.
     fn accuracy_report(&self) -> Option<AccuracyReport> {
         None
     }
 
-    /// Called on every LLT lookup, before the result is known to the
-    /// policy, with the outcome. Used by accuracy trackers.
-    fn on_lookup(&mut self, _vpn: Vpn, _hit: bool) {}
+    /// Called on every lookup of the level with its outcome, before any
+    /// other hook of that access.
+    fn on_lookup(&mut self, _key: Self::Key, _hit: bool) {}
 
-    /// Probes the policy's shadow/victim buffer on an LLT miss. Returning
-    /// `Some(pfn)` serves the translation without a page walk; the paper's
-    /// dpPred treats this as a detected misprediction (negative feedback)
-    /// and the system re-allocates the entry in the LLT.
-    fn shadow_lookup(&mut self, _vpn: Vpn) -> Option<Pfn> {
-        None
+    /// Decides what to do with a line arriving after a miss. `pc` is the
+    /// PC of the access whose miss brought it.
+    fn on_fill(&mut self, _key: Self::Key, _pc: Pc) -> FillDecision {
+        FillDecision::ALLOCATE
     }
 
-    /// Decides what to do with a completed walk's translation. `pc` is the
-    /// PC of the access whose LLT miss started the walk.
-    fn on_fill(&mut self, _vpn: Vpn, _pfn: Pfn, _pc: Pc) -> PageFillDecision {
-        PageFillDecision::ALLOCATE
-    }
-
-    /// Called when a bypassed translation is produced, so the policy can
-    /// park it in its shadow table.
-    fn on_bypass(&mut self, _vpn: Vpn, _pfn: Pfn) {}
-
-    /// Initial per-entry state for a translation re-allocated after a
-    /// shadow-table hit (paper Fig. 6a: *"insert entry into LLT, store
-    /// h(PC) in the LLT entry"*).
-    fn refill_state(&mut self, _vpn: Vpn, _pc: Pc) -> u32 {
-        0
-    }
-
-    /// Called on an LLT hit with the entry's scratch state.
-    fn on_hit(&mut self, _vpn: Vpn, _state: &mut u32) {}
+    /// Called on a hit with the line's scratch state.
+    fn on_hit(&mut self, _key: Self::Key, _state: &mut u32) {}
 
     /// Whether the policy observes set accesses. **Must return `true` iff
-    /// [`LltPolicy::on_set_access`] is overridden** — the simulator skips
-    /// building line views entirely when this is `false`, so an
+    /// [`LevelPolicy::on_set_access`] is overridden** — the simulator
+    /// skips building line views entirely when this is `false`, so an
     /// overridden hook behind a `false` gate silently never runs.
     fn uses_set_views(&self) -> bool {
         false
     }
 
     /// Whether the policy may override victim selection. **Must return
-    /// `true` iff [`LltPolicy::pick_victim`] is overridden** — the
+    /// `true` iff [`LevelPolicy::pick_victim`] is overridden** — the
     /// simulator consults `pick_victim` only when this is `true`.
     fn overrides_victim(&self) -> bool {
         false
@@ -218,73 +162,46 @@ pub trait LltPolicy: Debug {
 
     /// Called on every lookup with views of all valid lines in the set
     /// (interval-counting predictors like AIP train here). Only invoked
-    /// when [`LltPolicy::uses_set_views`] returns `true`.
+    /// when [`LevelPolicy::uses_set_views`] returns `true`.
     fn on_set_access(&mut self, _lines: &mut [PolicyLineView]) {}
 
     /// Chooses a victim among the set's valid lines, or `None` to defer to
     /// the base replacement policy. Only consulted when the set is full
-    /// and [`LltPolicy::overrides_victim`] returns `true`.
+    /// and [`LevelPolicy::overrides_victim`] returns `true`.
     fn pick_victim(&mut self, _lines: &mut [PolicyLineView]) -> Option<usize> {
         None
     }
 
-    /// Called when an entry leaves the LLT.
-    fn on_evict(&mut self, _evicted: EvictedPage) {}
+    /// Called when a line leaves the level, with its policy state and the
+    /// paper's `Accessed` bit: was it hit during its stay? An unset bit
+    /// identifies a true DOA line.
+    fn on_evict(&mut self, _key: Self::Key, _state: u32, _accessed: bool) {}
 }
 
-/// Content-management policy for the last-level cache.
-pub trait LlcPolicy: Debug {
-    /// Short name for reports (e.g. `"cbPred"`, `"SHiP-LLC"`).
-    fn policy_name(&self) -> &'static str;
-
-    /// Prediction-quality counters, if the policy tracks them.
-    fn accuracy_report(&self) -> Option<AccuracyReport> {
+/// Content-management policy for the last-level TLB: the shared hooks
+/// plus the two only the translation path calls.
+pub trait LltPolicy: LevelPolicy<Key = Vpn> {
+    /// Probes the policy's shadow/victim buffer on an LLT miss. Returning
+    /// `Some((pfn, state))` serves the translation without a page walk;
+    /// the paper's dpPred treats this as a detected misprediction
+    /// (negative feedback) and the system re-allocates the entry in the
+    /// LLT with `state` (paper Fig. 6a: *"insert entry into LLT, store
+    /// h(PC) in the LLT entry"*). `pc` is the PC of the missing access.
+    fn shadow_lookup(&mut self, _vpn: Vpn, _pc: Pc) -> Option<(Pfn, u32)> {
         None
     }
 
+    /// Called when a bypassed translation is produced, so the policy can
+    /// park it in its shadow table.
+    fn on_bypass(&mut self, _vpn: Vpn, _pfn: Pfn) {}
+}
+
+/// Content-management policy for the last-level cache: the shared hooks
+/// plus the dead-page message.
+pub trait LlcPolicy: LevelPolicy<Key = BlockAddr> {
     /// Receives the PFN of a page the TLB-side policy just predicted DOA
     /// (the paper's dpPred → PFQ message).
     fn note_doa_page(&mut self, _pfn: Pfn) {}
-
-    /// Called on every LLC lookup with the outcome.
-    fn on_lookup(&mut self, _block: BlockAddr, _hit: bool) {}
-
-    /// Decides what to do with a block arriving from memory.
-    fn on_fill(&mut self, _block: BlockAddr, _pc: Pc) -> BlockFillDecision {
-        BlockFillDecision::ALLOCATE
-    }
-
-    /// Called on an LLC hit with the block's scratch state.
-    fn on_hit(&mut self, _block: BlockAddr, _state: &mut u32) {}
-
-    /// Whether the policy observes set accesses. **Must return `true` iff
-    /// [`LlcPolicy::on_set_access`] is overridden** — the simulator skips
-    /// building line views entirely when this is `false`, so an
-    /// overridden hook behind a `false` gate silently never runs.
-    fn uses_set_views(&self) -> bool {
-        false
-    }
-
-    /// Whether the policy may override victim selection. **Must return
-    /// `true` iff [`LlcPolicy::pick_victim`] is overridden** — the
-    /// simulator consults `pick_victim` only when this is `true`.
-    fn overrides_victim(&self) -> bool {
-        false
-    }
-
-    /// Called on every lookup with views of all valid lines in the set.
-    /// Only invoked when [`LlcPolicy::uses_set_views`] returns `true`.
-    fn on_set_access(&mut self, _lines: &mut [PolicyLineView]) {}
-
-    /// Chooses a victim among the set's valid lines, or `None` to defer to
-    /// the base replacement policy. Only consulted when
-    /// [`LlcPolicy::overrides_victim`] returns `true`.
-    fn pick_victim(&mut self, _lines: &mut [PolicyLineView]) -> Option<usize> {
-        None
-    }
-
-    /// Called when a block leaves the LLC.
-    fn on_evict(&mut self, _evicted: EvictedBlock) {}
 }
 
 /// The baseline no-op LLT policy: plain allocation under the base
@@ -292,23 +209,21 @@ pub trait LlcPolicy: Debug {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullPagePolicy;
 
-impl LltPolicy for NullPagePolicy {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "baseline"
-    }
+impl LevelPolicy for NullPagePolicy {
+    type Key = Vpn;
 }
+
+impl LltPolicy for NullPagePolicy {}
 
 /// The baseline no-op LLC policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullBlockPolicy;
 
-impl LlcPolicy for NullBlockPolicy {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "baseline"
-    }
+impl LevelPolicy for NullBlockPolicy {
+    type Key = BlockAddr;
 }
+
+impl LlcPolicy for NullBlockPolicy {}
 
 #[cfg(test)]
 mod tests {
@@ -317,12 +232,12 @@ mod tests {
     #[test]
     fn null_policies_allocate() {
         let mut p = NullPagePolicy;
-        assert_eq!(p.on_fill(Vpn::new(1), Pfn::new(2), Pc::new(3)), PageFillDecision::ALLOCATE);
-        assert_eq!(p.shadow_lookup(Vpn::new(1)), None);
-        assert_eq!(p.policy_name(), "baseline");
+        assert_eq!(p.on_fill(Vpn::new(1), Pc::new(3)), FillDecision::ALLOCATE);
+        assert_eq!(p.shadow_lookup(Vpn::new(1), Pc::new(3)), None);
+        assert_eq!(p.accuracy_report(), None);
 
         let mut b = NullBlockPolicy;
-        assert_eq!(b.on_fill(BlockAddr::new(1), Pc::new(3)), BlockFillDecision::ALLOCATE);
-        assert_eq!(b.policy_name(), "baseline");
+        assert_eq!(b.on_fill(BlockAddr::new(1), Pc::new(3)), FillDecision::ALLOCATE);
+        assert_eq!(b.accuracy_report(), None);
     }
 }

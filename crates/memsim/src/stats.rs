@@ -4,7 +4,7 @@
 //! LLT or the LLC) and charges both measures.
 
 use crate::cache::Cache;
-use crate::policy::PolicyLineView;
+use crate::policy::LevelPolicy;
 use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, LineLife, Lived};
 use dpc_types::invariant;
 use serde::{Deserialize, Serialize};
@@ -258,36 +258,37 @@ pub struct Ledger {
 
 impl Ledger {
     /// Allocates `payload` under `key` in `level` and charges the stay it
-    /// starts and the one it ends. `pick`, given when the level's policy
-    /// overrides victim selection, chooses among a full set's lines (AIP
-    /// victimizes predicted-dead ones first); every other fill is the base
-    /// policy's one-pass `fill`, which needs no fullness check. Returns
-    /// the displaced line, if any.
+    /// starts and the one it ends. A `policy` that overrides victim
+    /// selection chooses among a full set's lines (AIP victimizes
+    /// predicted-dead ones first); every other fill is the base policy's
+    /// one-pass `fill`, which needs no fullness check. The displaced line,
+    /// if any, reaches `policy.on_evict` and is returned.
     #[inline]
-    pub fn fill<P: Default + HasPolicyState>(
+    pub fn fill<P: Default + HasPolicyState, Q: LevelPolicy>(
         &mut self,
         level: &mut Cache<Lived<P>>,
-        key: u64,
+        policy: &mut Q,
+        key: Q::Key,
         payload: P,
         priority: InsertPriority,
-        pick: Option<impl FnOnce(&mut [PolicyLineView]) -> Option<usize>>,
     ) -> Option<Evicted<Lived<P>>> {
-        let way = match pick {
-            Some(pick) if level.array().set_full(key) => {
-                level.array_mut().with_set_views(key, None, pick)
-            }
-            _ => None,
+        let raw = key.into();
+        let way = if policy.overrides_victim() && level.array().set_full(raw) {
+            level.array_mut().with_set_views(raw, None, |views| policy.pick_victim(views))
+        } else {
+            None
         };
-        let evicted = match way {
-            Some(way) => level.fill_way(key, way, Lived::new(payload), priority),
-            None => level.fill(key, Lived::new(payload), priority),
+        let mut evicted = match way {
+            Some(way) => level.fill_way(raw, way, Lived::new(payload), priority),
+            None => level.fill(raw, Lived::new(payload), priority),
         };
         let seq = level.array().seq();
         self.sampler.note_fill(seq);
-        if let Some(evicted) = &evicted {
-            let life = evicted.payload.life();
+        if let Some(Evicted { tag, payload }) = &mut evicted {
+            let life = payload.life();
             self.evictions.record(life, seq);
             self.sampler.record_stay(life, seq);
+            policy.on_evict(Q::Key::from(*tag), *payload.policy_state_mut(), payload.accessed());
         }
         evicted
     }
@@ -674,25 +675,46 @@ mod tests {
         assert_eq!((d.samples, d.present, d.dead, d.doa), (1, 1, 1, 1));
     }
 
-    /// A ledger fill charges the stay it starts and the one it ends, and
-    /// asks `pick` for a victim only when the set is full.
+    /// A ledger fill charges the stay it starts and the one it ends, asks
+    /// the policy for a victim only when the set is full, and hands it
+    /// the evicted line.
     #[test]
     fn ledger_fill_charges_both_measures() {
         use crate::cache::BlockInfo;
+        use crate::policy::PolicyLineView;
+        use dpc_types::BlockAddr;
+        /// Picks way 1 (the base LRU victim would be way 0).
+        #[derive(Debug, Default)]
+        struct PickWayOne {
+            picks: u32,
+            evicted: Vec<(BlockAddr, u32, bool)>,
+        }
+        impl LevelPolicy for PickWayOne {
+            type Key = BlockAddr;
+            fn overrides_victim(&self) -> bool {
+                true
+            }
+            fn pick_victim(&mut self, _lines: &mut [PolicyLineView]) -> Option<usize> {
+                self.picks += 1;
+                Some(1)
+            }
+            fn on_evict(&mut self, key: BlockAddr, state: u32, accessed: bool) {
+                self.evicted.push((key, state, accessed));
+            }
+        }
         let mut level = Cache::new(1, 2, dpc_types::ReplacementKind::Lru, 1);
         let mut ledger = Ledger::default();
-        let mut picks = 0;
+        let mut policy = PickWayOne::default();
         for key in 0..3u64 {
             ledger.sample(&level);
             assert!(level.lookup(key).is_none());
-            let pick = Some(|_: &mut [PolicyLineView]| {
-                picks += 1;
-                Some(1) // the base LRU victim would be way 0
-            });
-            ledger.fill(&mut level, key, BlockInfo::default(), InsertPriority::Normal, pick);
+            let info = BlockInfo { state: 10 + key as u32 };
+            let key = BlockAddr::new(key);
+            ledger.fill(&mut level, &mut policy, key, info, InsertPriority::Normal);
         }
-        assert_eq!(picks, 1, "only the fill into the full set picks");
+        assert_eq!(policy.picks, 1, "only the fill into the full set picks");
         assert!(level.contains(0) && !level.contains(1), "the picked way is evicted");
+        assert_eq!(policy.evicted, [(BlockAddr::new(1), 11, false)]);
         assert_eq!(ledger.evictions, EvictionClasses { total: 1, doa: 1, ..Default::default() });
         // Samples at clocks 0, 1, 2; key 1's stay [2, 3) covers one,
         // resident key 0's [1, 3) two, key 2's [3, 3) none. None hit.

@@ -5,11 +5,9 @@ use crate::cache::Cache;
 use crate::core_model::CoreModel;
 use crate::hierarchy::Hierarchy;
 use crate::page_table::PageTable;
-use crate::policy::{
-    EvictedPage, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy, PageFillDecision,
-};
+use crate::policy::{FillDecision, LlcPolicy, LltPolicy, NullBlockPolicy, NullPagePolicy};
 use crate::reverse_map::ReverseMaps;
-use crate::set_assoc::{Evicted, HasPolicyState, InsertPriority, Lived};
+use crate::set_assoc::{Evicted, InsertPriority, Lived};
 use crate::stats::{Ledger, SimStats};
 use crate::tlb::{TlbEntry, TlbGroup};
 use crate::walker::Walker;
@@ -389,16 +387,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             if let Some((way, entry)) = self.llt.array_mut().lookup_payload(key.raw(), key.raw()) {
                 let unit_pfn = entry.pfn;
                 self.llt.stats.hits += 1;
-                self.llt_policy.on_lookup(key, true);
-                // Policies that don't observe set views skip view construction.
-                if self.llt_policy.uses_set_views() {
-                    let policy = &mut self.llt_policy;
-                    self.llt
-                        .array_mut()
-                        .with_set_views(key.raw(), Some(way), |views| policy.on_set_access(views));
-                }
-                let state = self.llt.array_mut().payload_mut(key.raw(), way).policy_state_mut();
-                self.llt_policy.on_hit(key, state);
+                self.llt.observe_lookup(&mut self.llt_policy, key, Some(way));
                 let pfn = Self::compose_pfn(size, unit_pfn, vpn);
                 self.fill_l1(side, size, vpn, pfn, pc);
                 return (pfn, latency);
@@ -410,20 +399,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         // fill.
         let hook_size = self.page_table.probe_size(vpn);
         let hook_key = self.llt_key(hook_size, vpn);
-        self.llt_policy.on_lookup(hook_key, false);
-        // Policies that don't observe set views skip view construction.
-        if self.llt_policy.uses_set_views() {
-            let policy = &mut self.llt_policy;
-            self.llt
-                .array_mut()
-                .with_set_views(hook_key.raw(), None, |views| policy.on_set_access(views));
-        }
+        self.llt.observe_lookup(&mut self.llt_policy, hook_key, None);
 
         // --- LLT miss: shadow/victim-buffer probe ---
-        if let Some(unit_pfn) = self.llt_policy.shadow_lookup(hook_key) {
+        if let Some((unit_pfn, state)) = self.llt_policy.shadow_lookup(hook_key, pc) {
             self.llt.stats.shadow_hits += 1;
             // Paper Fig. 6a: re-allocate the mispredicted entry in the LLT.
-            let state = self.llt_policy.refill_state(hook_key, pc);
             self.fill_llt(hook_key, unit_pfn, InsertPriority::Normal, state);
             let pfn = Self::compose_pfn(hook_size, unit_pfn.raw(), vpn);
             self.fill_l1(side, hook_size, vpn, pfn, pc);
@@ -452,11 +433,11 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     /// bookkeeping, dpPred → PFQ message). `key` and `unit_pfn` are at
     /// `size`'s grain: one huge page is one prediction unit.
     fn llt_insert(&mut self, size: PageSize, key: Vpn, unit_pfn: Pfn, pc: Pc) {
-        match self.llt_policy.on_fill(key, unit_pfn, pc) {
-            PageFillDecision::Allocate { priority, state } => {
+        match self.llt_policy.on_fill(key, pc) {
+            FillDecision::Allocate { priority, state } => {
                 self.fill_llt(key, unit_pfn, priority, state);
             }
-            PageFillDecision::Bypass => {
+            FillDecision::Bypass => {
                 self.llt.stats.bypasses += 1;
                 self.llt_policy.on_bypass(key, unit_pfn);
                 // A bypassed page had no LLT stay; for the block↔page
@@ -499,20 +480,12 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
     }
 
     fn fill_llt(&mut self, key: Vpn, unit_pfn: Pfn, priority: InsertPriority, state: u32) {
-        let policy = &mut self.llt_policy;
-        let pick = policy.overrides_victim().then_some(|views: &mut _| policy.pick_victim(views));
         let entry = TlbEntry { pfn: unit_pfn.raw(), state };
-        let evicted = self.llt_ledger.fill(&mut self.llt, key.raw(), entry, priority, pick);
+        let evicted =
+            self.llt_ledger.fill(&mut self.llt, &mut self.llt_policy, key, entry, priority);
         if let Some(Evicted { tag, payload }) = evicted {
             let (evicted_key, pfn) = (Vpn::new(tag), Pfn::new(payload.pfn));
-            let accessed = payload.accessed();
-            self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, !accessed);
-            self.llt_policy.on_evict(EvictedPage {
-                vpn: evicted_key,
-                pfn,
-                state: payload.state,
-                accessed,
-            });
+            self.reverse.note_stay(self.page_table.frames(), evicted_key, pfn, !payload.accessed());
         }
     }
 
@@ -964,20 +937,19 @@ mod tests {
     struct AlwaysWayZero {
         evicted: Vec<Vpn>,
     }
-    impl LltPolicy for AlwaysWayZero {
-        fn policy_name(&self) -> &'static str {
-            "way-zero"
-        }
+    impl crate::policy::LevelPolicy for AlwaysWayZero {
+        type Key = Vpn;
         fn overrides_victim(&self) -> bool {
             true
         }
         fn pick_victim(&mut self, _lines: &mut [crate::policy::PolicyLineView]) -> Option<usize> {
             Some(0)
         }
-        fn on_evict(&mut self, evicted: EvictedPage) {
-            self.evicted.push(evicted.vpn);
+        fn on_evict(&mut self, vpn: Vpn, _state: u32, _accessed: bool) {
+            self.evicted.push(vpn);
         }
     }
+    impl LltPolicy for AlwaysWayZero {}
 
     /// The LLT twin of the hierarchy's `policy_victim_override_is_used`:
     /// a full LLT set evicts the way the policy picks, not the base LRU

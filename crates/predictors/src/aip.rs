@@ -22,11 +22,12 @@
 //! job.
 
 use dpc_memsim::policy::{
-    AccuracyReport, BlockFillDecision, EvictedBlock, EvictedPage, InsertPriority, LlcPolicy,
-    LltPolicy, PageFillDecision, PolicyLineView,
+    AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LlcPolicy, LltPolicy, PolicyLineView,
 };
 use dpc_types::hash::{fold_xor, hash_pc};
-use dpc_types::{BlockAddr, Pc, Pfn, Vpn};
+use dpc_types::{BlockAddr, Pc, Vpn};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
 /// Per-line state layout.
 const PC_SHIFT: u32 = 0; // 8 bits
@@ -74,46 +75,42 @@ struct TableEntry {
     seen: bool,
 }
 
-/// The PC × address prediction table and training logic shared by the LLC
-/// and TLB instantiations.
+/// AIP over a level keyed by `K`: the PC × address prediction table and
+/// its training. The key only types the hooks; lines are hashed by the
+/// raw tag the set views and evictions carry.
 #[derive(Debug)]
-struct AipCore {
+pub struct Aip<K> {
     table: Vec<TableEntry>,
     predictions: u64,
     correct: u64,
     mispredictions: u64,
     doa_evictions: u64,
+    key: PhantomData<K>,
 }
 
-impl AipCore {
-    fn new() -> Self {
-        AipCore {
+/// AIP attached to the LLC.
+pub type AipLlc = Aip<BlockAddr>;
+
+/// AIP adapted to the last-level TLB (the paper's AIP-TLB configuration,
+/// 21 bits of metadata per entry).
+pub type AipTlb = Aip<Vpn>;
+
+impl<K> Aip<K> {
+    /// The paper's AIP with a 256 × 256 prediction table.
+    pub fn paper_default() -> Self {
+        Aip {
             table: vec![TableEntry::default(); 1 << (PC_BITS + ADDR_BITS)],
             predictions: 0,
             correct: 0,
             mispredictions: 0,
             doa_evictions: 0,
+            key: PhantomData,
         }
     }
 
     #[inline]
     fn index(pc_hash: u32, addr: u64) -> usize {
         ((pc_hash << ADDR_BITS) | fold_xor(addr, ADDR_BITS)) as usize
-    }
-
-    /// Interval bookkeeping on every set access: the hit line banks its
-    /// live interval and resets; all other lines age.
-    fn on_set_access(&mut self, lines: &mut [PolicyLineView]) {
-        for view in lines {
-            let state = view.state;
-            if view.is_hit {
-                let live = interval_of(state).min(MAX_LIVE_MAX);
-                let banked = set_max_live(state, max_live_of(state).max(live));
-                view.state = set_interval(banked, 0) & !PREDICTED_DEAD_BIT;
-            } else {
-                view.state = set_interval(state, interval_of(state) + 1);
-            }
-        }
     }
 
     /// Whether a line is predicted dead under the learned threshold.
@@ -135,8 +132,57 @@ impl AipCore {
         let margin = if entry.confident { 0 } else { 2 };
         interval_of(state) > u32::from(entry.threshold) + margin
     }
+}
+
+impl<K: Copy + Into<u64> + From<u64> + Debug> LevelPolicy for Aip<K> {
+    type Key = K;
+
+    #[inline]
+    fn accuracy_report(&self) -> Option<AccuracyReport> {
+        Some(AccuracyReport {
+            predictions: self.predictions,
+            correct: self.correct,
+            mispredictions: self.mispredictions,
+            true_doas: self.doa_evictions,
+        })
+    }
+
+    #[inline]
+    fn on_fill(&mut self, _key: K, pc: Pc) -> FillDecision {
+        FillDecision::Allocate {
+            priority: InsertPriority::Normal,
+            state: hash_pc(pc, PC_BITS) << PC_SHIFT,
+        }
+    }
+
+    #[inline]
+    fn uses_set_views(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn overrides_victim(&self) -> bool {
+        true
+    }
+
+    /// Interval bookkeeping on every set access: the hit line banks its
+    /// live interval and resets; all other lines age.
+    #[inline]
+    fn on_set_access(&mut self, lines: &mut [PolicyLineView]) {
+        for view in lines {
+            let state = view.state;
+            if view.is_hit {
+                let live = interval_of(state).min(MAX_LIVE_MAX);
+                let banked = set_max_live(state, max_live_of(state).max(live));
+                view.state = set_interval(banked, 0) & !PREDICTED_DEAD_BIT;
+            } else {
+                view.state = set_interval(state, interval_of(state) + 1);
+            }
+        }
+    }
 
     /// Victim selection: the first confidently-dead line, if any.
+    #[inline]
     fn pick_victim(&mut self, lines: &mut [PolicyLineView]) -> Option<usize> {
         for view in lines.iter_mut() {
             if self.is_dead(view.tag, view.state) {
@@ -150,14 +196,11 @@ impl AipCore {
         None
     }
 
-    fn initial_state(&self, pc: Pc) -> u32 {
-        hash_pc(pc, PC_BITS) << PC_SHIFT
-    }
-
     /// Eviction: train the table with the observed maximum live interval
     /// (confidence set when the observation repeats) and resolve
     /// prediction accuracy.
-    fn on_evict(&mut self, tag: u64, state: u32, accessed: bool) {
+    #[inline]
+    fn on_evict(&mut self, key: K, state: u32, accessed: bool) {
         if !accessed {
             self.doa_evictions += 1;
         }
@@ -169,7 +212,7 @@ impl AipCore {
             // later hit never reaches here with the bit set.
             self.correct += 1;
         }
-        let idx = Self::index(pc_of(state), tag);
+        let idx = Self::index(pc_of(state), key.into());
         let observed = max_live_of(state).min(MAX_LIVE_MAX) as u8;
         let entry = &mut self.table[idx];
         if entry.seen && entry.threshold == observed {
@@ -180,145 +223,11 @@ impl AipCore {
             entry.seen = true;
         }
     }
-
-    fn report(&self) -> AccuracyReport {
-        AccuracyReport {
-            predictions: self.predictions,
-            correct: self.correct,
-            mispredictions: self.mispredictions,
-            true_doas: self.doa_evictions,
-        }
-    }
 }
 
-/// AIP attached to the LLC.
-#[derive(Debug)]
-pub struct AipLlc {
-    core: AipCore,
-}
+impl LltPolicy for AipTlb {}
 
-impl AipLlc {
-    /// The paper's AIP-LLC with a 256 × 256 prediction table.
-    pub fn paper_default() -> Self {
-        AipLlc { core: AipCore::new() }
-    }
-}
-
-impl Default for AipLlc {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl LlcPolicy for AipLlc {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "AIP-LLC"
-    }
-
-    #[inline]
-    fn accuracy_report(&self) -> Option<AccuracyReport> {
-        Some(self.core.report())
-    }
-
-    #[inline]
-    fn on_fill(&mut self, _block: BlockAddr, pc: Pc) -> BlockFillDecision {
-        BlockFillDecision::Allocate {
-            priority: InsertPriority::Normal,
-            state: self.core.initial_state(pc),
-        }
-    }
-
-    #[inline]
-    fn uses_set_views(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn overrides_victim(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn on_set_access(&mut self, lines: &mut [PolicyLineView]) {
-        self.core.on_set_access(lines);
-    }
-
-    #[inline]
-    fn pick_victim(&mut self, lines: &mut [PolicyLineView]) -> Option<usize> {
-        self.core.pick_victim(lines)
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedBlock) {
-        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.accessed);
-    }
-}
-
-/// AIP adapted to the last-level TLB (the paper's AIP-TLB configuration,
-/// 21 bits of metadata per entry).
-#[derive(Debug)]
-pub struct AipTlb {
-    core: AipCore,
-}
-
-impl AipTlb {
-    /// The paper's AIP-TLB with the default 256 × 256 table.
-    pub fn paper_default() -> Self {
-        AipTlb { core: AipCore::new() }
-    }
-}
-
-impl Default for AipTlb {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl LltPolicy for AipTlb {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "AIP-TLB"
-    }
-
-    #[inline]
-    fn accuracy_report(&self) -> Option<AccuracyReport> {
-        Some(self.core.report())
-    }
-
-    #[inline]
-    fn on_fill(&mut self, _vpn: Vpn, _pfn: Pfn, pc: Pc) -> PageFillDecision {
-        PageFillDecision::Allocate {
-            priority: InsertPriority::Normal,
-            state: self.core.initial_state(pc),
-        }
-    }
-
-    #[inline]
-    fn uses_set_views(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn overrides_victim(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn on_set_access(&mut self, lines: &mut [PolicyLineView]) {
-        self.core.on_set_access(lines);
-    }
-
-    #[inline]
-    fn pick_victim(&mut self, lines: &mut [PolicyLineView]) -> Option<usize> {
-        self.core.pick_victim(lines)
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedPage) {
-        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.accessed);
-    }
-}
+impl LlcPolicy for AipLlc {}
 
 #[cfg(test)]
 mod tests {
@@ -328,16 +237,24 @@ mod tests {
         PolicyLineView { way, tag, is_hit, state }
     }
 
+    /// The state a fill brought by `pc` starts with.
+    fn initial_state(aip: &mut AipLlc, pc: Pc) -> u32 {
+        let FillDecision::Allocate { state, .. } = aip.on_fill(BlockAddr::new(0), pc) else {
+            panic!("AIP never bypasses");
+        };
+        state
+    }
+
     #[test]
     fn intervals_age_and_reset() {
-        let mut core = AipCore::new();
+        let mut aip = AipLlc::paper_default();
         let mut views = vec![view(0, 10, 0, true), view(1, 20, 0, false)];
-        core.on_set_access(&mut views);
+        aip.on_set_access(&mut views);
         assert_eq!(interval_of(views[0].state), 0, "hit line resets");
         assert_eq!(interval_of(views[1].state), 1, "other lines age");
         views[0].is_hit = false;
         views[1].is_hit = true;
-        core.on_set_access(&mut views);
+        aip.on_set_access(&mut views);
         assert_eq!(interval_of(views[0].state), 1);
         assert_eq!(interval_of(views[1].state), 0);
         assert_eq!(max_live_of(views[1].state), 1, "live interval banked on access");
@@ -345,58 +262,57 @@ mod tests {
 
     #[test]
     fn unseen_entries_never_predict() {
-        let core = AipCore::new();
+        let aip = AipLlc::paper_default();
         let state = 0xAB; // pc hash only
-        assert!(!core.is_dead(10, set_interval(state, 255)), "cold table entry must not fire");
+        assert!(!aip.is_dead(10, set_interval(state, 255)), "cold table entry must not fire");
     }
 
     #[test]
     fn confidence_sharpens_the_threshold() {
-        let mut core = AipCore::new();
-        let pc = Pc::new(0x400);
-        let state = core.initial_state(pc);
+        let mut aip = AipLlc::paper_default();
+        let state = initial_state(&mut aip, Pc::new(0x400));
         // First eviction with max live 0: threshold := 0, not confident —
         // prediction fires only past the grace margin of 2.
-        core.on_evict(10, state, false);
-        assert!(!core.is_dead(10, set_interval(state, 2)));
-        assert!(core.is_dead(10, set_interval(state, 3)));
+        aip.on_evict(BlockAddr::new(10), state, false);
+        assert!(!aip.is_dead(10, set_interval(state, 2)));
+        assert!(aip.is_dead(10, set_interval(state, 3)));
         // Second identical observation: confident — threshold trusted
         // as-is.
-        core.on_evict(10, state, false);
-        assert!(core.is_dead(10, set_interval(state, 1)));
-        assert!(!core.is_dead(10, set_interval(state, 0)), "interval 0 is not past threshold");
+        aip.on_evict(BlockAddr::new(10), state, false);
+        assert!(aip.is_dead(10, set_interval(state, 1)));
+        assert!(!aip.is_dead(10, set_interval(state, 0)), "interval 0 is not past threshold");
     }
 
     #[test]
     fn victim_picking_prefers_dead_lines() {
-        let mut core = AipCore::new();
-        let pc = Pc::new(0x400);
-        let base = core.initial_state(pc);
-        core.on_evict(20, base, false);
-        core.on_evict(20, base, false); // confident threshold 0 for tag 20
+        let mut aip = AipLlc::paper_default();
+        let base = initial_state(&mut aip, Pc::new(0x400));
+        aip.on_evict(BlockAddr::new(20), base, false);
+        aip.on_evict(BlockAddr::new(20), base, false); // confident threshold 0 for tag 20
         let alive = base;
         let dead = set_interval(base, 9);
         let mut views = vec![view(0, 10, alive, false), view(1, 20, dead, false)];
-        let choice = core.pick_victim(&mut views);
+        let choice = aip.pick_victim(&mut views);
         assert_eq!(choice, Some(1));
-        assert_eq!(core.predictions, 1);
+        assert_eq!(aip.predictions, 1);
         // Picking again (with the written-back state carrying the
         // predicted-dead bit) does not double-count the same prediction.
-        let choice2 = core.pick_victim(&mut views);
+        let choice2 = aip.pick_victim(&mut views);
         assert_eq!(choice2, Some(1));
-        assert_eq!(core.predictions, 1);
+        assert_eq!(aip.predictions, 1);
     }
 
     #[test]
     fn threshold_change_drops_confidence() {
-        let mut core = AipCore::new();
-        let state = core.initial_state(Pc::new(0x400));
-        core.on_evict(10, state, false);
-        core.on_evict(10, state, false); // confident at 0
-        core.on_evict(10, set_max_live(state, 3), true); // different observation
-                                                         // New threshold 3, unconfident: the grace margin applies again.
-        assert!(!core.is_dead(10, set_interval(state, 5)));
-        assert!(core.is_dead(10, set_interval(state, 6)));
+        let mut aip = AipLlc::paper_default();
+        let state = initial_state(&mut aip, Pc::new(0x400));
+        aip.on_evict(BlockAddr::new(10), state, false);
+        aip.on_evict(BlockAddr::new(10), state, false);
+        // Confident at 0. A different observation sets threshold 3,
+        // unconfident, so the grace margin applies again.
+        aip.on_evict(BlockAddr::new(10), set_max_live(state, 3), true);
+        assert!(!aip.is_dead(10, set_interval(state, 5)));
+        assert!(aip.is_dead(10, set_interval(state, 6)));
     }
 
     #[test]
@@ -404,15 +320,76 @@ mod tests {
         let mut llc = AipLlc::paper_default();
         assert!(matches!(
             llc.on_fill(BlockAddr::new(1), Pc::new(2)),
-            BlockFillDecision::Allocate { priority: InsertPriority::Normal, .. }
+            FillDecision::Allocate { priority: InsertPriority::Normal, .. }
         ));
         let mut tlb = AipTlb::paper_default();
         assert!(matches!(
-            tlb.on_fill(Vpn::new(1), Pfn::new(2), Pc::new(3)),
-            PageFillDecision::Allocate { priority: InsertPriority::Normal, .. }
+            tlb.on_fill(Vpn::new(1), Pc::new(3)),
+            FillDecision::Allocate { priority: InsertPriority::Normal, .. }
         ));
-        assert_eq!(llc.policy_name(), "AIP-LLC");
-        assert_eq!(tlb.policy_name(), "AIP-TLB");
+    }
+
+    /// One AIP on both levels: driven through the same raw keys, PCs,
+    /// set views and outcomes, `Aip<Vpn>` and `Aip<BlockAddr>` make the
+    /// same fill decisions and victim picks, leave the same states and
+    /// report the same accuracy.
+    #[test]
+    fn both_levels_behave_alike() {
+        let (mut tlb, mut llc) = (AipTlb::paper_default(), AipLlc::paper_default());
+        // One four-way set, mirrored for each side.
+        let mut lines: [Option<(u64, u32)>; 4] = [None; 4];
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut picks = 0;
+        for step in 0..4000u64 {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (raw, pc) = ((rng >> 40) % 12, Pc::new(0x400 + (rng >> 20) % 6 * 4));
+            let hit_way = lines.iter().position(|l| l.is_some_and(|(tag, _)| tag == raw));
+            let mut views: Vec<PolicyLineView> = lines
+                .iter()
+                .enumerate()
+                .filter_map(|(way, l)| {
+                    l.map(|(tag, state)| view(way, tag, state, hit_way == Some(way)))
+                })
+                .collect();
+            let mut llc_views = views.clone();
+            tlb.on_set_access(&mut views);
+            llc.on_set_access(&mut llc_views);
+            assert_eq!(views, llc_views, "step {step}");
+            for v in &views {
+                lines[v.way] = Some((v.tag, v.state));
+            }
+            if hit_way.is_some() {
+                continue;
+            }
+            let decision = tlb.on_fill(Vpn::new(raw), pc);
+            assert_eq!(decision, llc.on_fill(BlockAddr::new(raw), pc), "step {step}");
+            let FillDecision::Allocate { state, .. } = decision else {
+                panic!("AIP never bypasses");
+            };
+            let way = match lines.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => {
+                    let (mut views, mut llc_views) = (views.clone(), views);
+                    let pick = tlb.pick_victim(&mut views);
+                    assert_eq!(pick, llc.pick_victim(&mut llc_views), "step {step}");
+                    assert_eq!(views, llc_views, "step {step}");
+                    picks += u32::from(pick.is_some());
+                    for v in &views {
+                        lines[v.way] = Some((v.tag, v.state));
+                    }
+                    let way = pick.unwrap_or((rng >> 4) as usize % 4);
+                    let (tag, state) = (views[way].tag, views[way].state);
+                    let accessed = (rng >> 12) & 1 == 1;
+                    tlb.on_evict(Vpn::new(tag), state, accessed);
+                    llc.on_evict(BlockAddr::new(tag), state, accessed);
+                    way
+                }
+            };
+            lines[way] = Some((raw, state));
+        }
+        assert!(picks > 0, "the sequence must pick predicted-dead victims");
+        assert_eq!(tlb.accuracy_report(), llc.accuracy_report());
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //! *cbPred−PF* row in Table VII (every block participates).
 
 use crate::ghost::GhostTracker;
-use dpc_memsim::policy::{
-    AccuracyReport, BlockFillDecision, EvictedBlock, InsertPriority, LlcPolicy,
-};
+use dpc_memsim::policy::{AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LlcPolicy};
 use dpc_types::hash::hash_block;
 use dpc_types::{invariant, BlockAddr, CacheConfig, Pc, Pfn, SatCounter};
 use std::collections::VecDeque;
@@ -136,11 +134,8 @@ impl CbPred {
     }
 }
 
-impl LlcPolicy for CbPred {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "cbPred"
-    }
+impl LevelPolicy for CbPred {
+    type Key = BlockAddr;
 
     #[inline]
     fn accuracy_report(&self) -> Option<AccuracyReport> {
@@ -153,6 +148,56 @@ impl LlcPolicy for CbPred {
         })
     }
 
+    #[inline]
+    fn on_lookup(&mut self, block: BlockAddr, _hit: bool) {
+        self.ghost.note_lookup(block.raw());
+    }
+
+    #[inline]
+    fn on_fill(&mut self, block: BlockAddr, _pc: Pc) -> FillDecision {
+        // The PFQ holds prediction-unit frame names (see
+        // `CbPredConfig::pfn_unit_shift`); `note_doa_page` receives them
+        // already shifted, so only the block's frame needs reducing here.
+        let on_doa_page = if self.config.use_pfq {
+            self.pfq.contains(&Pfn::new(block.pfn().raw() >> self.config.pfn_unit_shift))
+        } else {
+            true
+        };
+        if !on_doa_page {
+            self.ghost.note_fill(block.raw());
+            return FillDecision::Allocate { priority: InsertPriority::Normal, state: 0 };
+        }
+        self.pfq_matches += 1;
+        let idx = self.bhist_index(block);
+        if self.bhist[idx].exceeds(self.config.threshold) {
+            self.ghost.note_bypass(block.raw());
+            FillDecision::Bypass
+        } else {
+            self.ghost.note_fill(block.raw());
+            FillDecision::Allocate { priority: InsertPriority::Normal, state: DP_BIT }
+        }
+    }
+
+    #[inline]
+    fn on_evict(&mut self, block: BlockAddr, state: u32, accessed: bool) {
+        if !accessed {
+            self.unpredicted_doas += 1;
+        }
+        // Only DP blocks (blocks that mapped onto a predicted DOA page at
+        // fill time) train the bHIST (paper Fig. 8c).
+        if state & DP_BIT == 0 {
+            return;
+        }
+        let idx = self.bhist_index(block);
+        if accessed {
+            self.bhist[idx].clear();
+        } else {
+            self.bhist[idx].increment();
+        }
+    }
+}
+
+impl LlcPolicy for CbPred {
     #[inline]
     fn note_doa_page(&mut self, pfn: Pfn) {
         self.doa_pages_received += 1;
@@ -170,55 +215,6 @@ impl LlcPolicy for CbPred {
             self.config.pfq_entries
         );
     }
-
-    #[inline]
-    fn on_lookup(&mut self, block: BlockAddr, _hit: bool) {
-        self.ghost.note_lookup(block.raw());
-    }
-
-    #[inline]
-    fn on_fill(&mut self, block: BlockAddr, _pc: Pc) -> BlockFillDecision {
-        // The PFQ holds prediction-unit frame names (see
-        // `CbPredConfig::pfn_unit_shift`); `note_doa_page` receives them
-        // already shifted, so only the block's frame needs reducing here.
-        let on_doa_page = if self.config.use_pfq {
-            self.pfq.contains(&Pfn::new(block.pfn().raw() >> self.config.pfn_unit_shift))
-        } else {
-            true
-        };
-        if !on_doa_page {
-            self.ghost.note_fill(block.raw());
-            return BlockFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 };
-        }
-        self.pfq_matches += 1;
-        let idx = self.bhist_index(block);
-        if self.bhist[idx].exceeds(self.config.threshold) {
-            self.ghost.note_bypass(block.raw());
-            BlockFillDecision::Bypass
-        } else {
-            self.ghost.note_fill(block.raw());
-            BlockFillDecision::Allocate { priority: InsertPriority::Normal, state: DP_BIT }
-        }
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedBlock) {
-        let accessed = evicted.accessed;
-        if !accessed {
-            self.unpredicted_doas += 1;
-        }
-        // Only DP blocks (blocks that mapped onto a predicted DOA page at
-        // fill time) train the bHIST (paper Fig. 8c).
-        if evicted.state & DP_BIT == 0 {
-            return;
-        }
-        let idx = self.bhist_index(evicted.block);
-        if accessed {
-            self.bhist[idx].clear();
-        } else {
-            self.bhist[idx].increment();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,11 +227,11 @@ mod tests {
     }
 
     fn doa_evict(pred: &mut CbPred, block: BlockAddr, dp: bool) {
-        pred.on_evict(EvictedBlock { block, state: if dp { DP_BIT } else { 0 }, accessed: false });
+        pred.on_evict(block, if dp { DP_BIT } else { 0 }, false);
     }
 
     fn live_evict(pred: &mut CbPred, block: BlockAddr, dp: bool) {
-        pred.on_evict(EvictedBlock { block, state: if dp { DP_BIT } else { 0 }, accessed: true });
+        pred.on_evict(block, if dp { DP_BIT } else { 0 }, true);
     }
 
     /// A block address inside frame 5.
@@ -248,10 +244,7 @@ mod tests {
         let mut pred = cb();
         // No PFQ contents: every fill allocates without the DP bit.
         let decision = pred.on_fill(BlockAddr::new(123), Pc::new(0));
-        assert_eq!(
-            decision,
-            BlockFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 }
-        );
+        assert_eq!(decision, FillDecision::Allocate { priority: InsertPriority::Normal, state: 0 });
         assert_eq!(pred.pfq_matches, 0);
     }
 
@@ -266,11 +259,11 @@ mod tests {
             let decision = pred.on_fill(block, Pc::new(0));
             assert_eq!(
                 decision,
-                BlockFillDecision::Allocate { priority: InsertPriority::Normal, state: DP_BIT }
+                FillDecision::Allocate { priority: InsertPriority::Normal, state: DP_BIT }
             );
             doa_evict(&mut pred, block, true);
         }
-        assert_eq!(pred.on_fill(block, Pc::new(0)), BlockFillDecision::Bypass);
+        assert_eq!(pred.on_fill(block, Pc::new(0)), FillDecision::Bypass);
         assert_eq!(pred.pfq_matches, 8);
     }
 
@@ -284,7 +277,7 @@ mod tests {
             doa_evict(&mut pred, block, true);
         }
         live_evict(&mut pred, block, true);
-        assert!(matches!(pred.on_fill(block, Pc::new(0)), BlockFillDecision::Allocate { .. }));
+        assert!(matches!(pred.on_fill(block, Pc::new(0)), FillDecision::Allocate { .. }));
     }
 
     #[test]
@@ -296,7 +289,7 @@ mod tests {
         }
         pred.note_doa_page(Pfn::new(5));
         assert!(
-            matches!(pred.on_fill(block, Pc::new(0)), BlockFillDecision::Allocate { .. }),
+            matches!(pred.on_fill(block, Pc::new(0)), FillDecision::Allocate { .. }),
             "bHIST must still be cold"
         );
     }
@@ -312,11 +305,11 @@ mod tests {
         // Capacity 8: frames 0 and 1 were displaced.
         assert!(!matches!(
             pred.on_fill(Pfn::new(0).base().block(), Pc::new(0)),
-            BlockFillDecision::Allocate { state: DP_BIT, .. }
+            FillDecision::Allocate { state: DP_BIT, .. }
         ));
         assert!(matches!(
             pred.on_fill(Pfn::new(9).base().block(), Pc::new(0)),
-            BlockFillDecision::Allocate { state: DP_BIT, .. }
+            FillDecision::Allocate { state: DP_BIT, .. }
         ));
     }
 
@@ -328,7 +321,7 @@ mod tests {
             pred.on_fill(block, Pc::new(0));
             doa_evict(&mut pred, block, true);
         }
-        assert_eq!(pred.on_fill(block, Pc::new(0)), BlockFillDecision::Bypass);
+        assert_eq!(pred.on_fill(block, Pc::new(0)), FillDecision::Bypass);
     }
 
     #[test]
@@ -347,7 +340,7 @@ mod tests {
             assert!(
                 matches!(
                     pred.on_fill(block, Pc::new(0)),
-                    BlockFillDecision::Allocate { state: DP_BIT, .. }
+                    FillDecision::Allocate { state: DP_BIT, .. }
                 ),
                 "frame {frame} lies on the dead 2 MB page"
             );
@@ -356,7 +349,7 @@ mod tests {
         let outside = Pfn::new(6 << 9).base().block();
         assert!(matches!(
             pred.on_fill(outside, Pc::new(0)),
-            BlockFillDecision::Allocate { state: 0, .. }
+            FillDecision::Allocate { state: 0, .. }
         ));
         assert_eq!(pred.pfq_matches, 3);
     }

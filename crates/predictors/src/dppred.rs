@@ -22,9 +22,7 @@
 //! no observable LLT stay.
 
 use crate::ghost::GhostTracker;
-use dpc_memsim::policy::{
-    AccuracyReport, EvictedPage, InsertPriority, LltPolicy, PageFillDecision,
-};
+use dpc_memsim::policy::{AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LltPolicy};
 use dpc_types::hash::{hash_pc, hash_vpn};
 use dpc_types::{invariant, Pc, Pfn, SatCounter, TlbConfig, Vpn};
 use std::collections::VecDeque;
@@ -134,11 +132,6 @@ impl DpPred {
         Self::new(DpPredConfig::paper_default())
     }
 
-    /// The paper's dpPred−SH ablation: shadow table disabled.
-    pub fn without_shadow() -> Self {
-        Self::new(DpPredConfig { shadow_entries: 0, ..DpPredConfig::paper_default() })
-    }
-
     /// The predictor's configuration.
     pub fn config(&self) -> &DpPredConfig {
         &self.config
@@ -193,13 +186,21 @@ impl DpPred {
             counter.clear();
         }
     }
+
+    /// Starts a stay the bypass path did not: notes the fill for the
+    /// ghost accounting and returns the entry's state, the PC hash. Runs
+    /// on a shadow hit's re-allocation (paper Fig. 6a: *"insert entry
+    /// into LLT, store h(PC) in the LLT entry"*) and when set dueling
+    /// overrides a bypass.
+    #[inline]
+    pub(crate) fn refill(&mut self, vpn: Vpn, pc: Pc) -> u32 {
+        self.ghost.note_fill(vpn.raw());
+        hash_pc(pc, self.config.pc_bits)
+    }
 }
 
-impl LltPolicy for DpPred {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "dpPred"
-    }
+impl LevelPolicy for DpPred {
+    type Key = Vpn;
 
     #[inline]
     fn accuracy_report(&self) -> Option<AccuracyReport> {
@@ -218,27 +219,42 @@ impl LltPolicy for DpPred {
     }
 
     #[inline]
-    fn shadow_lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
-        let pos = self.shadow.iter().position(|e| e.vpn == vpn)?;
-        let entry = self.shadow.remove(pos)?;
-        let vpn_hash = self.vpn_hash(vpn);
-        self.negative_feedback(vpn_hash, entry.pc_hash);
-        Some(entry.pfn)
-    }
-
-    #[inline]
-    fn on_fill(&mut self, vpn: Vpn, _pfn: Pfn, pc: Pc) -> PageFillDecision {
+    fn on_fill(&mut self, vpn: Vpn, pc: Pc) -> FillDecision {
         let pc_hash = hash_pc(pc, self.config.pc_bits);
         let vpn_hash = self.vpn_hash(vpn);
         let idx = self.index(pc_hash, vpn_hash);
         if self.phist[idx].exceeds(self.config.threshold) {
             self.last_bypass_pc_hash = pc_hash;
             self.ghost.note_bypass(vpn.raw());
-            PageFillDecision::Bypass
+            FillDecision::Bypass
         } else {
             self.ghost.note_fill(vpn.raw());
-            PageFillDecision::Allocate { priority: InsertPriority::Normal, state: pc_hash }
+            FillDecision::Allocate { priority: InsertPriority::Normal, state: pc_hash }
         }
+    }
+
+    #[inline]
+    fn on_evict(&mut self, vpn: Vpn, pc_hash: u32, accessed: bool) {
+        let vpn_hash = self.vpn_hash(vpn);
+        let idx = self.index(pc_hash, vpn_hash);
+        if accessed {
+            // Not a DOA: clear the counter (paper Fig. 6c).
+            self.phist[idx].clear();
+        } else {
+            self.phist[idx].increment();
+            self.unpredicted_doas += 1;
+        }
+    }
+}
+
+impl LltPolicy for DpPred {
+    #[inline]
+    fn shadow_lookup(&mut self, vpn: Vpn, pc: Pc) -> Option<(Pfn, u32)> {
+        let pos = self.shadow.iter().position(|e| e.vpn == vpn)?;
+        let entry = self.shadow.remove(pos)?;
+        let vpn_hash = self.vpn_hash(vpn);
+        self.negative_feedback(vpn_hash, entry.pc_hash);
+        Some((entry.pfn, self.refill(vpn, pc)))
     }
 
     #[inline]
@@ -261,26 +277,6 @@ impl LltPolicy for DpPred {
             self.config.shadow_entries
         );
     }
-
-    #[inline]
-    fn refill_state(&mut self, vpn: Vpn, pc: Pc) -> u32 {
-        self.ghost.note_fill(vpn.raw());
-        hash_pc(pc, self.config.pc_bits)
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedPage) {
-        let pc_hash = evicted.state;
-        let vpn_hash = self.vpn_hash(evicted.vpn);
-        let idx = self.index(pc_hash, vpn_hash);
-        if evicted.accessed {
-            // Not a DOA: clear the counter (paper Fig. 6c).
-            self.phist[idx].clear();
-        } else {
-            self.phist[idx].increment();
-            self.unpredicted_doas += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,11 +284,11 @@ mod tests {
     use super::*;
 
     fn doa_evict(pred: &mut DpPred, vpn: Vpn, pc_hash: u32) {
-        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(1), state: pc_hash, accessed: false });
+        pred.on_evict(vpn, pc_hash, false);
     }
 
     fn live_evict(pred: &mut DpPred, vpn: Vpn, pc_hash: u32) {
-        pred.on_evict(EvictedPage { vpn, pfn: Pfn::new(1), state: pc_hash, accessed: true });
+        pred.on_evict(vpn, pc_hash, true);
     }
 
     #[test]
@@ -304,12 +300,12 @@ mod tests {
         // Threshold 6: the 7th DOA eviction makes the counter exceed it.
         for i in 0..7 {
             assert!(
-                matches!(pred.on_fill(vpn, Pfn::new(1), pc), PageFillDecision::Allocate { .. }),
+                matches!(pred.on_fill(vpn, pc), FillDecision::Allocate { .. }),
                 "fill {i} must still allocate"
             );
             doa_evict(&mut pred, vpn, pc_hash);
         }
-        assert_eq!(pred.on_fill(vpn, Pfn::new(1), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(vpn, pc), FillDecision::Bypass);
     }
 
     #[test]
@@ -319,12 +315,12 @@ mod tests {
         let vpn = Vpn::new(0x99);
         let pc_hash = hash_pc(pc, 6);
         for _ in 0..7 {
-            pred.on_fill(vpn, Pfn::new(1), pc);
+            pred.on_fill(vpn, pc);
             doa_evict(&mut pred, vpn, pc_hash);
         }
         live_evict(&mut pred, vpn, pc_hash);
         assert!(
-            matches!(pred.on_fill(vpn, Pfn::new(1), pc), PageFillDecision::Allocate { .. }),
+            matches!(pred.on_fill(vpn, pc), FillDecision::Allocate { .. }),
             "a live eviction must reset the counter"
         );
     }
@@ -336,18 +332,18 @@ mod tests {
         let vpn = Vpn::new(0x99);
         let pc_hash = hash_pc(pc, 6);
         for _ in 0..7 {
-            pred.on_fill(vpn, Pfn::new(7), pc);
+            pred.on_fill(vpn, pc);
             doa_evict(&mut pred, vpn, pc_hash);
         }
-        assert_eq!(pred.on_fill(vpn, Pfn::new(7), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(vpn, pc), FillDecision::Bypass);
         pred.on_bypass(vpn, Pfn::new(7));
         // The bypassed page is re-referenced: shadow hit.
-        assert_eq!(pred.shadow_lookup(vpn), Some(Pfn::new(7)));
+        assert_eq!(pred.shadow_lookup(vpn, pc), Some((Pfn::new(7), pc_hash)));
         assert_eq!(pred.negative_feedback_events, 1);
         // Negative feedback flushed the column: next fill allocates.
-        assert!(matches!(pred.on_fill(vpn, Pfn::new(7), pc), PageFillDecision::Allocate { .. }));
+        assert!(matches!(pred.on_fill(vpn, pc), FillDecision::Allocate { .. }));
         // The shadow entry was consumed.
-        assert_eq!(pred.shadow_lookup(vpn), None);
+        assert_eq!(pred.shadow_lookup(vpn, pc), None);
     }
 
     #[test]
@@ -363,18 +359,18 @@ mod tests {
             .find(|v| hash_vpn(*v, 4) != hash_vpn(vpn_a, 4))
             .expect("some VPN hashes differently");
         for _ in 0..7 {
-            pred.on_fill(vpn_a, Pfn::new(7), pc);
+            pred.on_fill(vpn_a, pc);
             doa_evict(&mut pred, vpn_a, pc_hash);
-            pred.on_fill(vpn_b, Pfn::new(8), pc);
+            pred.on_fill(vpn_b, pc);
             doa_evict(&mut pred, vpn_b, pc_hash);
         }
-        assert_eq!(pred.on_fill(vpn_a, Pfn::new(7), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(vpn_a, pc), FillDecision::Bypass);
         pred.on_bypass(vpn_a, Pfn::new(7));
         // Shadow hit on A flushes exactly A's row...
-        assert_eq!(pred.shadow_lookup(vpn_a), Some(Pfn::new(7)));
-        assert!(matches!(pred.on_fill(vpn_a, Pfn::new(7), pc), PageFillDecision::Allocate { .. }));
+        assert_eq!(pred.shadow_lookup(vpn_a, pc), Some((Pfn::new(7), pc_hash)));
+        assert!(matches!(pred.on_fill(vpn_a, pc), FillDecision::Allocate { .. }));
         // ...while B's fully-trained row keeps predicting.
-        assert_eq!(pred.on_fill(vpn_b, Pfn::new(8), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(vpn_b, pc), FillDecision::Bypass);
     }
 
     #[test]
@@ -441,16 +437,18 @@ mod tests {
         pred.on_bypass(Vpn::new(1), Pfn::new(11));
         pred.on_bypass(Vpn::new(2), Pfn::new(22));
         pred.on_bypass(Vpn::new(3), Pfn::new(33));
-        assert_eq!(pred.shadow_lookup(Vpn::new(1)), None, "oldest entry displaced");
-        assert_eq!(pred.shadow_lookup(Vpn::new(2)), Some(Pfn::new(22)));
-        assert_eq!(pred.shadow_lookup(Vpn::new(3)), Some(Pfn::new(33)));
+        let (pc, pc_hash) = (Pc::new(0x400123), hash_pc(Pc::new(0x400123), 6));
+        assert_eq!(pred.shadow_lookup(Vpn::new(1), pc), None, "oldest entry displaced");
+        assert_eq!(pred.shadow_lookup(Vpn::new(2), pc), Some((Pfn::new(22), pc_hash)));
+        assert_eq!(pred.shadow_lookup(Vpn::new(3), pc), Some((Pfn::new(33), pc_hash)));
     }
 
     #[test]
     fn without_shadow_never_serves() {
-        let mut pred = DpPred::without_shadow();
+        let mut pred =
+            DpPred::new(DpPredConfig { shadow_entries: 0, ..DpPredConfig::paper_default() });
         pred.on_bypass(Vpn::new(1), Pfn::new(11));
-        assert_eq!(pred.shadow_lookup(Vpn::new(1)), None);
+        assert_eq!(pred.shadow_lookup(Vpn::new(1), Pc::new(0x400123)), None);
     }
 
     #[test]
@@ -461,10 +459,10 @@ mod tests {
         let pc = Pc::new(0x400123);
         let pc_hash = hash_pc(pc, 10);
         for _ in 0..7 {
-            pred.on_fill(Vpn::new(5), Pfn::new(1), pc);
+            pred.on_fill(Vpn::new(5), pc);
             doa_evict(&mut pred, Vpn::new(5), pc_hash);
         }
-        assert_eq!(pred.on_fill(Vpn::new(5), Pfn::new(1), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(Vpn::new(5), pc), FillDecision::Bypass);
     }
 
     #[test]
@@ -473,10 +471,10 @@ mod tests {
         let pc = Pc::new(0x400123);
         let pc_hash = hash_pc(pc, 6);
         for _ in 0..7 {
-            pred.on_fill(Vpn::new(5), Pfn::new(1), pc);
+            pred.on_fill(Vpn::new(5), pc);
             doa_evict(&mut pred, Vpn::new(5), pc_hash);
         }
-        assert_eq!(pred.on_fill(Vpn::new(5), Pfn::new(1), pc), PageFillDecision::Bypass);
+        assert_eq!(pred.on_fill(Vpn::new(5), pc), FillDecision::Bypass);
         let report = pred.accuracy_report().expect("dpPred reports accuracy");
         assert_eq!(report.predictions, 1);
         // Unresolved ghost counts as correct at end of run.
@@ -490,6 +488,5 @@ mod tests {
         assert_eq!(pred.config().phist_entries(), 1024);
         assert_eq!(pred.config().threshold, 6);
         assert_eq!(pred.config().shadow_entries, 2);
-        assert_eq!(pred.policy_name(), "dpPred");
     }
 }

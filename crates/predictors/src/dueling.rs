@@ -16,9 +16,7 @@
 //! the baseline — for the cost of one 10-bit counter.
 
 use crate::dppred::{DpPred, DpPredConfig};
-use dpc_memsim::policy::{
-    AccuracyReport, EvictedPage, LltPolicy, PageFillDecision, PolicyLineView,
-};
+use dpc_memsim::policy::{AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LltPolicy};
 use dpc_types::{Pc, Pfn, Vpn};
 
 /// Leader sets per policy (out of the LLT's set count).
@@ -51,16 +49,6 @@ impl DuelingDpPred {
         DuelingDpPred { inner: DpPred::new(config), sets, psel: PSEL_MAX / 2 }
     }
 
-    /// The paper-default dpPred under dueling control.
-    pub fn paper_default() -> Self {
-        Self::new(DpPredConfig::paper_default())
-    }
-
-    /// Current policy-selector value (high = bypassing is winning).
-    pub fn psel(&self) -> u32 {
-        self.psel
-    }
-
     /// Whether follower sets currently bypass.
     pub fn bypass_enabled(&self) -> bool {
         // PSEL counts baseline-leader misses up, bypass-leader misses
@@ -82,11 +70,10 @@ impl DuelingDpPred {
     }
 }
 
-impl LltPolicy for DuelingDpPred {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "dueling-dpPred"
-    }
+// dpPred overrides none of the set-view, victim or hit hooks, so the
+// wrapper keeps their no-op defaults and forwards the rest.
+impl LevelPolicy for DuelingDpPred {
+    type Key = Vpn;
 
     #[inline]
     fn accuracy_report(&self) -> Option<AccuracyReport> {
@@ -107,70 +94,41 @@ impl LltPolicy for DuelingDpPred {
     }
 
     #[inline]
-    fn shadow_lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
-        self.inner.shadow_lookup(vpn)
-    }
-
-    #[inline]
-    fn on_fill(&mut self, vpn: Vpn, pfn: Pfn, pc: Pc) -> PageFillDecision {
+    fn on_fill(&mut self, vpn: Vpn, pc: Pc) -> FillDecision {
         // Always consult dpPred so it keeps training and its ghost
         // accounting stays consistent...
-        let decision = self.inner.on_fill(vpn, pfn, pc);
+        let decision = self.inner.on_fill(vpn, pc);
         let honour_bypass = match self.role_of(vpn) {
             SetRole::BypassLeader => true,
             SetRole::BaselineLeader => false,
             SetRole::Follower => self.bypass_enabled(),
         };
         match decision {
-            PageFillDecision::Bypass if honour_bypass => PageFillDecision::Bypass,
-            PageFillDecision::Bypass => {
+            FillDecision::Bypass if !honour_bypass => {
                 // ...but override the decision where the duel says no:
                 // allocate with dpPred's freshly computed entry state.
-                let state = self.inner.refill_state(vpn, pc);
-                PageFillDecision::Allocate { priority: dpc_memsim::InsertPriority::Normal, state }
+                let state = self.inner.refill(vpn, pc);
+                FillDecision::Allocate { priority: InsertPriority::Normal, state }
             }
-            allocate => allocate,
+            decision => decision,
         }
+    }
+
+    #[inline]
+    fn on_evict(&mut self, vpn: Vpn, state: u32, accessed: bool) {
+        self.inner.on_evict(vpn, state, accessed);
+    }
+}
+
+impl LltPolicy for DuelingDpPred {
+    #[inline]
+    fn shadow_lookup(&mut self, vpn: Vpn, pc: Pc) -> Option<(Pfn, u32)> {
+        self.inner.shadow_lookup(vpn, pc)
     }
 
     #[inline]
     fn on_bypass(&mut self, vpn: Vpn, pfn: Pfn) {
         self.inner.on_bypass(vpn, pfn);
-    }
-
-    #[inline]
-    fn refill_state(&mut self, vpn: Vpn, pc: Pc) -> u32 {
-        self.inner.refill_state(vpn, pc)
-    }
-
-    #[inline]
-    fn on_hit(&mut self, vpn: Vpn, state: &mut u32) {
-        self.inner.on_hit(vpn, state);
-    }
-
-    #[inline]
-    fn uses_set_views(&self) -> bool {
-        self.inner.uses_set_views()
-    }
-
-    #[inline]
-    fn overrides_victim(&self) -> bool {
-        self.inner.overrides_victim()
-    }
-
-    #[inline]
-    fn on_set_access(&mut self, lines: &mut [PolicyLineView]) {
-        self.inner.on_set_access(lines);
-    }
-
-    #[inline]
-    fn pick_victim(&mut self, lines: &mut [PolicyLineView]) -> Option<usize> {
-        self.inner.pick_victim(lines)
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedPage) {
-        self.inner.on_evict(evicted);
     }
 }
 
@@ -180,14 +138,13 @@ mod tests {
 
     #[test]
     fn starts_with_bypass_enabled() {
-        let d = DuelingDpPred::paper_default();
+        let d = DuelingDpPred::new(DpPredConfig::paper_default());
         assert!(d.bypass_enabled(), "mid-range PSEL favours bypassing");
-        assert_eq!(d.policy_name(), "dueling-dpPred");
     }
 
     #[test]
     fn baseline_leader_misses_disable_bypass() {
-        let mut d = DuelingDpPred::paper_default();
+        let mut d = DuelingDpPred::new(DpPredConfig::paper_default());
         // Find a baseline-leader vpn (set % stride == 1 → vpn 1 with
         // 128 sets and stride 8).
         let baseline_vpn = Vpn::new(1);
@@ -207,52 +164,39 @@ mod tests {
 
     #[test]
     fn followers_obey_the_duel() {
-        let mut d = DuelingDpPred::paper_default();
+        let mut d = DuelingDpPred::new(DpPredConfig::paper_default());
         // Train the inner dpPred to predict DOA for one (pc, vpn) pair.
         let pc = Pc::new(0x400);
         let follower_vpn = Vpn::new(2); // set 2 → follower under stride 8
         assert_eq!(d.role_of(follower_vpn), SetRole::Follower);
         for _ in 0..8 {
-            d.on_fill(follower_vpn, Pfn::new(1), pc);
-            d.on_evict(EvictedPage {
-                vpn: follower_vpn,
-                pfn: Pfn::new(1),
-                state: dpc_types::hash::hash_pc(pc, 6),
-                accessed: false,
-            });
+            d.on_fill(follower_vpn, pc);
+            d.on_evict(follower_vpn, dpc_types::hash::hash_pc(pc, 6), false);
         }
         // Duel says bypass: the prediction goes through.
-        assert_eq!(d.on_fill(follower_vpn, Pfn::new(1), pc), PageFillDecision::Bypass);
+        assert_eq!(d.on_fill(follower_vpn, pc), FillDecision::Bypass);
         // Flip the duel: the same prediction is overridden to allocate.
         for _ in 0..PSEL_MAX {
             d.on_lookup(Vpn::new(0), false);
         }
         assert!(!d.bypass_enabled());
-        assert!(matches!(
-            d.on_fill(follower_vpn, Pfn::new(1), pc),
-            PageFillDecision::Allocate { .. }
-        ));
+        assert!(matches!(d.on_fill(follower_vpn, pc), FillDecision::Allocate { .. }));
     }
 
     #[test]
     fn leaders_ignore_the_duel() {
-        let mut d = DuelingDpPred::paper_default();
+        let mut d = DuelingDpPred::new(DpPredConfig::paper_default());
         let pc = Pc::new(0x400);
         let leader_vpn = Vpn::new(0);
         for _ in 0..8 {
-            d.on_fill(leader_vpn, Pfn::new(1), pc);
-            d.on_evict(EvictedPage {
-                vpn: leader_vpn,
-                pfn: Pfn::new(1),
-                state: dpc_types::hash::hash_pc(pc, 6),
-                accessed: false,
-            });
+            d.on_fill(leader_vpn, pc);
+            d.on_evict(leader_vpn, dpc_types::hash::hash_pc(pc, 6), false);
         }
         // Disable bypassing globally; the bypass leader still bypasses.
         for _ in 0..PSEL_MAX {
             d.on_lookup(Vpn::new(0), false);
         }
         assert!(!d.bypass_enabled());
-        assert_eq!(d.on_fill(leader_vpn, Pfn::new(1), pc), PageFillDecision::Bypass);
+        assert_eq!(d.on_fill(leader_vpn, pc), FillDecision::Bypass);
     }
 }

@@ -7,10 +7,11 @@
 //! * [`cbpred`] — **cbPred**, the correlating dead-block predictor for the
 //!   LLC: a PFN filter queue fed by dpPred's DOA-page predictions gates a
 //!   small bHIST (paper Section V-B).
-//! * [`ship`] — SHiP (Wu et al., MICRO'11) adapted to the LLC and, as in
-//!   the paper's comparison, to the LLT.
+//! * [`ship`] — SHiP (Wu et al., MICRO'11), one type generic over the
+//!   level's key, applied to the LLC and, as in the paper's comparison,
+//!   to the LLT.
 //! * [`aip`] — the counter-based access-interval predictor (Kharbutli &
-//!   Solihin) for LLC and LLT.
+//!   Solihin), one type for LLC and LLT alike.
 //! * [`dueling`] — an extension beyond the paper: dpPred under DIP-style
 //!   set-dueling bypass control.
 //! * [`oracle`] — two oracles: a Belady lookahead oracle (used for the
@@ -21,8 +22,11 @@
 //! * [`storage`] — the storage-overhead model reproducing the byte budgets
 //!   of paper Sections V-D and VI-D.
 //!
-//! All predictors implement the [`LltPolicy`](dpc_memsim::LltPolicy) /
-//! [`LlcPolicy`](dpc_memsim::LlcPolicy) hook traits and plug into
+//! All predictors implement the shared
+//! [`LevelPolicy`](dpc_memsim::LevelPolicy) hooks and the
+//! [`LltPolicy`](dpc_memsim::LltPolicy) or
+//! [`LlcPolicy`](dpc_memsim::LlcPolicy) sub-trait of their level, and plug
+//! into
 //! [`System::with_typed_policies`](dpc_memsim::System::with_typed_policies),
 //! which monomorphizes the simulator around the concrete policy pair.
 //!
@@ -56,10 +60,10 @@ pub mod oracle;
 pub mod ship;
 pub mod storage;
 
-pub use aip::{AipLlc, AipTlb};
+pub use aip::{Aip, AipLlc, AipTlb};
 pub use cbpred::{CbPred, CbPredConfig};
 pub use dppred::{DpPred, DpPredConfig};
 pub use dueling::DuelingDpPred;
 pub use ghost::GhostTracker;
 pub use oracle::{BeladyOracle, DoaRecorder, LookupRecorder, LookupTrace, OracleBypass};
-pub use ship::{ShipLlc, ShipTlb};
+pub use ship::{Ship, ShipLlc, ShipTlb};

@@ -26,10 +26,8 @@
 //! # Ok(()) }
 //! ```
 
-use dpc_memsim::policy::{
-    EvictedPage, InsertPriority, LltPolicy, PageFillDecision, PolicyLineView,
-};
-use dpc_types::{Pc, Pfn, Vpn};
+use dpc_memsim::policy::{FillDecision, InsertPriority, LevelPolicy, LltPolicy, PolicyLineView};
+use dpc_types::{Pc, Vpn};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -66,15 +64,15 @@ impl DoaRecorder {
     }
 }
 
-impl LltPolicy for DoaRecorder {
-    fn policy_name(&self) -> &'static str {
-        "oracle-recorder"
-    }
+impl LevelPolicy for DoaRecorder {
+    type Key = Vpn;
 
-    fn on_evict(&mut self, evicted: EvictedPage) {
-        self.record.borrow_mut().entry(evicted.vpn).or_default().push_back(!evicted.accessed);
+    fn on_evict(&mut self, vpn: Vpn, _state: u32, accessed: bool) {
+        self.record.borrow_mut().entry(vpn).or_default().push_back(!accessed);
     }
 }
+
+impl LltPolicy for DoaRecorder {}
 
 /// Pass-2 policy: bypasses fills whose recorded stay was DOA.
 #[derive(Debug)]
@@ -93,12 +91,10 @@ impl OracleBypass {
     }
 }
 
-impl LltPolicy for OracleBypass {
-    fn policy_name(&self) -> &'static str {
-        "oracle"
-    }
+impl LevelPolicy for OracleBypass {
+    type Key = Vpn;
 
-    fn on_fill(&mut self, vpn: Vpn, _pfn: Pfn, _pc: Pc) -> PageFillDecision {
+    fn on_fill(&mut self, vpn: Vpn, _pc: Pc) -> FillDecision {
         let doa = {
             let mut record = self.record.borrow_mut();
             match record.get_mut(&vpn) {
@@ -109,16 +105,18 @@ impl LltPolicy for OracleBypass {
         match doa {
             Some(true) => {
                 self.bypasses += 1;
-                PageFillDecision::Bypass
+                FillDecision::Bypass
             }
-            Some(false) => PageFillDecision::ALLOCATE,
+            Some(false) => FillDecision::ALLOCATE,
             None => {
                 self.unknown_fills += 1;
-                PageFillDecision::ALLOCATE
+                FillDecision::ALLOCATE
             }
         }
     }
 }
+
+impl LltPolicy for OracleBypass {}
 
 // ---------------------------------------------------------------------
 // Belady-style lookahead oracle.
@@ -165,16 +163,16 @@ impl LookupRecorder {
     }
 }
 
-impl LltPolicy for LookupRecorder {
-    fn policy_name(&self) -> &'static str {
-        "belady-recorder"
-    }
+impl LevelPolicy for LookupRecorder {
+    type Key = Vpn;
 
     fn on_lookup(&mut self, vpn: Vpn, _hit: bool) {
         self.time += 1;
         self.record.borrow_mut().entry(vpn).or_default().push(self.time);
     }
 }
+
+impl LltPolicy for LookupRecorder {}
 
 /// The paper's "oracle with lookahead" (Table IV), realized as Belady
 /// bypass/replacement: at each fill the policy knows every page's true
@@ -237,21 +235,19 @@ impl BeladyOracle {
     }
 }
 
-impl LltPolicy for BeladyOracle {
-    fn policy_name(&self) -> &'static str {
-        "oracle"
-    }
+impl LevelPolicy for BeladyOracle {
+    type Key = Vpn;
 
     fn on_lookup(&mut self, _vpn: Vpn, _hit: bool) {
         self.time += 1;
     }
 
-    fn on_fill(&mut self, vpn: Vpn, _pfn: Pfn, _pc: Pc) -> PageFillDecision {
+    fn on_fill(&mut self, vpn: Vpn, _pc: Pc) -> FillDecision {
         let set = (vpn.raw() % self.sets) as usize;
         if self.mirror[set].len() < self.ways {
             self.mirror[set].push(vpn);
             self.pending_victim = None;
-            return PageFillDecision::ALLOCATE;
+            return FillDecision::ALLOCATE;
         }
         let own_next = self.next_use(vpn);
         // The set's residents are taken out for the scan (`next_use` needs
@@ -267,10 +263,10 @@ impl LltPolicy for BeladyOracle {
         let (victim_idx, victim_next) = best;
         let decision = if own_next >= victim_next {
             self.bypasses += 1;
-            PageFillDecision::Bypass
+            FillDecision::Bypass
         } else {
             self.pending_victim = Some(std::mem::replace(&mut residents[victim_idx], vpn));
-            PageFillDecision::Allocate { priority: InsertPriority::Normal, state: 0 }
+            FillDecision::Allocate { priority: InsertPriority::Normal, state: 0 }
         };
         self.mirror[set] = residents;
         decision
@@ -286,19 +282,21 @@ impl LltPolicy for BeladyOracle {
     }
 }
 
+impl LltPolicy for BeladyOracle {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn evicted(vpn: u64, accessed: bool) -> EvictedPage {
-        EvictedPage { vpn: Vpn::new(vpn), pfn: Pfn::new(1), state: 0, accessed }
+    fn evict(rec: &mut DoaRecorder, vpn: u64, accessed: bool) {
+        rec.on_evict(Vpn::new(vpn), 0, accessed);
     }
 
     #[test]
     fn recorder_logs_in_order() {
         let (mut rec, record) = DoaRecorder::new();
-        rec.on_evict(evicted(7, false)); // DOA
-        rec.on_evict(evicted(7, true)); // live
+        evict(&mut rec, 7, false); // DOA
+        evict(&mut rec, 7, true); // live
         let log = record.borrow();
         assert_eq!(log[&Vpn::new(7)], VecDeque::from([true, false]));
     }
@@ -306,19 +304,13 @@ mod tests {
     #[test]
     fn oracle_replays_outcomes_in_order() {
         let (mut rec, record) = DoaRecorder::new();
-        rec.on_evict(evicted(7, false));
-        rec.on_evict(evicted(7, true));
+        evict(&mut rec, 7, false);
+        evict(&mut rec, 7, true);
         let mut oracle = OracleBypass::new(record);
-        assert_eq!(oracle.on_fill(Vpn::new(7), Pfn::new(1), Pc::new(0)), PageFillDecision::Bypass);
-        assert_eq!(
-            oracle.on_fill(Vpn::new(7), Pfn::new(1), Pc::new(0)),
-            PageFillDecision::ALLOCATE
-        );
+        assert_eq!(oracle.on_fill(Vpn::new(7), Pc::new(0)), FillDecision::Bypass);
+        assert_eq!(oracle.on_fill(Vpn::new(7), Pc::new(0)), FillDecision::ALLOCATE);
         // Record exhausted: default to allocate.
-        assert_eq!(
-            oracle.on_fill(Vpn::new(7), Pfn::new(1), Pc::new(0)),
-            PageFillDecision::ALLOCATE
-        );
+        assert_eq!(oracle.on_fill(Vpn::new(7), Pc::new(0)), FillDecision::ALLOCATE);
         assert_eq!(oracle.bypasses, 1);
         assert_eq!(oracle.unknown_fills, 1);
     }
@@ -327,10 +319,7 @@ mod tests {
     fn unseen_pages_allocate() {
         let (_rec, record) = DoaRecorder::new();
         let mut oracle = OracleBypass::new(record);
-        assert_eq!(
-            oracle.on_fill(Vpn::new(42), Pfn::new(1), Pc::new(0)),
-            PageFillDecision::ALLOCATE
-        );
+        assert_eq!(oracle.on_fill(Vpn::new(42), Pc::new(0)), FillDecision::ALLOCATE);
         assert_eq!(oracle.unknown_fills, 1);
     }
 
@@ -359,14 +348,8 @@ mod tests {
     fn belady_fills_empty_ways() {
         let record = lookup_record(&[]);
         let mut oracle = BeladyOracle::new(record, 1, 2);
-        assert_eq!(
-            oracle.on_fill(Vpn::new(1), Pfn::new(1), Pc::new(0)),
-            PageFillDecision::ALLOCATE
-        );
-        assert_eq!(
-            oracle.on_fill(Vpn::new(2), Pfn::new(2), Pc::new(0)),
-            PageFillDecision::ALLOCATE
-        );
+        assert_eq!(oracle.on_fill(Vpn::new(1), Pc::new(0)), FillDecision::ALLOCATE);
+        assert_eq!(oracle.on_fill(Vpn::new(2), Pc::new(0)), FillDecision::ALLOCATE);
     }
 
     #[test]
@@ -374,9 +357,9 @@ mod tests {
         // Residents 1 and 2 are re-used soon; page 3 never again.
         let record = lookup_record(&[(1, &[100]), (2, &[50]), (3, &[])]);
         let mut oracle = BeladyOracle::new(record, 1, 2);
-        oracle.on_fill(Vpn::new(1), Pfn::new(1), Pc::new(0));
-        oracle.on_fill(Vpn::new(2), Pfn::new(2), Pc::new(0));
-        assert_eq!(oracle.on_fill(Vpn::new(3), Pfn::new(3), Pc::new(0)), PageFillDecision::Bypass);
+        oracle.on_fill(Vpn::new(1), Pc::new(0));
+        oracle.on_fill(Vpn::new(2), Pc::new(0));
+        assert_eq!(oracle.on_fill(Vpn::new(3), Pc::new(0)), FillDecision::Bypass);
         assert_eq!(oracle.bypasses, 1);
     }
 
@@ -386,12 +369,9 @@ mod tests {
         // t=10 → evict 1.
         let record = lookup_record(&[(1, &[100]), (2, &[50]), (3, &[10])]);
         let mut oracle = BeladyOracle::new(record, 1, 2);
-        oracle.on_fill(Vpn::new(1), Pfn::new(1), Pc::new(0));
-        oracle.on_fill(Vpn::new(2), Pfn::new(2), Pc::new(0));
-        assert!(matches!(
-            oracle.on_fill(Vpn::new(3), Pfn::new(3), Pc::new(0)),
-            PageFillDecision::Allocate { .. }
-        ));
+        oracle.on_fill(Vpn::new(1), Pc::new(0));
+        oracle.on_fill(Vpn::new(2), Pc::new(0));
+        assert!(matches!(oracle.on_fill(Vpn::new(3), Pc::new(0)), FillDecision::Allocate { .. }));
         let mut views = vec![
             PolicyLineView { way: 0, tag: 1, is_hit: false, state: 0 },
             PolicyLineView { way: 1, tag: 2, is_hit: false, state: 0 },
@@ -405,13 +385,10 @@ mod tests {
         // and loses to page 2 (used at t=100).
         let record = lookup_record(&[(1, &[1]), (2, &[100]), (3, &[2, 99])]);
         let mut oracle = BeladyOracle::new(record, 1, 1);
-        oracle.on_fill(Vpn::new(1), Pfn::new(1), Pc::new(0));
+        oracle.on_fill(Vpn::new(1), Pc::new(0));
         oracle.on_lookup(Vpn::new(1), true); // t = 1: page 1's last use
         assert!(
-            matches!(
-                oracle.on_fill(Vpn::new(3), Pfn::new(3), Pc::new(0)),
-                PageFillDecision::Allocate { .. }
-            ),
+            matches!(oracle.on_fill(Vpn::new(3), Pc::new(0)), FillDecision::Allocate { .. }),
             "page 3 (next use t=2) must displace the finished page 1"
         );
     }

@@ -9,7 +9,8 @@
 //! SRRIP) — see Section VI-A: *"we adapt SHiP to mark entries predicted to
 //! have distant re-reference as LRU."*
 //!
-//! Two instantiations mirror the paper's configurations:
+//! One generic type, [`Ship`], serves both levels, and two aliases name
+//! the paper's configurations:
 //!
 //! * [`ShipLlc`] — 14-bit PC signature, 16K-entry SHCT of 3-bit counters;
 //! * [`ShipTlb`] — 8-bit PC signature (*"configure SHiP-TLB to use similar
@@ -20,11 +21,12 @@
 
 use crate::ghost::GhostTracker;
 use dpc_memsim::policy::{
-    AccuracyReport, BlockFillDecision, EvictedBlock, EvictedPage, InsertPriority, LlcPolicy,
-    LltPolicy, PageFillDecision,
+    AccuracyReport, FillDecision, InsertPriority, LevelPolicy, LlcPolicy, LltPolicy,
 };
 use dpc_types::hash::hash_pc;
-use dpc_types::{BlockAddr, CacheConfig, Pc, Pfn, SatCounter, TlbConfig, Vpn};
+use dpc_types::{BlockAddr, CacheConfig, Pc, SatCounter, TlbConfig, Vpn};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
 /// Outcome bit: the entry has been re-referenced since fill.
 const OUTCOME_BIT: u32 = 1 << 31;
@@ -33,7 +35,8 @@ const PREDICTED_BIT: u32 = 1 << 30;
 /// Mask for the stored signature.
 const SIG_MASK: u32 = (1 << 16) - 1;
 
-/// The signature table and insertion logic shared by both instantiations.
+/// SHiP over a level keyed by `K`: the signature table, the insertion
+/// logic and the accuracy accounting.
 ///
 /// Accuracy is measured *counterfactually* with a ghost FIFO: a
 /// distant-inserted entry is evicted almost immediately, so judging the
@@ -42,15 +45,23 @@ const SIG_MASK: u32 = (1 << 16) - 1;
 /// re-reference within its would-be-normal stay resolves the prediction
 /// wrong, aging out resolves it right.
 #[derive(Debug)]
-struct ShipCore {
+pub struct Ship<K> {
     shct: Vec<SatCounter>,
     sig_bits: u32,
     ghost: GhostTracker,
     mispredicted_resident: u64,
     doa_evictions: u64,
+    key: PhantomData<K>,
 }
 
-impl ShipCore {
+/// SHiP applied to the LLC (the paper's SHiP-LLC configuration).
+pub type ShipLlc = Ship<BlockAddr>;
+
+/// SHiP adapted to the last-level TLB (the paper's SHiP-TLB
+/// configuration).
+pub type ShipTlb = Ship<Vpn>;
+
+impl<K> Ship<K> {
     fn new(sig_bits: u32, counter_bits: u32, sets: u64, ways: u64) -> Self {
         assert!(sig_bits > 0 && sig_bits <= 16, "signature width must be 1..=16 bits");
         let mut shct = vec![SatCounter::new(counter_bits); 1 << sig_bits];
@@ -62,33 +73,75 @@ impl ShipCore {
                 c.increment();
             }
         }
-        ShipCore {
+        Ship {
             shct,
             sig_bits,
             ghost: GhostTracker::new(sets, ways),
             mispredicted_resident: 0,
             doa_evictions: 0,
+            key: PhantomData,
         }
     }
+}
 
-    fn on_lookup(&mut self, tag: u64) {
-        self.ghost.note_lookup(tag);
+impl ShipLlc {
+    /// The paper's SHiP-LLC sized for an LLC: 14-bit signatures, a
+    /// 16K-entry SHCT of 3-bit counters.
+    pub fn for_cache(llc: &CacheConfig) -> Self {
+        Self::new(14, 3, llc.sets(), u64::from(llc.ways))
+    }
+}
+
+impl ShipTlb {
+    /// The paper's SHiP-TLB: 8-bit PC signatures (storage comparable to
+    /// dpPred), 3-bit counters, for the paper's 1024-entry 8-way LLT.
+    pub fn paper_default() -> Self {
+        Self::new(8, 3, 128, 8)
     }
 
-    /// Decide insertion for a fill brought by `pc`; returns (priority,
-    /// initial line state).
-    fn on_fill(&mut self, tag: u64, pc: Pc) -> (InsertPriority, u32) {
+    /// The paper's SHiP-TLB sized for an arbitrary LLT.
+    pub fn for_tlb(tlb: &TlbConfig) -> Self {
+        Self::new(8, 3, u64::from(tlb.sets()), u64::from(tlb.ways))
+    }
+}
+
+impl<K: Copy + Into<u64> + From<u64> + Debug> LevelPolicy for Ship<K> {
+    type Key = K;
+
+    #[inline]
+    fn accuracy_report(&self) -> Option<AccuracyReport> {
+        let correct = self.ghost.resolved_correct();
+        Some(AccuracyReport {
+            predictions: self.ghost.predictions + self.mispredicted_resident,
+            correct,
+            mispredictions: self.ghost.mispredictions + self.mispredicted_resident,
+            // Every DOA eviction of a predicted entry is also in `ghost`;
+            // unpredicted DOAs are the difference.
+            true_doas: correct + (self.doa_evictions - self.ghost.predictions),
+        })
+    }
+
+    #[inline]
+    fn on_lookup(&mut self, key: K, _hit: bool) {
+        self.ghost.note_lookup(key.into());
+    }
+
+    /// Inserts a fill brought by `pc` at the LRU position when its
+    /// signature's counter has reached zero.
+    #[inline]
+    fn on_fill(&mut self, key: K, pc: Pc) -> FillDecision {
         let sig = hash_pc(pc, self.sig_bits);
-        self.ghost.note_fill(tag);
+        self.ghost.note_fill(key.into());
         if self.shct[sig as usize].value() == 0 {
-            (InsertPriority::Distant, sig | PREDICTED_BIT)
+            FillDecision::Allocate { priority: InsertPriority::Distant, state: sig | PREDICTED_BIT }
         } else {
-            (InsertPriority::Normal, sig)
+            FillDecision::Allocate { priority: InsertPriority::Normal, state: sig }
         }
     }
 
     /// First re-reference trains the SHCT positively.
-    fn on_hit(&mut self, state: &mut u32) {
+    #[inline]
+    fn on_hit(&mut self, _key: K, state: &mut u32) {
         if *state & OUTCOME_BIT == 0 {
             *state |= OUTCOME_BIT;
             let sig = (*state & SIG_MASK) as usize;
@@ -98,7 +151,8 @@ impl ShipCore {
 
     /// Eviction without re-reference trains the SHCT negatively and
     /// resolves the accuracy of a distant prediction.
-    fn on_evict(&mut self, tag: u64, state: u32, accessed: bool) {
+    #[inline]
+    fn on_evict(&mut self, key: K, state: u32, accessed: bool) {
         let sig = (state & SIG_MASK) as usize;
         if state & OUTCOME_BIT == 0 {
             self.shct[sig].decrement();
@@ -109,155 +163,34 @@ impl ShipCore {
         if state & PREDICTED_BIT != 0 {
             if !accessed {
                 // Unresolved: track the counterfactual stay in the ghost.
-                self.ghost.note_bypass(tag);
+                self.ghost.note_bypass(key.into());
             } else {
                 // Hit while (briefly) resident: clearly wrong.
                 self.mispredicted_resident += 1;
             }
         }
     }
-
-    fn report(&self) -> AccuracyReport {
-        let correct = self.ghost.resolved_correct();
-        let mispredictions = self.ghost.mispredictions + self.mispredicted_resident;
-        AccuracyReport {
-            predictions: self.ghost.predictions + self.mispredicted_resident,
-            correct,
-            mispredictions,
-            // Every DOA eviction of a predicted entry is also in `ghost`;
-            // unpredicted DOAs are the difference.
-            true_doas: correct + (self.doa_evictions - self.ghost.predictions),
-        }
-    }
 }
 
-/// SHiP applied to the LLC (the paper's SHiP-LLC configuration).
-#[derive(Debug)]
-pub struct ShipLlc {
-    core: ShipCore,
-}
+impl LltPolicy for ShipTlb {}
 
-impl ShipLlc {
-    /// The paper's SHiP-LLC: 14-bit signatures, 16K-entry SHCT of 3-bit
-    /// counters, for the paper's 2 MB 16-way LLC.
-    pub fn paper_default() -> Self {
-        ShipLlc { core: ShipCore::new(14, 3, 2048, 16) }
-    }
-
-    /// The paper's SHiP-LLC sized for an arbitrary LLC.
-    pub fn for_cache(llc: &CacheConfig) -> Self {
-        ShipLlc { core: ShipCore::new(14, 3, llc.sets(), u64::from(llc.ways)) }
-    }
-
-    /// Custom signature/counter geometry.
-    pub fn new(sig_bits: u32, counter_bits: u32, llc: &CacheConfig) -> Self {
-        ShipLlc { core: ShipCore::new(sig_bits, counter_bits, llc.sets(), u64::from(llc.ways)) }
-    }
-}
-
-impl LlcPolicy for ShipLlc {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "SHiP-LLC"
-    }
-
-    #[inline]
-    fn accuracy_report(&self) -> Option<AccuracyReport> {
-        Some(self.core.report())
-    }
-
-    #[inline]
-    fn on_lookup(&mut self, block: BlockAddr, _hit: bool) {
-        self.core.on_lookup(block.raw());
-    }
-
-    #[inline]
-    fn on_fill(&mut self, block: BlockAddr, pc: Pc) -> BlockFillDecision {
-        let (priority, state) = self.core.on_fill(block.raw(), pc);
-        BlockFillDecision::Allocate { priority, state }
-    }
-
-    #[inline]
-    fn on_hit(&mut self, _block: BlockAddr, state: &mut u32) {
-        self.core.on_hit(state);
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedBlock) {
-        self.core.on_evict(evicted.block.raw(), evicted.state, evicted.accessed);
-    }
-}
-
-/// SHiP adapted to the last-level TLB (the paper's SHiP-TLB configuration).
-#[derive(Debug)]
-pub struct ShipTlb {
-    core: ShipCore,
-}
-
-impl ShipTlb {
-    /// The paper's SHiP-TLB: 8-bit PC signatures (storage comparable to
-    /// dpPred), 3-bit counters, for the paper's 1024-entry 8-way LLT.
-    pub fn paper_default() -> Self {
-        ShipTlb { core: ShipCore::new(8, 3, 128, 8) }
-    }
-
-    /// The paper's SHiP-TLB sized for an arbitrary LLT.
-    pub fn for_tlb(tlb: &TlbConfig) -> Self {
-        ShipTlb { core: ShipCore::new(8, 3, u64::from(tlb.sets()), u64::from(tlb.ways)) }
-    }
-
-    /// Custom signature/counter geometry.
-    pub fn new(sig_bits: u32, counter_bits: u32, tlb: &TlbConfig) -> Self {
-        ShipTlb {
-            core: ShipCore::new(sig_bits, counter_bits, u64::from(tlb.sets()), u64::from(tlb.ways)),
-        }
-    }
-}
-
-impl LltPolicy for ShipTlb {
-    #[inline]
-    fn policy_name(&self) -> &'static str {
-        "SHiP-TLB"
-    }
-
-    #[inline]
-    fn accuracy_report(&self) -> Option<AccuracyReport> {
-        Some(self.core.report())
-    }
-
-    #[inline]
-    fn on_lookup(&mut self, vpn: Vpn, _hit: bool) {
-        self.core.on_lookup(vpn.raw());
-    }
-
-    #[inline]
-    fn on_fill(&mut self, vpn: Vpn, _pfn: Pfn, pc: Pc) -> PageFillDecision {
-        let (priority, state) = self.core.on_fill(vpn.raw(), pc);
-        PageFillDecision::Allocate { priority, state }
-    }
-
-    #[inline]
-    fn on_hit(&mut self, _vpn: Vpn, state: &mut u32) {
-        self.core.on_hit(state);
-    }
-
-    #[inline]
-    fn on_evict(&mut self, evicted: EvictedPage) {
-        self.core.on_evict(evicted.vpn.raw(), evicted.state, evicted.accessed);
-    }
-}
+impl LlcPolicy for ShipLlc {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ship_llc() -> ShipLlc {
+        ShipLlc::for_cache(&dpc_types::SystemConfig::paper_baseline().llc)
+    }
+
     #[test]
     fn cold_signature_inserts_normal() {
-        let mut ship = ShipLlc::paper_default();
+        let mut ship = ship_llc();
         let decision = ship.on_fill(BlockAddr::new(1), Pc::new(0x400));
         assert!(matches!(
             decision,
-            BlockFillDecision::Allocate { priority: InsertPriority::Normal, .. }
+            FillDecision::Allocate { priority: InsertPriority::Normal, .. }
         ));
     }
 
@@ -265,55 +198,50 @@ mod tests {
     /// signature's counter at zero (init is mid-range).
     fn train_distant(ship: &mut ShipLlc, pc: Pc) {
         for i in 0..8u64 {
-            let BlockFillDecision::Allocate { state, .. } = ship.on_fill(BlockAddr::new(i), pc)
-            else {
+            let FillDecision::Allocate { state, .. } = ship.on_fill(BlockAddr::new(i), pc) else {
                 panic!("SHiP never bypasses");
             };
-            ship.on_evict(EvictedBlock { block: BlockAddr::new(i), state, accessed: false });
+            ship.on_evict(BlockAddr::new(i), state, false);
         }
     }
 
     #[test]
     fn repeated_doa_signature_becomes_distant() {
-        let mut ship = ShipLlc::paper_default();
+        let mut ship = ship_llc();
         let pc = Pc::new(0x400);
         // One DOA eviction is not enough from the mid-range init.
-        let BlockFillDecision::Allocate { state, .. } = ship.on_fill(BlockAddr::new(1), pc) else {
+        let FillDecision::Allocate { state, .. } = ship.on_fill(BlockAddr::new(1), pc) else {
             panic!("SHiP never bypasses");
         };
-        ship.on_evict(EvictedBlock { block: BlockAddr::new(1), state, accessed: false });
+        ship.on_evict(BlockAddr::new(1), state, false);
         assert!(matches!(
             ship.on_fill(BlockAddr::new(2), pc),
-            BlockFillDecision::Allocate { priority: InsertPriority::Normal, .. }
+            FillDecision::Allocate { priority: InsertPriority::Normal, .. }
         ));
         train_distant(&mut ship, pc);
         assert!(matches!(
             ship.on_fill(BlockAddr::new(2), pc),
-            BlockFillDecision::Allocate { priority: InsertPriority::Distant, .. }
+            FillDecision::Allocate { priority: InsertPriority::Distant, .. }
         ));
     }
 
     #[test]
     fn rereference_trains_positively() {
-        let mut ship = ShipLlc::paper_default();
+        let mut ship = ship_llc();
         let pc = Pc::new(0x400);
         train_distant(&mut ship, pc);
         // A re-referenced block pulls the counter off zero again.
-        let BlockFillDecision::Allocate { mut state, .. } = ship.on_fill(BlockAddr::new(1), pc)
-        else {
+        let FillDecision::Allocate { mut state, .. } = ship.on_fill(BlockAddr::new(1), pc) else {
             panic!("SHiP never bypasses");
         };
         ship.on_hit(BlockAddr::new(1), &mut state);
         assert!(state & OUTCOME_BIT != 0);
         // A second hit must not double-train.
         ship.on_hit(BlockAddr::new(1), &mut state);
-        ship.on_evict(EvictedBlock { block: BlockAddr::new(1), state, accessed: true });
+        ship.on_evict(BlockAddr::new(1), state, true);
         let decision = ship.on_fill(BlockAddr::new(3), pc);
         assert!(
-            matches!(
-                decision,
-                BlockFillDecision::Allocate { priority: InsertPriority::Normal, .. }
-            ),
+            matches!(decision, FillDecision::Allocate { priority: InsertPriority::Normal, .. }),
             "a reuse observation must lift the signature out of distant"
         );
     }
@@ -324,26 +252,17 @@ mod tests {
         let pc = Pc::new(0x400);
         // Train to distant (init is mid-range: 4 net DOA evictions).
         for i in 0..8u64 {
-            let PageFillDecision::Allocate { state, .. } =
-                ship.on_fill(Vpn::new(i), Pfn::new(i), pc)
-            else {
+            let FillDecision::Allocate { state, .. } = ship.on_fill(Vpn::new(i), pc) else {
                 panic!()
             };
-            ship.on_evict(EvictedPage {
-                vpn: Vpn::new(i),
-                pfn: Pfn::new(i),
-                state,
-                accessed: false,
-            });
+            ship.on_evict(Vpn::new(i), state, false);
         }
         // Distant-predicted fill that is truly DOA: correct.
-        let PageFillDecision::Allocate { priority, state } =
-            ship.on_fill(Vpn::new(99), Pfn::new(99), pc)
-        else {
+        let FillDecision::Allocate { priority, state } = ship.on_fill(Vpn::new(99), pc) else {
             panic!()
         };
         assert_eq!(priority, InsertPriority::Distant);
-        ship.on_evict(EvictedPage { vpn: Vpn::new(99), pfn: Pfn::new(99), state, accessed: false });
+        ship.on_evict(Vpn::new(99), state, false);
         let report = ship.accuracy_report().unwrap();
         assert!(report.predictions >= 1);
         assert_eq!(report.correct, report.predictions, "all predictions were truly DOA");
@@ -353,9 +272,42 @@ mod tests {
         assert!(report.coverage() < 1.0, "early unpredicted DOAs cap coverage");
     }
 
+    /// One SHiP on both levels: driven through the same raw keys, PCs and
+    /// outcomes, `Ship<Vpn>` and `Ship<BlockAddr>` make the same fill
+    /// decisions, leave the same states and report the same accuracy.
+    #[test]
+    fn both_levels_behave_alike() {
+        let (mut tlb, mut llc) = (Ship::<Vpn>::new(8, 3, 4, 2), Ship::<BlockAddr>::new(8, 3, 4, 2));
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for step in 0..4000u64 {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (raw, pc) = ((rng >> 40) % 24, Pc::new(0x400 + (rng >> 20) % 12 * 4));
+            tlb.on_lookup(Vpn::new(raw), false);
+            llc.on_lookup(BlockAddr::new(raw), false);
+            let decision = tlb.on_fill(Vpn::new(raw), pc);
+            assert_eq!(decision, llc.on_fill(BlockAddr::new(raw), pc), "step {step}");
+            let FillDecision::Allocate { mut state, .. } = decision else {
+                panic!("SHiP never bypasses");
+            };
+            let mut llc_state = state;
+            let hits = (rng >> 8) % 3;
+            for _ in 0..hits {
+                tlb.on_hit(Vpn::new(raw), &mut state);
+                llc.on_hit(BlockAddr::new(raw), &mut llc_state);
+            }
+            assert_eq!(state, llc_state, "step {step}");
+            tlb.on_evict(Vpn::new(raw), state, hits > 0);
+            llc.on_evict(BlockAddr::new(raw), llc_state, hits > 0);
+        }
+        let report = tlb.accuracy_report();
+        assert!(report.is_some_and(|r| r.predictions > 0), "the sequence must predict");
+        assert_eq!(report, llc.accuracy_report());
+    }
+
     #[test]
     #[should_panic(expected = "signature width")]
     fn oversize_signature_rejected() {
-        ShipLlc::new(17, 3, &dpc_types::SystemConfig::paper_baseline().llc);
+        Ship::<BlockAddr>::new(17, 3, 2048, 16);
     }
 }

@@ -2,9 +2,7 @@
 //! sizes, shadow/PFQ capacities) and behavioural invariants (negative
 //! feedback, training saturation) under arbitrary event sequences.
 
-use dpc_memsim::policy::{
-    BlockFillDecision, EvictedBlock, EvictedPage, LlcPolicy, LltPolicy, PageFillDecision,
-};
+use dpc_memsim::policy::{FillDecision, LevelPolicy, LlcPolicy, LltPolicy};
 use dpc_predictors::{CbPred, DpPred, ShipTlb};
 use dpc_types::{BlockAddr, Pc, Pfn, SystemConfig, Vpn};
 use proptest::prelude::*;
@@ -39,26 +37,15 @@ proptest! {
             match event {
                 Ev::Lookup(v) => pred.on_lookup(Vpn::new(v.into()), false),
                 Ev::Fill(v, p) => {
-                    let decision =
-                        pred.on_fill(Vpn::new(v.into()), Pfn::new(1), Pc::new(u64::from(p) * 4));
-                    if decision == PageFillDecision::Bypass {
+                    let decision = pred.on_fill(Vpn::new(v.into()), Pc::new(u64::from(p) * 4));
+                    if decision == FillDecision::Bypass {
                         pred.on_bypass(Vpn::new(v.into()), Pfn::new(1));
                     }
                 }
-                Ev::EvictDoa(v, p) => pred.on_evict(EvictedPage {
-                    vpn: Vpn::new(v.into()),
-                    pfn: Pfn::new(1),
-                    state: u32::from(p) & 0x3f,
-                    accessed: false,
-                }),
-                Ev::EvictLive(v, p) => pred.on_evict(EvictedPage {
-                    vpn: Vpn::new(v.into()),
-                    pfn: Pfn::new(1),
-                    state: u32::from(p) & 0x3f,
-                    accessed: true,
-                }),
+                Ev::EvictDoa(v, p) => pred.on_evict(Vpn::new(v.into()), u32::from(p) & 0x3f, false),
+                Ev::EvictLive(v, p) => pred.on_evict(Vpn::new(v.into()), u32::from(p) & 0x3f, true),
                 Ev::Shadow(v) => {
-                    let _ = pred.shadow_lookup(Vpn::new(v.into()));
+                    let _ = pred.shadow_lookup(Vpn::new(v.into()), Pc::new(0));
                 }
             }
         }
@@ -78,7 +65,7 @@ proptest! {
             let vpn = Vpn::new(u64::from(v));
             // Without any bypass, the shadow must be empty.
             if !outstanding.contains(&vpn.raw()) {
-                prop_assert_eq!(pred.shadow_lookup(vpn), None);
+                prop_assert_eq!(pred.shadow_lookup(vpn, Pc::new(0)), None);
             }
             pred.on_bypass(vpn, Pfn::new(u64::from(v) + 100));
             // Mirror the shadow's semantics: a re-bypassed VPN refreshes
@@ -93,8 +80,8 @@ proptest! {
         // Serving drains: two lookups of the same vpn cannot both hit.
         if let Some(&v) = outstanding.last() {
             let vpn = Vpn::new(v);
-            if pred.shadow_lookup(vpn).is_some() {
-                prop_assert_eq!(pred.shadow_lookup(vpn), None);
+            if pred.shadow_lookup(vpn, Pc::new(0)).is_some() {
+                prop_assert_eq!(pred.shadow_lookup(vpn, Pc::new(0)), None);
             }
         }
     }
@@ -124,19 +111,15 @@ proptest! {
         for (frame, offset) in blocks {
             let block = BlockAddr::new(frame * 64 + offset);
             match pred.on_fill(block, Pc::new(0)) {
-                BlockFillDecision::Bypass => {
+                FillDecision::Bypass => {
                     prop_assert!(fifo.contains(&frame), "bypass off a DOA page");
                 }
-                BlockFillDecision::Allocate { state, .. } => {
+                FillDecision::Allocate { state, .. } => {
                     prop_assert_eq!(state & 1 == 1, fifo.contains(&frame), "DP bit mismatch");
                 }
             }
             // Feed DOA evictions back to train the bHIST.
-            pred.on_evict(EvictedBlock {
-                block,
-                state: u32::from(fifo.contains(&frame)),
-                accessed: false,
-            });
+            pred.on_evict(block, u32::from(fifo.contains(&frame)), false);
         }
     }
 
@@ -145,19 +128,14 @@ proptest! {
     fn ship_never_bypasses(fills in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..200)) {
         let mut pred = ShipTlb::paper_default();
         for (v, p) in fills {
-            let decision =
-                pred.on_fill(Vpn::new(v.into()), Pfn::new(1), Pc::new(u64::from(p) * 4));
-            let allocated = matches!(decision, PageFillDecision::Allocate { .. });
+            let decision = pred.on_fill(Vpn::new(v.into()), Pc::new(u64::from(p) * 4));
+            let allocated = matches!(decision, FillDecision::Allocate { .. });
             prop_assert!(allocated, "SHiP must never bypass");
-            pred.on_evict(EvictedPage {
-                vpn: Vpn::new(v.into()),
-                pfn: Pfn::new(1),
-                state: match decision {
-                    PageFillDecision::Allocate { state, .. } => state,
-                    PageFillDecision::Bypass => unreachable!(),
-                },
-                accessed: p % 2 == 1,
-            });
+            let state = match decision {
+                FillDecision::Allocate { state, .. } => state,
+                FillDecision::Bypass => unreachable!(),
+            };
+            pred.on_evict(Vpn::new(v.into()), state, p % 2 == 1);
         }
     }
 }

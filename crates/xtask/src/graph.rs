@@ -5,8 +5,9 @@
 //! rooted at the replay entry points the warm loop runs through —
 //! `System::run_stream`/`step`, `Hierarchy::access`,
 //! `SetAssoc::locate`/`fill`, `EventStream::decode_chunk`
-//! — plus every method of a `LltPolicy`/`LlcPolicy` impl (and the trait default bodies), since policy hooks
-//! fire once per simulated memory operation. Everything reachable from a
+//! — plus every method of a `LevelPolicy`/`LltPolicy`/`LlcPolicy` impl
+//! (and the trait default bodies), since policy hooks fire once per
+//! simulated memory operation. Everything reachable from a
 //! root is **hot**, and [`crate::rules::hot_path`] holds it to the
 //! panic-freedom, bounds-evidence, and allocation-freedom rules wherever
 //! it lives.
@@ -39,7 +40,7 @@ pub const HOT_ROOTS: &[(&str, &str)] = &[
 
 /// Traits whose entire method surface (impls and default bodies) roots
 /// the graph: the per-event policy hooks.
-pub const HOT_TRAITS: &[&str] = &["LltPolicy", "LlcPolicy"];
+pub const HOT_TRAITS: &[&str] = &["LevelPolicy", "LltPolicy", "LlcPolicy"];
 
 /// Only `crates/<name>/src/` files participate in the graph: integration
 /// tests, benches and examples drive the simulator but are not simulated

@@ -15,13 +15,13 @@
 //!   indexing in non-test code under `crates/memsim` and
 //!   `crates/predictors`, **and in every function the workspace call
 //!   graph proves reachable from the replay roots** (`System::
-//!   run_stream`/`step`, `SetAssoc::locate`/`fill`, the `LltPolicy`/
-//!   `LlcPolicy` hook surface, `EventStream::decode_chunk`) wherever it
-//!   lives — plus no heap construction (`hot-path::alloc`) in that
-//!   reachable set;
-//! * **dispatch** — no `dyn LltPolicy`/`dyn LlcPolicy` trait objects in
-//!   non-test code under `crates/memsim`/`crates/core`, with no
-//!   exempt module.
+//!   run_stream`/`step`, `SetAssoc::locate`/`fill`, the `LevelPolicy`/
+//!   `LltPolicy`/`LlcPolicy` hook surface, `EventStream::decode_chunk`)
+//!   wherever it lives — plus no heap construction (`hot-path::alloc`)
+//!   in that reachable set;
+//! * **dispatch** — no `dyn LevelPolicy`/`dyn LltPolicy`/`dyn LlcPolicy`
+//!   trait objects in non-test code under `crates/memsim`/`crates/core`,
+//!   with no exempt module.
 //!
 //! The only escape hatch is an inline comment on the offending line or
 //! the line above it:

@@ -234,6 +234,13 @@ fn for_loops_over(scrubbed: &str, name: &str) -> Vec<usize> {
         if start > 0 && is_ident_byte(scrubbed.as_bytes()[start - 1]) {
             continue;
         }
+        // The `for` of an impl header (`impl Trait for Type {}`) starts
+        // no loop: its `in` would be a later loop's, reported there.
+        let line_start = scrubbed[..start].rfind('\n').map_or(0, |i| i + 1);
+        let head = scrubbed[line_start..start].trim_start();
+        if head.starts_with("impl ") || head.starts_with("impl<") {
+            continue;
+        }
         let Some(in_rel) = scrubbed[start..].find(" in ") else { continue };
         let expr_start = start + in_rel + 4;
         let expr_end =
@@ -355,6 +362,19 @@ mod tests {
                     impl S { fn f(&self) { let _ = self.record.iter(); } }\n";
         assert_eq!(run("crates/predictors/src/oracle.rs", src2).len(), 1);
         let _ = src;
+    }
+
+    #[test]
+    fn impl_header_for_is_not_a_loop() {
+        // An empty impl's `for` must not borrow the next loop's `in`; the
+        // loop itself is still reported, once, at its own `for`.
+        let src = "let entries: HashMap<u64, u64> = HashMap::new();\n\
+                   impl Marker for S {}\n\
+                   impl<K> Marker for W<K> {}\n\
+                   for e in entries {}\n";
+        let found = run("crates/predictors/src/oracle.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 4);
     }
 
     #[test]

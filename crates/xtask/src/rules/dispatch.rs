@@ -5,7 +5,8 @@
 //! cache and TLB level. Those hooks only inline — and the predictor
 //! update paths only fuse with the SoA scan loops — when the policy type
 //! is concrete, which is the whole point of the `System<L, C>`
-//! monomorphization. A `dyn LltPolicy` / `dyn LlcPolicy` anywhere in
+//! monomorphization. A `dyn LevelPolicy` / `dyn LltPolicy` /
+//! `dyn LlcPolicy` anywhere in
 //! `memsim` or `core` silently reintroduces two virtual calls per hook
 //! site, so non-test code there may not name a trait-object policy at
 //! all: every `System` and `Hierarchy` is built from concrete policy
@@ -14,15 +15,15 @@
 use super::{push, Violation};
 use crate::source::SourceFile;
 
-/// No `dyn LltPolicy` / `dyn LlcPolicy` (boxed or borrowed) in non-test
-/// code of the dispatch scopes.
+/// No `dyn LevelPolicy` / `dyn LltPolicy` / `dyn LlcPolicy` (boxed or
+/// borrowed) in non-test code of the dispatch scopes.
 pub const BOXED_POLICY: &str = "dispatch::boxed-policy";
 
 /// Crate source trees the family applies to: the simulator kernel and
 /// the experiment-construction layer that instantiates it.
 const DISPATCH_SCOPES: &[&str] = &["crates/memsim/src/", "crates/core/src/"];
 
-const POLICY_OBJECT_TOKENS: &[&str] = &["dyn LltPolicy", "dyn LlcPolicy"];
+const POLICY_OBJECT_TOKENS: &[&str] = &["dyn LevelPolicy", "dyn LltPolicy", "dyn LlcPolicy"];
 
 pub fn in_scope(rel: &str) -> bool {
     DISPATCH_SCOPES.iter().any(|scope| rel.starts_with(scope))
@@ -75,6 +76,15 @@ mod tests {
     #[test]
     fn borrowed_policy_object_in_core_flagged() {
         let f = file("crates/core/src/runner.rs", "fn f(p: &mut dyn LlcPolicy) {}\n");
+        assert_eq!(rules(&f), vec![BOXED_POLICY]);
+    }
+
+    #[test]
+    fn shared_hook_trait_object_flagged() {
+        let f = file(
+            "crates/memsim/src/hierarchy.rs",
+            "fn f(p: &mut dyn LevelPolicy<Key = BlockAddr>) {}\n",
+        );
         assert_eq!(rules(&f), vec![BOXED_POLICY]);
     }
 

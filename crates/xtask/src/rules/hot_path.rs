@@ -10,7 +10,8 @@
 //! * **reachability scope** — every function the call graph
 //!   ([`crate::graph`]) proves reachable from the replay roots
 //!   (`System::run_stream`/`step`, `SetAssoc::locate`/`fill`, the
-//!   `LltPolicy`/`LlcPolicy` hook surface, `EventStream::decode_chunk`)
+//!   `LevelPolicy`/`LltPolicy`/`LlcPolicy` hook surface,
+//!   `EventStream::decode_chunk`)
 //!   is held to the same rules *wherever it lives*, plus the
 //!   [`ALLOC`] rule: no heap construction (`Vec`/`Box`/`format!`/
 //!   `to_vec`/`to_owned`-style heap clones) on the warm path, the static

@@ -68,7 +68,7 @@ pub const DESCRIPTIONS: &[(&str, &str)] = &[
     (hot_path::PANIC, "no panic!/unreachable!/todo!/unimplemented!/get_unchecked there"),
     (hot_path::INDEX, "slice indexing needs visible bounds reasoning in the function"),
     (hot_path::ALLOC, "no heap construction (Vec/Box/format!/to_vec/...) in hot-reachable code"),
-    (dispatch::BOXED_POLICY, "no dyn LltPolicy/LlcPolicy in non-test memsim/core code"),
+    (dispatch::BOXED_POLICY, "no dyn LevelPolicy/LltPolicy/LlcPolicy in non-test memsim/core code"),
 ];
 
 /// Rule-family prefixes accepted in allow markers.

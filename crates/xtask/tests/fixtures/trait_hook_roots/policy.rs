@@ -8,3 +8,13 @@ impl LltPolicy for MyPolicy {
         shared_update(set);
     }
 }
+
+pub struct Generic<K> {
+    key: K,
+}
+
+impl<K: Copy> LevelPolicy for Generic<K> {
+    fn on_evict(&mut self, set: usize) {
+        generic_update(set);
+    }
+}

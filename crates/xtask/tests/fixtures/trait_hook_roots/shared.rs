@@ -4,6 +4,11 @@ pub fn shared_update(set: usize) {
     v.unwrap();
 }
 
+pub fn generic_update(set: usize) {
+    let v: Option<usize> = checked(set);
+    v.unwrap();
+}
+
 fn checked(set: usize) -> Option<usize> {
     Some(set)
 }
